@@ -137,19 +137,20 @@ def sample_counts(series: MeasurementSeries, total_flux: float, seed: int) -> Me
     """Poisson-sampled coincidence counts at a finite photon budget.
 
     Counts are drawn independently per mask with mean
-    total_flux * v_j / sum(v), from a counter-based generator keyed by
-    (seed, channel, j) so results do not depend on evaluation order.
+    total_flux * v_j / sum(v), in one draw from a counter-based Philox
+    generator keyed by (seed, channel), so a given seed and channel
+    always reproduce the same counts and the cos and sin channels draw
+    from independent streams.
     """
     if not series.exact:
         raise ValueError("can only sample from an exact-mode series")
-    if total_flux <= 0:
-        raise ValueError(f"total flux must be positive, got {total_flux}")
-    means = total_flux * series.values / series.values.sum()
+    if not (np.isfinite(total_flux) and total_flux > 0):
+        raise ValueError(f"total flux must be positive and finite, got {total_flux}")
+    total = series.values.sum()
+    if not total > 0:
+        raise ValueError("cannot sample counts: the exact series sums to zero "
+                         "(no light reaches the detector)")
     kind_bit = 0 if series.kind == "cos" else 1
-    counts = np.empty_like(means)
-    for j, mu in enumerate(means):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 2 * j + kind_bit], dtype=np.uint64))
-        )
-        counts[j] = rng.poisson(mu)
+    rng = np.random.Generator(np.random.Philox(key=[seed, kind_bit]))
+    counts = rng.poisson(total_flux * series.values / total).astype(np.float64)
     return replace(series, values=counts, flux=float(total_flux), seed=int(seed))

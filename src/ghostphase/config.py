@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple
 
@@ -14,12 +15,24 @@ class ConfigError(ValueError):
     pass
 
 
-_OBJECT_KEYS = {"kind", "slit_width", "slit_gap", "annulus_radii", "petals",
-                "bands", "phase_depth", "path"}
-_ANALYSIS_KEYS = {"row", "radius", "samples"}
-_TOP_KEYS = {"d", "object", "illumination_radius", "basis", "ordering", "basis_seed",
-             "flux", "acquisition_seed", "artifact_mode", "denoise_window",
-             "output_dir", "analysis"}
+# YAML key -> (RunConfig attribute, expected type), per document section
+_TOP_FIELDS = {
+    "d": ("d", int), "illumination_radius": ("illumination_radius", float),
+    "basis": ("basis", str), "ordering": ("ordering", str), "basis_seed": ("basis_seed", int),
+    "flux": ("flux", float), "acquisition_seed": ("acquisition_seed", int),
+    "artifact_mode": ("artifact_mode", str), "denoise_window": ("denoise_window", int),
+    "output_dir": ("output_dir", str),
+}
+_OBJECT_FIELDS = {
+    "kind": ("object_kind", str), "slit_width": ("slit_width", int),
+    "slit_gap": ("slit_gap", int), "annulus_radii": ("annulus_radii", tuple),
+    "petals": ("petals", int), "bands": ("bands", int),
+    "phase_depth": ("phase_depth", float), "path": ("object_path", str),
+}
+_ANALYSIS_FIELDS = {
+    "row": ("analysis_row", int), "radius": ("analysis_radius", float),
+    "samples": ("analysis_samples", int),
+}
 
 
 @dataclass
@@ -57,8 +70,8 @@ class RunConfig:
             raise ConfigError(f"artifact_mode: must be 'analytic' or 'heuristic', got {self.artifact_mode!r}")
         if self.d < 1 or (self.d & (self.d - 1)) and self.basis == "hadamard":
             raise ConfigError(f"d: hadamard basis needs a power of two, got {self.d}")
-        if self.flux is not None and self.flux <= 0:
-            raise ConfigError(f"flux: must be positive, got {self.flux}")
+        if self.flux is not None and not (math.isfinite(self.flux) and self.flux > 0):
+            raise ConfigError(f"flux: must be positive and finite, got {self.flux}")
         if self.denoise_window % 2 == 0:
             raise ConfigError(f"denoise_window: must be odd, got {self.denoise_window}")
         return self
@@ -113,10 +126,40 @@ class RunConfig:
             yaml.safe_dump(self.to_document(), fh, sort_keys=True)
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+
+
+def _convert(value, key: str, kind: type):
+    """Check one config value against its expected type.
+
+    Numbers pass through as written, so configs that loaded before resolve
+    to the same document.  Numeric strings are converted: PyYAML reads
+    ``1e6`` (no decimal point) as a string.
+    """
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string, got {value!r}")
+        return value
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"{key}: expected a pair of numbers, got {value!r}")
+        return tuple(_convert(v, key, float) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if isinstance(value, int) or (kind is float and isinstance(value, float)):
+        return value
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return int(number)
 
 
 def load_config(path) -> RunConfig:
@@ -125,30 +168,22 @@ def load_config(path) -> RunConfig:
     return config_from_document(doc)
 
 
+def _apply(cfg: RunConfig, section: dict, fields: dict, prefix: str = "") -> None:
+    for key, (attr, kind) in fields.items():
+        if section.get(key) is not None:
+            setattr(cfg, attr, _convert(section[key], prefix + key, kind))
+
+
 def config_from_document(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    _check_keys(doc, _TOP_KEYS, "config")
+    _check_keys(doc, {*_TOP_FIELDS, "object", "analysis"}, "config")
     cfg = RunConfig()
-    obj = doc.get("object", {}) or {}
-    _check_keys(obj, _OBJECT_KEYS, "object")
-    ana = doc.get("analysis", {}) or {}
-    _check_keys(ana, _ANALYSIS_KEYS, "analysis")
-
-    for key in ("d", "illumination_radius", "basis", "ordering", "basis_seed",
-                "flux", "acquisition_seed", "artifact_mode", "denoise_window",
-                "output_dir"):
-        if key in doc and doc[key] is not None:
-            setattr(cfg, key, doc[key])
-    for src, dst in (("kind", "object_kind"), ("slit_width", "slit_width"),
-                     ("slit_gap", "slit_gap"), ("petals", "petals"), ("bands", "bands"),
-                     ("phase_depth", "phase_depth"), ("path", "object_path")):
-        if src in obj and obj[src] is not None:
-            setattr(cfg, dst, obj[src])
-    if obj.get("annulus_radii") is not None:
-        cfg.annulus_radii = tuple(obj["annulus_radii"])
-    for src, dst in (("row", "analysis_row"), ("radius", "analysis_radius"),
-                     ("samples", "analysis_samples")):
-        if src in ana and ana[src] is not None:
-            setattr(cfg, dst, ana[src])
+    _apply(cfg, doc, _TOP_FIELDS)
+    for where, fields in (("object", _OBJECT_FIELDS), ("analysis", _ANALYSIS_FIELDS)):
+        section = doc.get(where) or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"{where}: expected a mapping, got {section!r}")
+        _check_keys(section, fields, where)
+        _apply(cfg, section, fields, where + ".")
     return cfg.validate()

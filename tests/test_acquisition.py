@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghostphase import (ObjectSpec, closed_form_values, decompose, decompose_probability,
-                        hadamard_matrix, make_object, measure_exact, random_basis,
-                        sample_counts)
+from ghostphase import (MeasurementSeries, ObjectSpec, closed_form_values, decompose,
+                        decompose_probability, hadamard_matrix, make_object, measure_exact,
+                        random_basis, sample_counts)
 
 from conftest import naive_mask_series, random_complex_object
 
@@ -110,6 +114,9 @@ def test_sampling_rejects_bad_flux():
         sample_counts(series, 0, seed=0)
     with pytest.raises(ValueError):
         sample_counts(series, -10, seed=0)
+    for flux in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            sample_counts(series, flux, seed=0)
     noisy = sample_counts(series, 100, seed=0)
     with pytest.raises(ValueError):
         sample_counts(noisy, 100, seed=0)
@@ -140,3 +147,44 @@ def test_sampling_unbiased_within_poisson_bands():
     expected = flux * series.values / series.values.sum()
     sigma = np.sqrt(np.maximum(expected, 1.0) / reps)
     assert np.all(np.abs(mean - expected) <= 3 * sigma)
+
+
+def test_sampling_rejects_dark_series():
+    H = hadamard_matrix(4)
+    dark = measure_exact(np.zeros((4, 4), complex), H, "cos")
+    with pytest.raises(ValueError, match="sums to zero"):
+        sample_counts(dark, 1e6, seed=0)
+
+
+@pytest.mark.parametrize("kind, kind_bit", [("cos", 0), ("sin", 1)])
+def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
+    H = hadamard_matrix(8)
+    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H, kind)
+    means = 1e5 * series.values / series.values.sum()
+    rng = np.random.Generator(np.random.Philox(key=[7, kind_bit]))
+    counts = sample_counts(series, 1e5, seed=7)
+    np.testing.assert_array_equal(counts.values, rng.poisson(means))
+    assert counts.values.dtype == np.float64
+
+
+def test_sampling_cos_and_sin_streams_differ():
+    H = hadamard_matrix(8)
+    cos_series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H, "cos")
+    sin_series = replace(cos_series, kind="sin")
+    a = sample_counts(cos_series, 1e5, seed=7)
+    b = sample_counts(sin_series, 1e5, seed=7)
+    assert not np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=64)
+       .filter(lambda v: sum(v) > 0),
+       flux=st.floats(1.0, 1e9),
+       seed=st.integers(0, 2**63))
+def test_sampling_counts_are_nonnegative_integers(values, flux, seed):
+    values = np.array(values)
+    series = MeasurementSeries(kind="cos", dim=1, basis="hadamard:natural", values=values)
+    counts = sample_counts(series, flux, seed).values
+    assert counts.shape == values.shape
+    assert np.all(counts >= 0) and np.all(counts == np.round(counts))
+    assert np.all(counts[values == 0] == 0)

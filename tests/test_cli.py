@@ -6,7 +6,7 @@ import yaml
 
 from ghostphase import cli
 from ghostphase.config import ConfigError, RunConfig, config_from_document, load_config
-from ghostphase.formats import read_field, read_series
+from ghostphase.formats import read_field, read_series, write_field
 
 
 def run(*argv):
@@ -139,6 +139,9 @@ def test_config_unknown_keys_rejected():
 
 
 def test_config_validation_messages():
+    with pytest.raises(ConfigError, match="flux"):
+        config_from_document({"flux": float("nan")})
+    assert config_from_document({"object": {"annulus_radii": ["2", 3]}}).annulus_radii == (2.0, 3)
     with pytest.raises(ConfigError, match="artifact_mode"):
         config_from_document({"artifact_mode": "magic"})
     with pytest.raises(ConfigError, match="flux"):
@@ -164,3 +167,57 @@ def test_cli_flag_overrides_config_file(tmp_path):
     assert obj.shape == (16, 16)
     resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
     assert resolved["d"] == 16 and resolved["object"]["kind"] == "flat"
+
+
+@pytest.mark.parametrize("flux", ["nan", "inf"])
+def test_acquire_rejects_non_finite_flux(tmp_path, capsys, flux):
+    out = tmp_path / "out"
+    assert run("gen-object", "--d", "8", "--out", str(out)) == 0
+    assert run("acquire", "--object", str(out / "object.gcf"), "--flux", flux,
+               "--out", str(out)) == 2
+    assert "flux" in capsys.readouterr().err
+
+
+def test_acquire_dark_object_at_finite_flux_is_usage_error(tmp_path, capsys):
+    dark = tmp_path / "dark.gcf"
+    write_field(dark, np.zeros((8, 8), complex), "complex")
+    assert run("acquire", "--object", str(dark), "--flux", "1e6", "--out", str(tmp_path)) == 2
+    assert "sums to zero" in capsys.readouterr().err
+
+
+# config text -> expected exit code and, on success, resolved values
+CONFIG_CASES = [
+    pytest.param("d: 8\nflux: 1e6\n", 0, {"flux": 1000000.0}, id="flux-1e6"),
+    pytest.param("d: '8'\n", 0, {"d": 8}, id="quoted-d"),
+    pytest.param("d: 8\ndenoise_window: 3.0\nbasis_seed: '5'\n", 0,
+                 {"denoise_window": 3, "basis_seed": 5}, id="integral-float-and-string"),
+    # pipeline does not yet forward object keys, so only the exit code is checked here
+    pytest.param("d: 8\nobject: {annulus_radii: ['2', 3]}\n", 0, {}, id="string-radius"),
+    pytest.param("d: 8\nflux: lots\n", 2, None, id="flux-word"),
+    pytest.param("d: 8\nflux: .nan\n", 2, None, id="flux-nan"),
+    pytest.param("d: 8\nflux: .inf\n", 2, None, id="flux-inf"),
+    pytest.param("d: 8.5\n", 2, None, id="fractional-d"),
+    pytest.param("d: 8\nacquisition_seed: true\n", 2, None, id="bool-seed"),
+    pytest.param("d: 8\nbasis_seed: [1]\n", 2, None, id="list-seed"),
+    pytest.param("d: 8\nbasis: 5\n", 2, None, id="numeric-basis"),
+    pytest.param("d: 8\nobject: flat\n", 2, None, id="scalar-object-section"),
+    pytest.param("d: 8\nobject: {annulus_radii: 5}\n", 2, None, id="scalar-radii"),
+    pytest.param("d: 8\nanalysis: {samples: 1.5}\n", 2, None, id="fractional-samples"),
+]
+
+
+@pytest.mark.parametrize("text, code, resolved", CONFIG_CASES)
+def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text)
+    out = tmp_path / "out"
+    assert run("pipeline", "--config", str(cfgfile), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")
+        return
+    document = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    assert {key: document[key] for key in resolved} == resolved
+    if "flux" in resolved:
+        assert "flux: 1000000.0\n" in (out / "resolved_config.yaml").read_text()
