@@ -151,6 +151,6 @@ def sample_counts(series: MeasurementSeries, total_flux: float, seed: int) -> Me
         raise ValueError("cannot sample counts: the exact series sums to zero "
                          "(no light reaches the detector)")
     kind_bit = 0 if series.kind == "cos" else 1
-    rng = np.random.Generator(np.random.Philox(key=[seed, kind_bit]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, kind_bit], dtype=np.uint64)))
     counts = rng.poisson(total_flux * series.values / total).astype(np.float64)
     return replace(series, values=counts, flux=float(total_flux), seed=int(seed))

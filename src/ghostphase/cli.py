@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -54,18 +55,26 @@ def _illumination_radius(cfg: RunConfig) -> float:
 
 
 def _make_basis(cfg: RunConfig):
-    if cfg.basis == "hadamard":
-        return wht.hadamard_matrix(cfg.d, cfg.ordering)
-    return projections.random_basis(cfg.d * cfg.d, cfg.d, cfg.basis_seed)
+    arg = cfg.ordering if cfg.basis == "hadamard" else cfg.basis_seed
+    return _basis_from_descriptor(f"{cfg.basis}:{arg}", cfg.d)
 
 
+@functools.lru_cache(maxsize=1)
 def _basis_from_descriptor(descriptor: str, d: int):
+    """Build the scan basis a series header names; `pipeline` builds it once.
+
+    The arrays of the returned basis are read-only, so stages can share it.
+    """
     family, _, arg = descriptor.partition(":")
-    if family == "hadamard":
-        return wht.hadamard_matrix(d, arg)
-    if family == "random":
-        return projections.random_basis(d * d, d, int(arg))
-    raise DataError(f"unknown basis descriptor {descriptor!r}")
+    if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):
+        basis = wht.hadamard_matrix(d, arg)
+        basis.entries.flags.writeable = False
+    elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
+        basis = projections.random_basis(d * d, d, int(arg))
+        basis.masks.flags.writeable = False
+    else:
+        raise DataError(f"unknown basis descriptor {descriptor!r}")
+    return basis
 
 
 def cmd_gen_object(args) -> int:

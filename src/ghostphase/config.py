@@ -72,6 +72,9 @@ class RunConfig:
             raise ConfigError(f"d: hadamard basis needs a power of two, got {self.d}")
         if self.flux is not None and not (math.isfinite(self.flux) and self.flux > 0):
             raise ConfigError(f"flux: must be positive and finite, got {self.flux}")
+        for key in ("basis_seed", "acquisition_seed"):
+            if not 0 <= getattr(self, key) < 2 ** 64:
+                raise ConfigError(f"{key}: must be in [0, 2**64), got {getattr(self, key)}")
         if self.denoise_window % 2 == 0:
             raise ConfigError(f"denoise_window: must be odd, got {self.denoise_window}")
         return self

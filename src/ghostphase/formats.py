@@ -87,23 +87,32 @@ def read_series(path) -> MeasurementSeries:
             if not line:
                 continue
             if line.startswith("#"):
-                meta.update(item.split("=", 1) for item in line[1:].split())
+                for item in line[1:].split():
+                    key, sep, value = item.partition("=")
+                    if not sep:
+                        raise DataError(f"{path}: bad series header token {item!r}")
+                    meta[key] = value
                 continue
-            j_str, v_str = line.split(",")
-            rows.append((int(j_str), float(v_str)))
+            try:
+                j_str, v_str = line.split(",")
+                rows.append((int(j_str), float(v_str)))
+            except ValueError:
+                raise DataError(f"{path}: bad series row {line!r}") from None
     try:
         d = int(meta["d"])
         kind = meta["kind"]
         basis = meta["basis"]
+        flux = None if meta.get("flux", "exact") == "exact" else float(meta["flux"])
+        seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
     except KeyError as exc:
         raise DataError(f"{path}: missing series header field {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: bad series header value ({exc})") from None
     if [j for j, _ in rows] != list(range(d * d)):
         raise DataError(f"{path}: expected rows j=0..{d * d - 1} in order")
     values = np.array([v for _, v in rows])
     if not np.all(np.isfinite(values)) or (values < 0).any():
         raise DataError(f"{path}: series values must be finite and nonnegative")
-    flux = None if meta.get("flux", "exact") == "exact" else float(meta["flux"])
-    seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
     return MeasurementSeries(kind=kind, dim=d, basis=basis, values=values, flux=flux, seed=seed)
 
 

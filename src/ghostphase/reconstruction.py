@@ -212,11 +212,19 @@ def remove_artifact(
         else:
             # Random masks are not orthogonal: the correlation sum carries a
             # basis-crosstalk noise floor, so solve the (complete) mask
-            # system instead, which is exact for an invertible mask set.
-            N = context.basis.size
-            M = context.basis.masks.reshape(N, N)
-            re = np.linalg.lstsq(M, est.cross_cos, rcond=None)[0].reshape(gi_cos.entries.shape) / N
-            im = np.linalg.lstsq(M, est.cross_sin, rcond=None)[0].reshape(gi_sin.entries.shape) / N
+            # system instead.  One LU solve takes both cross-term vectors;
+            # it is exact for an invertible mask set, and a singular set
+            # (common for d <= 4) is rejected rather than least-squared.
+            basis = context.basis
+            N = basis.size
+            rhs = np.column_stack((est.cross_cos, est.cross_sin))
+            try:
+                solution = np.linalg.solve(basis.masks.reshape(N, N), rhs) / N
+            except np.linalg.LinAlgError:
+                raise ValueError(f"random mask set (basis seed {basis.seed}, d={basis.dim}) is "
+                                 "singular; choose another basis seed") from None
+            re = solution[:, 0].reshape(gi_cos.entries.shape)
+            im = solution[:, 1].reshape(gi_sin.entries.shape)
         return _patch_corner(re), _patch_corner(im)
 
     # Images-only fallback: corner patch and background-median subtraction.

@@ -176,6 +176,18 @@ def test_sampling_cos_and_sin_streams_differ():
     assert not np.array_equal(a.values, b.values)
 
 
+def test_sampling_keys_seeds_above_2_63_exactly():
+    # a float64 key would round both seeds to 2**63 and repeat one stream
+    H = hadamard_matrix(8)
+    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H, "cos")
+    a = sample_counts(series, 1e5, seed=2**63 + 5)
+    b = sample_counts(series, 1e5, seed=2**63 + 6)
+    assert not np.array_equal(a.values, b.values)
+    top = sample_counts(series, 1e5, seed=2**64 - 1)
+    rng = np.random.Generator(np.random.Philox(key=np.array([2**64 - 1, 0], dtype=np.uint64)))
+    np.testing.assert_array_equal(top.values, rng.poisson(1e5 * series.values / series.values.sum()))
+
+
 @settings(max_examples=50, deadline=None)
 @given(values=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=64)
        .filter(lambda v: sum(v) > 0),

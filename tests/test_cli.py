@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ghostphase import cli
+from ghostphase import cli, projections
 from ghostphase.config import ConfigError, RunConfig, config_from_document, load_config
 from ghostphase.formats import read_field, read_series, write_field
 
@@ -203,6 +203,8 @@ CONFIG_CASES = [
     pytest.param("d: 8\nobject: flat\n", 2, None, id="scalar-object-section"),
     pytest.param("d: 8\nobject: {annulus_radii: 5}\n", 2, None, id="scalar-radii"),
     pytest.param("d: 8\nanalysis: {samples: 1.5}\n", 2, None, id="fractional-samples"),
+    pytest.param("d: 8\nacquisition_seed: 18446744073709551616\n", 2, None, id="seed-2**64"),
+    pytest.param("d: 8\nbasis_seed: -1\n", 2, None, id="negative-basis-seed"),
 ]
 
 
@@ -221,3 +223,87 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     assert {key: document[key] for key in resolved} == resolved
     if "flux" in resolved:
         assert "flux: 1000000.0\n" in (out / "resolved_config.yaml").read_text()
+
+
+SEED_CASES = [
+    pytest.param(("--seed", str(2 ** 64)), id="seed-2**64"),
+    pytest.param(("--basis-seed", str(2 ** 64)), id="basis-seed-2**64"),
+    pytest.param(("--basis-seed", "-1"), id="negative-basis-seed"),
+    pytest.param(("--seed", "-1", "--flux", "1e6"), id="negative-seed-sampled"),
+]
+
+
+@pytest.mark.parametrize("flags", SEED_CASES)
+def test_pipeline_rejects_out_of_range_seeds(tmp_path, capsys, flags):
+    assert run("pipeline", "--d", "8", *flags, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+
+def test_pipeline_accepts_largest_seeds(tmp_path):
+    top = str(2 ** 64 - 1)
+    assert run("pipeline", "--d", "8", "--basis", "random", "--basis-seed", top,
+               "--flux", "1e6", "--seed", top, "--out", str(tmp_path)) == 0
+    header = (tmp_path / "series_cos.csv").read_text().splitlines()[0]
+    assert f"basis=random:{top}" in header and f"seed={top}" in header
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+# series-file corruption -> reconstruct must exit 3 without a traceback
+MALFORMED_SERIES = [
+    pytest.param(_replace("\n1,", "\n1;"), id="row-without-comma"),
+    pytest.param(_replace("\n1,", "\n1,x"), id="row-bad-number"),
+    pytest.param(_replace(" kind=", " kind "), id="header-token-without-equals"),
+    pytest.param(_replace("seed=none", "seed=abc"), id="header-bad-seed"),
+    pytest.param(_replace("hadamard:natural", "hadamard:bogus"), id="hadamard-bogus"),
+    pytest.param(_replace("hadamard:natural", "random:abc"), id="random-abc"),
+    pytest.param(_replace("hadamard:natural", "random:-1"), id="random-negative"),
+    pytest.param(_replace("hadamard:natural", f"random:{2 ** 64}"), id="random-2**64"),
+]
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_SERIES)
+def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, corrupt):
+    out = tmp_path / "out"
+    assert run("gen-object", "--d", "4", "--out", str(out)) == 0
+    assert run("acquire", "--object", str(out / "object.gcf"), "--out", str(out)) == 0
+    for channel in ("cos", "sin"):
+        path = out / f"series_{channel}.csv"
+        path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert run("reconstruct", "--cos", str(out / "series_cos.csv"),
+               "--sin", str(out / "series_sin.csv"), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):
+    calls = []
+    build = projections.random_basis
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    cli._basis_from_descriptor.cache_clear()
+    monkeypatch.setattr(projections, "random_basis", counting)
+    assert run("pipeline", "--d", "8", "--basis", "random", "--basis-seed", "3",
+               "--out", str(tmp_path)) == 0
+    assert calls == [(64, 8, 3)]
+
+
+@pytest.mark.parametrize("descriptor, attr", [("random:3", "masks"), ("hadamard:sequency", "entries")])
+def test_cached_basis_arrays_are_read_only(descriptor, attr):
+    basis = cli._basis_from_descriptor(descriptor, 8)
+    assert cli._basis_from_descriptor(descriptor, 8) is basis
+    assert not getattr(basis, attr).flags.writeable
+
+
+def test_pipeline_singular_random_basis_is_usage_error(tmp_path, capsys):
+    assert run("pipeline", "--d", "2", "--basis", "random", "--basis-seed", "0",
+               "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "basis seed 0, d=2" in err and "singular" in err and "Traceback" not in err

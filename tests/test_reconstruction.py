@@ -225,6 +225,34 @@ def test_random_vs_hadamard_reconstruction_agreement():
     assert phase_rmse(ph_r, ph_h) <= 0.3
 
 
+def _random_heuristic(obj, basis):
+    sc, ss = measure_exact(obj, basis, "cos"), measure_exact(obj, basis, "sin")
+    re, im = remove_artifact(ghost_image(sc, basis), ghost_image(ss, basis), "heuristic",
+                             ArtifactContext(basis=basis, series_cos=sc, series_sin=ss))
+    return re, im, estimate_spectrum(sc, ss)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("d", [8, 16])
+def test_random_solve_matches_least_squares(d, seed):
+    obj = _object("spiral-flower-phase", d)
+    basis = random_basis(d * d, d, seed)
+    re, im, est = _random_heuristic(obj, basis)
+    M = basis.masks.reshape(d * d, d * d)
+    for got, cross in ((re, est.cross_cos), (im, est.cross_sin)):
+        ref = np.linalg.lstsq(M, cross, rcond=None)[0].reshape(d, d) / (d * d)
+        ref[0, 0] = (ref[0, 1] + ref[1, 0] + ref[1, 1]) / 3.0
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+def test_singular_random_mask_set_is_rejected():
+    # seed 0 at d=2 draws the negated reference as mask 3; LAPACK flags the set
+    basis = random_basis(4, 2, seed=0)
+    assert np.linalg.matrix_rank(basis.masks.reshape(4, 4)) < 4
+    with pytest.raises(ValueError, match=r"basis seed 0, d=2\) is singular"):
+        _random_heuristic(np.ones((2, 2), complex) / 2, basis)
+
+
 def test_counts_normalization_preserves_structure():
     d = 8
     H = hadamard_matrix(d)
