@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 
 from . import acquisition, analysis, formats, projections, reconstruction, scene, wht
-from .config import ConfigError, RunConfig, config_from_document, load_config
+from .config import ConfigError, RunConfig, load_config
 from .formats import DataError
 from .scene import SpecError
 
@@ -48,12 +49,6 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
-def _illumination_radius(cfg: RunConfig) -> float:
-    if cfg.illumination_radius is not None:
-        return cfg.illumination_radius
-    return scene.default_radius(cfg.d)
-
-
 def _make_basis(cfg: RunConfig):
     arg = cfg.ordering if cfg.basis == "hadamard" else cfg.basis_seed
     return _basis_from_descriptor(f"{cfg.basis}:{arg}", cfg.d)
@@ -67,7 +62,10 @@ def _basis_from_descriptor(descriptor: str, d: int):
     """
     family, _, arg = descriptor.partition(":")
     if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):
-        basis = wht.hadamard_matrix(d, arg)
+        try:
+            basis = wht.hadamard_matrix(d, arg)
+        except wht.DimensionError as exc:
+            raise DataError(f"basis {descriptor!r} with d={d}: {exc}") from None
         basis.entries.flags.writeable = False
     elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
         basis = projections.random_basis(d * d, d, int(arg))
@@ -77,21 +75,131 @@ def _basis_from_descriptor(descriptor: str, d: int):
     return basis
 
 
-def cmd_gen_object(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg)
-    obj = scene.make_object(cfg.object_spec(), cfg.d)
+# A stage maps in-memory inputs to in-memory results under one RunConfig and
+# a writer puts one stage's results into the output directory.  Subcommands
+# read their inputs from files; `pipeline` hands each result to the next stage.
+
+Reconstruction = collections.namedtuple("Reconstruction", "gi_cos gi_sin re im phase")
+Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
+
+
+def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
+    """The (cos, sin) detection series of an object, exact or Poisson-sampled."""
+    basis = _make_basis(cfg)
+    pair = [acquisition.measure_exact(obj, basis, channel) for channel in ("cos", "sin")]
+    if cfg.flux is not None:
+        pair = [acquisition.sample_counts(s, cfg.flux, cfg.acquisition_seed) for s in pair]
+    return tuple(pair)
+
+
+def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruction:
+    """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
+    if series_cos.dim != series_sin.dim or series_cos.basis != series_sin.basis:
+        raise DataError("cos and sin series headers do not match")
+    if series_cos.kind != "cos" or series_sin.kind != "sin":
+        raise DataError("series channel kinds do not match their roles")
+    d = series_cos.dim
+    basis = _basis_from_descriptor(series_cos.basis, d)
+    gi_cos = reconstruction.ghost_image(series_cos, basis)
+    gi_sin = reconstruction.ghost_image(series_sin, basis)
+    context = reconstruction.ArtifactContext(
+        basis=basis, obj=obj, series_cos=series_cos, series_sin=series_sin)
+    re, im = reconstruction.remove_artifact(gi_cos, gi_sin, cfg.artifact_mode, context)
+    # the support radius follows cfg.d, not the series dimension
+    radius = cfg.illumination_radius
+    if radius is None:
+        radius = scene.default_radius(cfg.d)
+    phase = reconstruction.combine_phase(re, im, scene.disc_mask(d, min(radius, d)))
+    return Reconstruction(gi_cos, gi_sin, re, im,
+                          reconstruction.denoise(phase, cfg.denoise_window))
+
+
+def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
+    """Phase error and cross-sections of a recovered phase map against the truth."""
+    if recovered.entries.shape != truth.entries.shape:
+        raise DataError("phase and truth grids have different sizes")
+    d = recovered.entries.shape[0]
+    rmse = analysis.phase_rmse(recovered, truth)
+    row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
+    radius = cfg.analysis_radius
+    if radius is None:
+        radii = cfg.annulus_radii or (d / 4, 3 * d / 8)
+        radius = (radii[0] + radii[1]) / 2
+    horizontal = analysis.cross_section_horizontal(recovered, row)
+    azimuthal = analysis.cross_section_azimuthal(recovered, radius, cfg.analysis_samples)
+    return Analysis(horizontal, azimuthal, {
+        "phase_rmse_rad": repr(rmse),
+        "cross_section_row": row,
+        "azimuthal_radius": repr(float(radius)),
+        "azimuthal_slope": repr(analysis.azimuthal_slope(azimuthal)),
+        "support_pixels": int((recovered.support & truth.support).sum()),
+    })
+
+
+def write_object(out, obj, kind) -> None:
     formats.write_field(os.path.join(out, "object.gcf"), obj, "complex")
     formats.write_pgm(os.path.join(out, "object_phase.pgm"), np.angle(obj),
                       lo=-np.pi, hi=np.pi)
     formats.write_pgm(os.path.join(out, "object_amplitude.pgm"), np.abs(obj), lo=0.0)
-    print(f"wrote {out}/object.gcf ({cfg.d}x{cfg.d} {cfg.object_kind})")
-    return EXIT_OK
+    print(f"wrote {out}/object.gcf ({obj.shape[0]}x{obj.shape[0]} {kind})")
 
 
-def cmd_gen_masks(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg)
+def write_series_pair(out, series_cos, series_sin) -> None:
+    for series in (series_cos, series_sin):
+        formats.write_series(os.path.join(out, f"series_{series.kind}.csv"), series)
+    print(f"wrote {out}/series_cos.csv and {out}/series_sin.csv ({series_cos.size} rows each)")
+
+
+def write_reconstruction(out, rec: Reconstruction) -> None:
+    phase = rec.phase
+    formats.write_field(os.path.join(out, "gi_cos.gcf"), rec.gi_cos.entries, "real")
+    formats.write_field(os.path.join(out, "gi_sin.gcf"), rec.gi_sin.entries, "real")
+    formats.write_field(os.path.join(out, "re.gcf"), rec.re, "real")
+    formats.write_field(os.path.join(out, "im.gcf"), rec.im, "real")
+    formats.write_field(os.path.join(out, "phase.gcf"), phase.entries, "phase")
+    formats.write_field(os.path.join(out, "support.gcf"), phase.support.astype(float), "real")
+    formats.write_pgm(os.path.join(out, "phase.pgm"), phase.entries,
+                      lo=-np.pi, hi=np.pi, invalid=~phase.support)
+    formats.write_pgm(os.path.join(out, "gi_cos.pgm"), rec.gi_cos.entries)
+    formats.write_pgm(os.path.join(out, "gi_sin.pgm"), rec.gi_sin.entries)
+    print(f"wrote reconstruction outputs to {out}")
+
+
+def write_analysis(out, result: Analysis) -> None:
+    formats.write_cross_section_csv(os.path.join(out, "cross_horizontal.csv"), result.horizontal)
+    formats.write_cross_section_csv(os.path.join(out, "cross_azimuthal.csv"), result.azimuthal)
+    formats.write_metrics(os.path.join(out, "report.txt"), result.report)
+    print(f"phase_rmse_rad: {result.report['phase_rmse_rad']}")
+
+
+def _read_complex(path, role: str) -> np.ndarray:
+    entries, kind = formats.read_field(path)
+    if kind != "complex":
+        raise DataError(f"{path}: {role} must be a complex field")
+    return entries
+
+
+def _phase_image(entries, kind, support=None) -> reconstruction.PhaseImage:
+    """A field as a phase map; a complex field gives its angle where it is nonzero."""
+    if kind == "complex":
+        support = np.abs(entries) > 1e-12 * max(np.abs(entries).max(), 1e-300)
+        entries = np.angle(entries)
+    elif support is None:
+        support = np.ones(entries.shape, bool)
+    return reconstruction.PhaseImage(entries=entries, support=support)
+
+
+def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
+    entries, kind = formats.read_field(path)
+    support = formats.read_field(support_path)[0] > 0.5 if support_path else None
+    return _phase_image(entries, kind, support)
+
+
+def cmd_gen_object(args, cfg: RunConfig, out: str) -> None:
+    write_object(out, scene.make_object(cfg.object_spec(), cfg.d), cfg.object_kind)
+
+
+def cmd_gen_masks(args, cfg: RunConfig, out: str) -> None:
     basis = _make_basis(cfg)
     indices = range(args.count) if args.index is None else [args.index]
     for j in indices:
@@ -112,165 +220,54 @@ def cmd_gen_masks(args) -> int:
         formats.write_mask_text(os.path.join(out, f"mask_sin_{j:05d}.txt"),
                                 projections.export_mask_symbols(sinm, "sin"), "sin", j)
     print(f"wrote {3 * len(list(indices))} mask files to {out}")
-    return EXIT_OK
 
 
-def cmd_acquire(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg)
-    obj, kind = formats.read_field(args.object)
-    if kind != "complex":
-        raise DataError(f"{args.object}: acquisition needs a complex object field")
+def cmd_acquire(args, cfg: RunConfig, out: str) -> None:
+    obj = _read_complex(args.object, "acquisition object")
     if obj.shape[0] != cfg.d:
         cfg.d = obj.shape[0]
         cfg.validate()
-    basis = _make_basis(cfg)
-    for channel in ("cos", "sin"):
-        series = acquisition.measure_exact(obj, basis, channel)
-        if cfg.flux is not None:
-            series = acquisition.sample_counts(series, cfg.flux, cfg.acquisition_seed)
-        formats.write_series(os.path.join(out, f"series_{channel}.csv"), series)
-    print(f"wrote {out}/series_cos.csv and {out}/series_sin.csv ({cfg.d * cfg.d} rows each)")
-    return EXIT_OK
+    write_series_pair(out, *acquire(cfg, obj))
 
 
-def cmd_reconstruct(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg)
+def cmd_reconstruct(args, cfg: RunConfig, out: str) -> None:
     series_cos = formats.read_series(args.cos)
     series_sin = formats.read_series(args.sin)
-    if series_cos.dim != series_sin.dim or series_cos.basis != series_sin.basis:
-        raise DataError("cos and sin series headers do not match")
-    if series_cos.kind != "cos" or series_sin.kind != "sin":
-        raise DataError("series channel kinds do not match their roles")
-    d = series_cos.dim
-    basis = _basis_from_descriptor(series_cos.basis, d)
-
-    gi_cos = reconstruction.ghost_image(series_cos, basis)
-    gi_sin = reconstruction.ghost_image(series_sin, basis)
-
     obj = None
     if cfg.artifact_mode == "analytic":
         if not args.object:
             raise ConfigError("analytic artifact mode needs --object (ground truth)")
-        obj, kind = formats.read_field(args.object)
-        if kind != "complex":
-            raise DataError(f"{args.object}: ground truth must be a complex field")
-    context = reconstruction.ArtifactContext(
-        basis=basis, obj=obj, series_cos=series_cos, series_sin=series_sin)
-    re, im = reconstruction.remove_artifact(gi_cos, gi_sin, cfg.artifact_mode, context)
-
-    support = scene.disc_mask(d, min(_illumination_radius(cfg), d))
-    phase = reconstruction.combine_phase(re, im, support)
-    phase = reconstruction.denoise(phase, cfg.denoise_window)
-
-    formats.write_field(os.path.join(out, "gi_cos.gcf"), gi_cos.entries, "real")
-    formats.write_field(os.path.join(out, "gi_sin.gcf"), gi_sin.entries, "real")
-    formats.write_field(os.path.join(out, "re.gcf"), re, "real")
-    formats.write_field(os.path.join(out, "im.gcf"), im, "real")
-    formats.write_field(os.path.join(out, "phase.gcf"), phase.entries, "phase")
-    formats.write_field(os.path.join(out, "support.gcf"), phase.support.astype(float), "real")
-    formats.write_pgm(os.path.join(out, "phase.pgm"), phase.entries,
-                      lo=-np.pi, hi=np.pi, invalid=~phase.support)
-    formats.write_pgm(os.path.join(out, "gi_cos.pgm"), gi_cos.entries)
-    formats.write_pgm(os.path.join(out, "gi_sin.pgm"), gi_sin.entries)
-    print(f"wrote reconstruction outputs to {out}")
-    return EXIT_OK
+        obj = _read_complex(args.object, "ground truth")
+    write_reconstruction(out, reconstruct(cfg, series_cos, series_sin, obj))
 
 
-def _phase_image_from_files(phase_path, support_path=None) -> reconstruction.PhaseImage:
-    entries, kind = formats.read_field(phase_path)
-    if kind == "complex":
-        support = np.abs(entries) > 1e-12 * max(np.abs(entries).max(), 1e-300)
-        return reconstruction.PhaseImage(entries=np.angle(entries), support=support)
-    if support_path:
-        sup, _ = formats.read_field(support_path)
-        support = sup > 0.5
-    else:
-        support = np.ones(entries.shape, bool)
-    return reconstruction.PhaseImage(entries=entries, support=support)
+def cmd_analyze(args, cfg: RunConfig, out: str) -> None:
+    recovered = _read_phase_image(args.phase, args.support)
+    truth = _read_phase_image(args.truth, args.truth_support)
+    write_analysis(out, analyze(cfg, recovered, truth))
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg)
-    recovered = _phase_image_from_files(args.phase, args.support)
-    truth = _phase_image_from_files(args.truth, args.truth_support)
-    if recovered.entries.shape != truth.entries.shape:
-        raise DataError("phase and truth grids have different sizes")
-    d = recovered.entries.shape[0]
-
-    rmse = analysis.phase_rmse(recovered, truth)
-    row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
-    radius = cfg.analysis_radius
-    if radius is None:
-        radii = cfg.annulus_radii or (d / 4, 3 * d / 8)
-        radius = (radii[0] + radii[1]) / 2
-    horizontal = analysis.cross_section_horizontal(recovered, row)
-    azimuthal = analysis.cross_section_azimuthal(recovered, radius, cfg.analysis_samples)
-    formats.write_cross_section_csv(os.path.join(out, "cross_horizontal.csv"), horizontal)
-    formats.write_cross_section_csv(os.path.join(out, "cross_azimuthal.csv"), azimuthal)
-    formats.write_metrics(os.path.join(out, "report.txt"), {
-        "phase_rmse_rad": repr(rmse),
-        "cross_section_row": row,
-        "azimuthal_radius": repr(float(radius)),
-        "azimuthal_slope": repr(analysis.azimuthal_slope(azimuthal)),
-        "support_pixels": int((recovered.support & truth.support).sum()),
-    })
-    print(f"phase_rmse_rad: {rmse!r}")
-    return EXIT_OK
-
-
-def cmd_pipeline(args) -> int:
-    cfg = _load_cfg(args)
-    out = _outdir(cfg)
-
-    ns = argparse.Namespace(config=None, object=None, cos=None, sin=None,
-                            phase=None, truth=None, support=None, truth_support=None)
-    ns.__dict__.update({k: None for k in ("d", "kind", "illumination_radius", "basis",
-                                          "ordering", "basis_seed", "flux", "seed",
-                                          "artifact_mode", "denoise_window")})
-    base = cfg
-
-    def stage(**kw):
-        sub = argparse.Namespace(**vars(ns))
-        sub.__dict__.update(kw)
-        return sub
-
-    cfg.output_dir = out
-    cmd_gen_object(stage(config=None, out=out, **_cfg_overrides(base)))
-    cmd_acquire(stage(object=os.path.join(out, "object.gcf"), out=out, **_cfg_overrides(base)))
-    cmd_reconstruct(stage(cos=os.path.join(out, "series_cos.csv"),
-                          sin=os.path.join(out, "series_sin.csv"),
-                          object=os.path.join(out, "object.gcf"),
-                          out=out, **_cfg_overrides(base)))
-    cmd_analyze(stage(phase=os.path.join(out, "phase.gcf"),
-                      support=os.path.join(out, "support.gcf"),
-                      truth=os.path.join(out, "object.gcf"),
-                      out=out, **_cfg_overrides(base)))
+def cmd_pipeline(args, cfg: RunConfig, out: str) -> None:
+    """Run every stage in memory; each stage's files are written and none is read back."""
+    obj = scene.make_object(cfg.object_spec(), cfg.d)
+    write_object(out, obj, cfg.object_kind)
+    series = acquire(cfg, obj)
+    write_series_pair(out, *series)
+    rec = reconstruct(cfg, *series, obj)
+    write_reconstruction(out, rec)
+    write_analysis(out, analyze(cfg, rec.phase, _phase_image(obj, "complex")))
 
     manifest = {"artifacts": []}
     for name in sorted(os.listdir(out)):
         if name == "manifest.json":
             continue
-        path = os.path.join(out, name)
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(os.path.join(out, name), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         manifest["artifacts"].append({"path": name, "sha256": digest})
     with open(os.path.join(out, "manifest.json"), "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"pipeline complete; manifest at {out}/manifest.json")
-    return EXIT_OK
-
-
-def _cfg_overrides(cfg: RunConfig) -> dict:
-    # pass the resolved config through the per-stage override slots
-    return {
-        "d": cfg.d, "kind": cfg.object_kind, "illumination_radius": cfg.illumination_radius,
-        "basis": cfg.basis, "ordering": cfg.ordering, "basis_seed": cfg.basis_seed,
-        "flux": cfg.flux, "seed": cfg.acquisition_seed, "artifact_mode": cfg.artifact_mode,
-        "denoise_window": cfg.denoise_window,
-    }
 
 
 def _add_common(parser) -> None:
@@ -335,7 +332,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_cfg(args)
+        args.func(args, cfg, _outdir(cfg))
+        return EXIT_OK
     except (ConfigError, SpecError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -143,11 +143,17 @@ def read_pgm(path) -> np.ndarray:
     stream = io.BytesIO(raw)
     if stream.readline().strip() != b"P5":
         raise DataError(f"{path}: not a binary PGM")
-    w, h = (int(t) for t in stream.readline().split())
-    maxval = int(stream.readline())
+    try:
+        w, h = (int(t) for t in stream.readline().split())
+        maxval = int(stream.readline())
+    except ValueError:
+        raise DataError(f"{path}: bad PGM header") from None
     if maxval != 65535:
         raise DataError(f"{path}: expected 16-bit PGM, maxval={maxval}")
-    return np.frombuffer(stream.read(w * h * 2), dtype=">u2").reshape(h, w).astype(int)
+    payload = stream.read()
+    if len(payload) != w * h * 2:
+        raise DataError(f"{path}: payload is {len(payload)} bytes, expected {w * h * 2}")
+    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(int)
 
 
 def write_mask_text(path, symbols: np.ndarray, kind: str, index: int) -> None:

@@ -13,7 +13,6 @@ flag below flips it back when the imaginary part is extracted.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -215,14 +214,25 @@ def remove_artifact(
             # system instead.  One LU solve takes both cross-term vectors;
             # it is exact for an invertible mask set, and a singular set
             # (common for d <= 4) is rejected rather than least-squared.
+            # LU does not flag every rank-deficient set, and exact data can
+            # be consistent with one, so the solve also takes a fixed
+            # pseudo-random probe column that such a set cannot reproduce:
+            # any column off by more than 1e-6 (relative) rejects the set.
             basis = context.basis
             N = basis.size
-            rhs = np.column_stack((est.cross_cos, est.cross_sin))
+            masks = basis.masks.reshape(N, N)
+            probe = np.random.default_rng(0).standard_normal(N)
+            rhs = np.column_stack((est.cross_cos, est.cross_sin, probe))
             try:
-                solution = np.linalg.solve(basis.masks.reshape(N, N), rhs) / N
+                solution = np.linalg.solve(masks, rhs)
             except np.linalg.LinAlgError:
+                solution = None
+            if solution is None or not np.all(
+                    np.linalg.norm(masks @ solution - rhs, axis=0)
+                    <= 1e-6 * np.linalg.norm(rhs, axis=0)):
                 raise ValueError(f"random mask set (basis seed {basis.seed}, d={basis.dim}) is "
-                                 "singular; choose another basis seed") from None
+                                 "singular; choose another basis seed")
+            solution = solution[:, :2] / N
             re = solution[:, 0].reshape(gi_cos.entries.shape)
             im = solution[:, 1].reshape(gi_sin.entries.shape)
         return _patch_corner(re), _patch_corner(im)
@@ -252,14 +262,25 @@ def combine_phase(re: np.ndarray, im: np.ndarray, support: Optional[np.ndarray] 
 
 
 def _masked_median(data: np.ndarray, valid: np.ndarray, window: int) -> np.ndarray:
-    """Windowed median that ignores invalid pixels instead of mixing them in."""
+    """Windowed median that ignores invalid pixels instead of mixing them in.
+
+    The window^2 shifted views of the NaN-padded grid are stacked and
+    sorted along the stack, so each pixel's n valid neighbours come first.
+    The median averages entries (n-1)//2 and n//2, as ``np.ma.median``
+    does; its sum starts from +0.0, so a zero median is +0.0 whatever the
+    order of tied signed zeros.  A window with no valid pixel gives NaN
+    and keeps ``data``.
+    """
     pad = window // 2
-    arr = np.where(valid, data, np.nan)
-    arr = np.pad(arr, pad, constant_values=np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(arr, (window, window))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)  # all-NaN windows
-        med = np.nanmedian(windows, axis=(2, 3))
+    rows, cols = data.shape
+    arr = np.pad(np.where(valid, data, np.nan), pad, constant_values=np.nan)
+    stack = np.stack([arr[i:i + rows, j:j + cols]
+                      for i in range(window) for j in range(window)])
+    stack.sort(axis=0)
+    n = window * window - np.isnan(stack).sum(axis=0)
+    lo = np.take_along_axis(stack, (np.maximum(n - 1, 0) // 2)[np.newaxis], axis=0)[0]
+    hi = np.take_along_axis(stack, (n // 2)[np.newaxis], axis=0)[0]
+    med = (lo + hi) / 2 + 0.0
     return np.where(np.isnan(med), data, med)
 
 

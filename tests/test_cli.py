@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from ghostphase import cli, projections
+from ghostphase import cli, formats, projections
 from ghostphase.config import ConfigError, RunConfig, config_from_document, load_config
 from ghostphase.formats import read_field, read_series, write_field
 
@@ -185,14 +186,20 @@ def test_acquire_dark_object_at_finite_flux_is_usage_error(tmp_path, capsys):
     assert "sums to zero" in capsys.readouterr().err
 
 
-# config text -> expected exit code and, on success, resolved values
+def _lookup(document, dotted):
+    for key in dotted.split("."):
+        document = document[key]
+    return document
+
+
+# config text -> expected exit code and, on success, resolved values ("section.key")
 CONFIG_CASES = [
     pytest.param("d: 8\nflux: 1e6\n", 0, {"flux": 1000000.0}, id="flux-1e6"),
     pytest.param("d: '8'\n", 0, {"d": 8}, id="quoted-d"),
     pytest.param("d: 8\ndenoise_window: 3.0\nbasis_seed: '5'\n", 0,
                  {"denoise_window": 3, "basis_seed": 5}, id="integral-float-and-string"),
-    # pipeline does not yet forward object keys, so only the exit code is checked here
-    pytest.param("d: 8\nobject: {annulus_radii: ['2', 3]}\n", 0, {}, id="string-radius"),
+    pytest.param("d: 8\nobject: {annulus_radii: ['2', 3]}\n", 0,
+                 {"object.annulus_radii": [2.0, 3]}, id="string-radius"),
     pytest.param("d: 8\nflux: lots\n", 2, None, id="flux-word"),
     pytest.param("d: 8\nflux: .nan\n", 2, None, id="flux-nan"),
     pytest.param("d: 8\nflux: .inf\n", 2, None, id="flux-inf"),
@@ -220,7 +227,7 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
         assert err.startswith("error: ")
         return
     document = yaml.safe_load((out / "resolved_config.yaml").read_text())
-    assert {key: document[key] for key in resolved} == resolved
+    assert {key: _lookup(document, key) for key in resolved} == resolved
     if "flux" in resolved:
         assert "flux: 1000000.0\n" in (out / "resolved_config.yaml").read_text()
 
@@ -262,6 +269,8 @@ MALFORMED_SERIES = [
     pytest.param(_replace("hadamard:natural", "random:abc"), id="random-abc"),
     pytest.param(_replace("hadamard:natural", "random:-1"), id="random-negative"),
     pytest.param(_replace("hadamard:natural", f"random:{2 ** 64}"), id="random-2**64"),
+    pytest.param(lambda text: "".join(text.replace("# d=4 ", "# d=3 ", 1).splitlines(True)[:10]),
+                 id="hadamard-d3"),
 ]
 
 
@@ -307,3 +316,64 @@ def test_pipeline_singular_random_basis_is_usage_error(tmp_path, capsys):
                "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "basis seed 0, d=2" in err and "singular" in err and "Traceback" not in err
+
+
+def test_pipeline_rank_deficient_random_basis_is_usage_error(tmp_path, capsys):
+    # LU solves this rank-deficient set without error; the residual check rejects it
+    assert run("pipeline", "--d", "4", "--basis", "random", "--basis-seed", "13",
+               "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "basis seed 13, d=4" in err and "singular" in err and "Traceback" not in err
+
+
+def test_pipeline_honours_yaml_object_and_analysis_keys(tmp_path):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({
+        "d": 32, "object": {"kind": "annulus-amplitude", "annulus_radii": [4, 9]},
+        "analysis": {"row": 10, "samples": 32}}))
+    staged, piped = tmp_path / "gen-object", tmp_path / "pipeline"
+    assert run("gen-object", "--config", str(cfgfile), "--out", str(staged)) == 0
+    assert run("pipeline", "--config", str(cfgfile), "--out", str(piped)) == 0
+    for name in ("object.gcf", "resolved_config.yaml"):
+        assert (piped / name).read_bytes() == (staged / name).read_bytes()
+    resolved = yaml.safe_load((piped / "resolved_config.yaml").read_text())
+    assert resolved["object"]["annulus_radii"] == [4, 9]
+    report = dict(line.split(": ") for line in (piped / "report.txt").read_text().splitlines())
+    assert report["cross_section_row"] == "10" and report["azimuthal_radius"] == "6.5"
+    assert len((piped / "cross_azimuthal.csv").read_text().splitlines()) == 1 + 32
+
+
+def test_pipeline_reads_none_of_its_files(tmp_path, monkeypatch):
+    def refuse(path, *args):
+        raise AssertionError(f"pipeline read {path}")
+
+    monkeypatch.setattr(formats, "read_series", refuse)
+    monkeypatch.setattr(formats, "read_field", refuse)
+    assert run("pipeline", "--d", "16", "--kind", "azimuthal-ring-phase",
+               "--denoise-window", "3", "--out", str(tmp_path)) == 0
+    assert (tmp_path / "manifest.json").is_file()
+
+
+def _manifest_text(out):
+    artifacts = [{"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                 for p in sorted(out.iterdir()) if p.name != "manifest.json"]
+    return json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--d", "32"), id="d32-exact"),
+    pytest.param(("--d", "32", "--flux", "1e6", "--seed", "5"), id="d32-flux"),
+    pytest.param(("--d", "8", "--basis", "random", "--basis-seed", "5"), id="d8-random"),
+])
+def test_pipeline_manifest_matches_stage_by_stage_run(tmp_path, flags):
+    flags = (*flags, "--kind", "azimuthal-ring-phase", "--denoise-window", "3")
+    piped, staged = tmp_path / "pipeline", tmp_path / "stages"
+    assert run("pipeline", *flags, "--out", str(piped)) == 0
+    s = str(staged)
+    assert run("gen-object", *flags, "--out", s) == 0
+    assert run("acquire", *flags, "--object", f"{s}/object.gcf", "--out", s) == 0
+    assert run("reconstruct", *flags, "--cos", f"{s}/series_cos.csv",
+               "--sin", f"{s}/series_sin.csv", "--object", f"{s}/object.gcf", "--out", s) == 0
+    assert run("analyze", *flags, "--phase", f"{s}/phase.gcf", "--support", f"{s}/support.gcf",
+               "--truth", f"{s}/object.gcf", "--out", s) == 0
+    assert (piped / "manifest.json").read_text() == _manifest_text(staged)

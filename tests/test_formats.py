@@ -141,6 +141,19 @@ def test_read_pgm_rejects_other_formats(tmp_path):
         read_pgm(eight_bit)
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"P5\n4 4\n65535\n" + b"\0" * 2, id="truncated"),
+    pytest.param(b"P5\n2 2\n65535\n" + b"\0" * 10, id="trailing-bytes"),
+    pytest.param(b"P5\n4\n65535\n" + b"\0" * 8, id="one-size-token"),
+    pytest.param(b"P5\n2 2\nmany\n" + b"\0" * 8, id="bad-maxval"),
+])
+def test_read_pgm_rejects_bad_payload_and_header(tmp_path, raw):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(DataError):
+        read_pgm(path)
+
+
 def test_mask_text_layout(tmp_path):
     path = tmp_path / "mask.txt"
     write_mask_text(path, np.array([[1, -1], [-1, 1]]), "basis", 3)

@@ -1,13 +1,17 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghostphase import (ArtifactContext, ObjectSpec, closed_form_gi, combine_phase,
                         decompose, denoise, disc_mask, estimate_spectrum, ghost_image,
                         hadamard_matrix, make_object, measure_exact, normalize,
                         phase_pearson, phase_rmse, random_basis, remove_artifact,
                         sample_counts)
-from ghostphase.reconstruction import PhaseImage
+from ghostphase.reconstruction import PhaseImage, _masked_median
 from ghostphase.analysis import wrap
 
 from conftest import random_complex_object
@@ -253,6 +257,17 @@ def test_singular_random_mask_set_is_rejected():
         _random_heuristic(np.ones((2, 2), complex) / 2, basis)
 
 
+@pytest.mark.parametrize("kind", ["pi-slit-phase", "azimuthal-ring-phase"])
+def test_rank_deficient_random_mask_set_is_rejected(kind):
+    # seed 13 at d=4 draws a rank-deficient set that LU solves without error
+    basis = random_basis(16, 4, seed=13)
+    M = basis.masks.reshape(16, 16)
+    assert np.linalg.matrix_rank(M) < 16
+    np.linalg.solve(M, np.eye(16)[0])
+    with pytest.raises(ValueError, match=r"basis seed 13, d=4\) is singular"):
+        _random_heuristic(_object(kind, 4), basis)
+
+
 def test_counts_normalization_preserves_structure():
     d = 8
     H = hadamard_matrix(d)
@@ -290,3 +305,31 @@ def test_denoise_all_invalid_is_noop():
     out = denoise(phase, 3)
     np.testing.assert_array_equal(out.entries, phase.entries)
     assert not out.support.any()
+
+
+def _nanmedian_windows(data, valid, window):
+    """Reference: np.nanmedian over every window, NaN windows keep the data."""
+    pad = window // 2
+    arr = np.pad(np.where(valid, data, np.nan), pad, constant_values=np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(arr, (window, window))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)  # all-NaN windows
+        med = np.nanmedian(windows, axis=(2, 3))
+    return np.where(np.isnan(med), data, med)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 12),
+       window=st.sampled_from([1, 3, 5, 7]), density=st.floats(0.0, 1.0), ties=st.booleans())
+@example(seed=0, d=9, window=3, density=0.0, ties=False)     # every window invalid
+@example(seed=1, d=12, window=7, density=0.1, ties=True)     # sparse, tied, signed zeros
+def test_masked_median_matches_nanmedian(seed, d, window, density, ties):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(d, d))
+    if ties:
+        data = np.round(data)   # repeated values, including -0.0 and 0.0
+    valid = rng.random((d, d)) < density
+    got = _masked_median(data, valid, window)
+    ref = _nanmedian_windows(data, valid, window)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
