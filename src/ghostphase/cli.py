@@ -225,8 +225,10 @@ def cmd_gen_masks(args, cfg: RunConfig, out: str) -> None:
 def cmd_acquire(args, cfg: RunConfig, out: str) -> None:
     obj = _read_complex(args.object, "acquisition object")
     if obj.shape[0] != cfg.d:
+        # the object's size is what gets measured; record it in place of cfg.d
         cfg.d = obj.shape[0]
         cfg.validate()
+        cfg.dump(os.path.join(out, "resolved_config.yaml"))
     write_series_pair(out, *acquire(cfg, obj))
 
 

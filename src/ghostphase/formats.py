@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
@@ -79,38 +80,56 @@ def write_series(path, series: MeasurementSeries) -> None:
 
 
 def read_series(path) -> MeasurementSeries:
+    """Read a file written by `write_series`.
+
+    Header lines come first (blank lines aside, those starting with '#');
+    every line after them is a 'j,value' row.  One `np.loadtxt` call parses
+    the rows.
+    """
     meta = {}
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
+        try:
+            while True:
+                start = fh.tell()
+                line = fh.readline()
+                if line.isspace():
+                    continue
+                line = line.strip()
+                if not line.startswith("#"):
+                    break
                 for item in line[1:].split():
                     key, sep, value = item.partition("=")
                     if not sep:
                         raise DataError(f"{path}: bad series header token {item!r}")
                     meta[key] = value
-                continue
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not a text file ({exc})") from None
+        try:
+            d = int(meta["d"])
+            kind = meta["kind"]
+            basis = meta["basis"]
+            flux = None if meta.get("flux", "exact") == "exact" else float(meta["flux"])
+            seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
+        except KeyError as exc:
+            raise DataError(f"{path}: missing series header field {exc}") from exc
+        except ValueError as exc:
+            raise DataError(f"{path}: bad series header value ({exc})") from None
+        if d < 1:
+            raise DataError(f"{path}: bad series header value (d={d})")
+        fh.seek(start)
+        # Any warning is malformed input: "no data" for a header-only file, and
+        # on older numpy an integer field parsed through a float ('1.0').
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
-                j_str, v_str = line.split(",")
-                rows.append((int(j_str), float(v_str)))
-            except ValueError:
-                raise DataError(f"{path}: bad series row {line!r}") from None
-    try:
-        d = int(meta["d"])
-        kind = meta["kind"]
-        basis = meta["basis"]
-        flux = None if meta.get("flux", "exact") == "exact" else float(meta["flux"])
-        seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
-    except KeyError as exc:
-        raise DataError(f"{path}: missing series header field {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: bad series header value ({exc})") from None
-    if [j for j, _ in rows] != list(range(d * d)):
-        raise DataError(f"{path}: expected rows j=0..{d * d - 1} in order")
-    values = np.array([v for _, v in rows])
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  dtype=[("j", "<i8"), ("v", "<f8")])
+            except (ValueError, Warning) as exc:
+                raise DataError(f"{path}: bad series rows ({exc})") from None
+    n = d * d
+    if rows.size != n or not np.array_equal(rows["j"], np.arange(n)):
+        raise DataError(f"{path}: expected rows j=0..{n - 1} in order")
+    values = np.ascontiguousarray(rows["v"])
     if not np.all(np.isfinite(values)) or (values < 0).any():
         raise DataError(f"{path}: series values must be finite and nonnegative")
     return MeasurementSeries(kind=kind, dim=d, basis=basis, values=values, flux=flux, seed=seed)

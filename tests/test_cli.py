@@ -48,6 +48,17 @@ def test_acquire_row_contract(tmp_path):
         assert series.kind == channel and series.values.size == 256
 
 
+def test_acquire_records_the_object_size_it_measured(tmp_path):
+    out, explicit = tmp_path / "out", tmp_path / "explicit"
+    assert run("gen-object", "--d", "16", "--out", str(out)) == 0
+    assert run("acquire", "--object", str(out / "object.gcf"), "--out", str(out)) == 0
+    assert run("acquire", "--d", "16", "--object", str(out / "object.gcf"),
+               "--out", str(explicit)) == 0
+    resolved = (out / "resolved_config.yaml").read_bytes()
+    assert yaml.safe_load(resolved)["d"] == read_series(out / "series_cos.csv").dim == 16
+    assert resolved == (explicit / "resolved_config.yaml").read_bytes()
+
+
 def test_acquire_missing_object_is_data_error(tmp_path):
     assert run("acquire", "--object", str(tmp_path / "nope.gcf"), "--out", str(tmp_path)) == 3
 
@@ -271,11 +282,12 @@ MALFORMED_SERIES = [
     pytest.param(_replace("hadamard:natural", f"random:{2 ** 64}"), id="random-2**64"),
     pytest.param(lambda text: "".join(text.replace("# d=4 ", "# d=3 ", 1).splitlines(True)[:10]),
                  id="hadamard-d3"),
+    pytest.param(lambda text: text.splitlines(True)[0], id="header-only"),
 ]
 
 
 @pytest.mark.parametrize("corrupt", MALFORMED_SERIES)
-def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, corrupt):
+def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, recwarn, corrupt):
     out = tmp_path / "out"
     assert run("gen-object", "--d", "4", "--out", str(out)) == 0
     assert run("acquire", "--object", str(out / "object.gcf"), "--out", str(out)) == 0
@@ -286,7 +298,8 @@ def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, corrupt):
     assert run("reconstruct", "--cos", str(out / "series_cos.csv"),
                "--sin", str(out / "series_sin.csv"), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not recwarn.list   # a warning would print to stderr outside pytest
 
 
 def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghostphase import ObjectSpec, hadamard_matrix, make_object, measure_exact, sample_counts
+from ghostphase.acquisition import MeasurementSeries
 from ghostphase.formats import (DataError, read_field, read_pgm, read_series,
                                 write_field, write_mask_text, write_pgm, write_series)
 
@@ -99,6 +102,108 @@ def test_series_rejects_gaps_and_negatives(tmp_path):
     headerless.write_text("\n".join(lines[1:]) + "\n")
     with pytest.raises(DataError):
         read_series(headerless)
+
+
+def _row_by_row_read_values(path):
+    """The per-row reader `read_series` replaced, kept as the parity reference.
+
+    Returns the values it accepted, or None where it rejected the file.
+    """
+    meta, rows = {}, []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith("#"):
+                    meta.update(item.split("=", 1) for item in line[1:].split())
+                elif line:
+                    j_str, v_str = line.split(",")
+                    rows.append((int(j_str), float(v_str)))
+        d = int(meta["d"])
+    except (ValueError, KeyError):
+        return None
+    values = np.array([v for _, v in rows])
+    if ([j for j, _ in rows] != list(range(d * d)) or not np.all(np.isfinite(values))
+            or (values < 0).any()):
+        return None
+    return values
+
+
+HEADER = b"# d=2 basis=hadamard:natural kind=cos flux=exact seed=none\n"
+ROWS = b"0,0.5\n1,0.25\n2,0.125\n3,1.0\n"
+GOOD = [0.5, 0.25, 0.125, 1.0]
+
+
+def _row1(text):
+    return HEADER + ROWS.replace(b"\n1,0.25\n", b"\n" + text + b"\n")
+
+
+STRICTER = "DataError; the row-by-row reader accepted it"
+
+# (file bytes, the values `read_series` returns, DataError or STRICTER)
+SERIES_PARITY = [
+    pytest.param(HEADER + ROWS, GOOD, id="good"),
+    pytest.param((HEADER + ROWS).replace(b"\n", b"\r\n"), GOOD, id="crlf"),
+    pytest.param(_row1(b" 1 ,0.25"), GOOD, id="j-padded"),
+    pytest.param(_row1(b"+1,0.25"), GOOD, id="j-plus-sign"),
+    pytest.param(b"  " + HEADER + ROWS, GOOD, id="indented-header"),
+    pytest.param(b"\n" + HEADER + b"\n" + ROWS + b"\n", GOOD, id="blank-lines-around-rows"),
+    pytest.param(_row1(b"1.0,0.25"), DataError, id="j-float"),
+    pytest.param(_row1(b"1,nan"), DataError, id="value-nan"),
+    pytest.param(_row1(b"1,inf"), DataError, id="value-inf"),
+    pytest.param(_row1(b"1,0.25,3"), DataError, id="three-columns"),
+    pytest.param(_row1(b"1"), DataError, id="one-column"),
+    pytest.param(_row1(b"1,"), DataError, id="empty-value"),
+    pytest.param(_row1(b"1,0.25 # x"), DataError, id="trailing-comment"),
+    pytest.param(_row1(b"0x10,0.25"), DataError, id="j-hex"),
+    pytest.param(_row1(b"1,0. 25"), DataError, id="value-inner-space"),
+    pytest.param(HEADER, DataError, id="header-without-rows"),
+    pytest.param(b"", DataError, id="empty-file"),
+    pytest.param(HEADER.replace(b"d=2", b"d=4") + ROWS, DataError, id="d-not-row-count"),
+    pytest.param(_row1(b"12345678901234567890,0.25"), DataError, id="j-20-digits"),
+    pytest.param(_row1(b"5,0.25"), DataError, id="j-out-of-range"),
+    pytest.param(HEADER + b"0,0.5\n2,0.125\n1,0.25\n3,1.0\n", DataError, id="rows-out-of-order"),
+    pytest.param(_row1(b"1,\xff0.25"), DataError, id="not-utf8"),
+    pytest.param(_row1(b"   \n1,0.25"), STRICTER, id="whitespace-line-between-rows"),
+    pytest.param(_row1(b"# x=1\n1,0.25"), STRICTER, id="header-line-after-rows"),
+    pytest.param(_row1(b"0_1,0.25"), STRICTER, id="j-digit-separator"),
+    pytest.param(_row1(b"1,0_25"), STRICTER, id="value-digit-separator"),
+    pytest.param(HEADER.replace(b"d=2", b"d=-2") + ROWS, STRICTER, id="d-negative"),
+]
+
+
+@pytest.mark.parametrize("raw, expected", SERIES_PARITY)
+def test_read_series_parity_table(tmp_path, raw, expected):
+    path = tmp_path / "series.csv"
+    path.write_bytes(raw)
+    reference = _row_by_row_read_values(path)
+    if expected in (DataError, STRICTER):
+        with pytest.raises(DataError):
+            read_series(path)
+        assert (reference is not None) == (expected is STRICTER)
+    else:
+        values = read_series(path).values
+        assert values.tolist() == expected and np.array_equal(values, reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.integers(1, 4).flatmap(lambda d: st.lists(st.one_of(
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+    st.integers(0, 2 ** 60).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1.7976931348623157e308])),
+    min_size=d * d, max_size=d * d)))
+@example(values=[0.0, 5e-324, 1e16, 12345.0])
+@example(values=[2.5e-320, float(2 ** 53 + 2), 1e300, 7.0])
+def test_series_round_trip_is_bit_identical(tmp_path_factory, values):
+    d = int(len(values) ** 0.5)
+    written = np.array(values, dtype=np.float64)
+    series = MeasurementSeries(kind="sin", dim=d, basis="random:7", values=written,
+                               flux=1e9, seed=3)
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    write_series(path, series)
+    back = read_series(path)
+    assert back.values.dtype == np.float64
+    assert np.array_equal(back.values.view(np.uint64), written.view(np.uint64))
 
 
 def test_pgm_header_and_encoding(tmp_path):
