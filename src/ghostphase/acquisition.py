@@ -84,17 +84,6 @@ def measure_exact(obj: np.ndarray, basis: Basis, kind: str) -> MeasurementSeries
     )
 
 
-# Convention knobs for the closed-form probability expansion.  The
-# implemented set is delta_sign="minus" (phase differences relative to
-# the reference), cross_sign="minus" for the sine channel, and
-# sin_coeff="half" (p_j/2 in both channels).
-CONVENTIONS = {
-    "delta_sign": ("minus", "plus"),
-    "cross_sign": ("minus", "plus"),
-    "sin_coeff": ("half", "full"),
-}
-
-
 def closed_form_values(
     dec: SpectralDecomposition,
     kind: str,
@@ -102,7 +91,12 @@ def closed_form_values(
     cross_sign: str = "minus",
     sin_coeff: str = "half",
 ) -> np.ndarray:
-    """Term-by-term prediction of the detection probabilities."""
+    """Term-by-term prediction of the detection probabilities.
+
+    The defaults are the implemented conventions: phase differences against
+    the reference mode, a minus on the sine channel's cross term, and p_j/2
+    in both channels.
+    """
     p = dec.probabilities
     p0 = dec.reference_probability
     a0 = dec.reference_phase

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import yaml
 
 from .scene import KINDS, ObjectSpec
 
@@ -125,8 +123,44 @@ class RunConfig:
         return doc
 
     def dump(self, path) -> None:
+        """Write `to_document` as ``yaml.safe_dump(..., sort_keys=True)`` would."""
+        doc = self.to_document()
         with open(path, "w", newline="\n") as fh:
-            yaml.safe_dump(self.to_document(), fh, sort_keys=True)
+            if self.object_path is None:
+                fh.writelines(_yaml_lines(doc))
+            else:
+                # a free-form path may need quoting or folding; leave that to PyYAML
+                import yaml
+
+                yaml.safe_dump(doc, fh, sort_keys=True)
+
+
+def _yaml_scalar(value) -> str:
+    """A None, number or keyword string as PyYAML's safe dumper writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ".nan"
+        if math.isinf(value):
+            return ".inf" if value > 0 else "-.inf"
+        text = repr(value).lower()
+        return text.replace("e", ".0e", 1) if "." not in text else text
+    return str(value)
+
+
+def _yaml_lines(doc: dict, indent: str = ""):
+    """Block-style lines of a mapping whose strings need no quoting."""
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, dict):
+            yield f"{indent}{key}:\n"
+            yield from _yaml_lines(value, indent + "  ")
+        elif isinstance(value, list):
+            yield f"{indent}{key}:\n"
+            yield from (f"{indent}- {_yaml_scalar(item)}\n" for item in value)
+        else:
+            yield f"{indent}{key}: {_yaml_scalar(value)}\n"
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -166,6 +200,8 @@ def _convert(value, key: str, kind: type):
 
 
 def load_config(path) -> RunConfig:
+    import yaml
+
     with open(path) as fh:
         doc = yaml.safe_load(fh) or {}
     return config_from_document(doc)

@@ -29,8 +29,6 @@ SINE_CHANNEL_SIGN = -1.0
 class GhostImage:
     channel: str                    # "cos" | "sin"
     entries: np.ndarray = field(repr=False)
-    provenance: str = "measured"    # "measured" | "closed-form"
-    dc_handling: str = "raw"
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> Tuple[Ghost
     term3 = np.zeros((d, d))
     term3[0, 0] = g
     terms = ClosedFormTerms(term1 / N, term2 / N, term3 / N)
-    return GhostImage(channel=channel, entries=terms.total, provenance="closed-form"), terms
+    return GhostImage(channel=channel, entries=terms.total), terms
 
 
 @dataclass(frozen=True)

@@ -53,12 +53,16 @@ def grid_center(d: int) -> float:
     return d / 2 - 0.5
 
 
+def _radius(d: int) -> np.ndarray:
+    c = grid_center(d)
+    y, x = np.ogrid[0:d, 0:d]
+    return np.hypot(x - c, y - c)
+
+
 def _polar(d: int) -> Tuple[np.ndarray, np.ndarray]:
     c = grid_center(d)
-    y, x = np.mgrid[0:d, 0:d]
-    r = np.hypot(x - c, y - c)
-    theta = np.mod(np.arctan2(y - c, x - c), 2 * np.pi)
-    return r, theta
+    y, x = np.ogrid[0:d, 0:d]
+    return _radius(d), np.mod(np.arctan2(y - c, x - c), 2 * np.pi)
 
 
 def _columns(d: int) -> np.ndarray:
@@ -70,8 +74,7 @@ def default_radius(d: int) -> float:
 
 
 def disc_mask(d: int, radius: float) -> np.ndarray:
-    r, _ = _polar(d)
-    return r <= radius
+    return _radius(d) <= radius
 
 
 def apply_illumination(obj: np.ndarray, radius: float) -> np.ndarray:
@@ -173,7 +176,6 @@ class SpectralDecomposition:
 
     probabilities: np.ndarray   # p_j, flat length N
     phases: np.ndarray          # alpha_j in (-pi, pi], flat length N
-    matrix: np.ndarray          # p_j arranged on the (n, m) grid
 
     @property
     def reference_probability(self) -> float:
@@ -187,11 +189,9 @@ class SpectralDecomposition:
 def decompose(obj: np.ndarray, H: OrthoMatrix) -> SpectralDecomposition:
     """Spectrum of the object: p_j = |<M_j|O>|^2, alpha_j = arg<M_j|O>."""
     coeffs = fwht2(obj, H)
-    P = np.abs(coeffs) ** 2
     return SpectralDecomposition(
-        probabilities=P.ravel().copy(),
+        probabilities=(np.abs(coeffs) ** 2).ravel(),
         phases=np.angle(coeffs).ravel(),
-        matrix=P,
     )
 
 

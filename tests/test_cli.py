@@ -1,13 +1,21 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ghostphase
 from ghostphase import cli, formats, projections
 from ghostphase.config import ConfigError, RunConfig, config_from_document, load_config
 from ghostphase.formats import read_field, read_series, write_field
+from ghostphase.scene import KINDS
 
 
 def run(*argv):
@@ -300,6 +308,89 @@ def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, recwarn, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not recwarn.list   # a warning would print to stderr outside pytest
+
+
+# field-file bytes -> analyze must exit 3 with one error line
+MALFORMED_FIELDS = [
+    pytest.param(b"GCF1\nd=2 kind=r\xffeal\n" + bytes(32), id="header-not-utf8"),
+    pytest.param(b"GCF1\nd=-2 kind=real\n" + bytes(32), id="negative-d"),
+    pytest.param(b"GCF1\nd=0 kind=real\n", id="zero-d"),
+]
+
+
+@pytest.mark.parametrize("raw", MALFORMED_FIELDS)
+def test_analyze_malformed_field_is_data_error(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.gcf"
+    bad.write_bytes(raw)
+    assert run("analyze", "--phase", str(bad), "--truth", str(bad), "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+_NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=st.builds(
+    RunConfig, d=st.integers(1, 2 ** 70), object_kind=st.sampled_from(KINDS),
+    slit_width=st.none() | st.integers(-5, 100), slit_gap=st.none() | st.integers(-5, 100),
+    annulus_radii=st.none() | st.tuples(_NUMBERS, _NUMBERS),
+    petals=st.integers(-5, 100), bands=st.integers(-5, 100), phase_depth=st.floats(),
+    illumination_radius=st.none() | _NUMBERS, basis=st.sampled_from(["hadamard", "random"]),
+    ordering=st.sampled_from(["natural", "sequency"]), basis_seed=st.integers(0, 2 ** 64 - 1),
+    flux=st.none() | st.floats(), acquisition_seed=st.integers(0, 2 ** 64 - 1),
+    artifact_mode=st.sampled_from(["analytic", "heuristic"]), denoise_window=st.integers(1, 99),
+    analysis_row=st.none() | st.integers(-5, 300), analysis_radius=st.none() | _NUMBERS,
+    analysis_samples=st.integers(0, 1000)))
+def test_config_dump_matches_yaml_safe_dump(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("cfg") / "resolved_config.yaml"
+    cfg.dump(path)
+    assert path.read_text() == yaml.safe_dump(cfg.to_document(), sort_keys=True)
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.inf, ".inf"), (-math.inf, "-.inf"), (math.nan, ".nan"), (1e16, "1.0e+16"),
+    (5e-324, "5.0e-324"), (10 ** 20, "100000000000000000000"), (1e6, "1000000.0")])
+def test_config_dump_number_spellings(tmp_path, value, text):
+    RunConfig(illumination_radius=value).dump(tmp_path / "c.yaml")
+    assert f"\nillumination_radius: {text}\n" in (tmp_path / "c.yaml").read_text()
+
+
+def test_config_dump_with_object_path_round_trips(tmp_path):
+    cfg = RunConfig(object_kind="from-file", object_path=str(tmp_path / "a b:c #d.gcf"))
+    cfg.dump(tmp_path / "c.yaml")
+    assert load_config(tmp_path / "c.yaml").object_path == cfg.object_path
+
+
+def test_importing_the_cli_does_not_import_yaml():
+    src = os.path.dirname(os.path.dirname(ghostphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ghostphase.cli; sys.exit('yaml' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# sha256 of the text artifacts, recorded from the row-by-row series writer
+# and the PyYAML config dump
+GOLDEN_TEXT_ARTIFACTS = {
+    (): {
+        "series_cos.csv": "00b3b4830d4502c3866a156d2bf9535c6ab9a798c75f3ec1b60b6edfebe4f592",
+        "series_sin.csv": "bf5036535cb2aac454feab8cf42a6e3f7b471737c5526eb41373b8b3d1c92a25",
+        "resolved_config.yaml": "033e5e598c93d91392f0ee44b1fbff94ee74624e50f8bcee009132265abc6b81",
+    },
+    ("--flux", "1e6"): {
+        "series_cos.csv": "0c2186a0a4b00d5bbc8b913e4c94be9b99e562e9faf901be044def1a2cf87d37",
+        "series_sin.csv": "fd3049915fa2b7d532eaf454ffc1208d205cc9ab700b0ba9268589ce0041d7bb",
+        "resolved_config.yaml": "282da9c17976a511c42ac161db7a76a1cc9f7795ea51bc273624eccd71099c40",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_TEXT_ARTIFACTS), ids=["exact", "flux-1e6"])
+def test_pipeline_text_artifacts_match_golden_digests(tmp_path, flags):
+    assert run("pipeline", "--d", "32", *flags, "--out", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_TEXT_ARTIFACTS[flags]}
+    assert digests == GOLDEN_TEXT_ARTIFACTS[flags]
 
 
 def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ghostphase import ObjectSpec, hadamard_matrix, make_object, measure_exact, sample_counts
 from ghostphase.acquisition import MeasurementSeries
-from ghostphase.formats import (DataError, read_field, read_pgm, read_series,
+from ghostphase.formats import (_ROWS, DataError, read_field, read_pgm, read_series,
                                 write_field, write_mask_text, write_pgm, write_series)
 
 from conftest import random_complex_object
@@ -204,6 +204,45 @@ def test_series_round_trip_is_bit_identical(tmp_path_factory, values):
     back = read_series(path)
     assert back.values.dtype == np.float64
     assert np.array_equal(back.values.view(np.uint64), written.view(np.uint64))
+
+
+def _write_series_rowwise(path, series):
+    """The row-by-row writer `write_series` must match byte for byte."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# d={series.dim} basis={series.basis} kind={series.kind}"
+                 f" flux={'exact' if series.exact else series.flux}"
+                 f" seed={'none' if series.seed is None else series.seed}\n")
+        for j, v in enumerate(series.values):
+            fh.write(f"{j},{float(v)!r}\n")
+
+
+# d=1, every index width up to 5 digits, and a row block boundary
+SERIES_SIZES = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3]
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  -2.2250738585072014e-308, -1.7976931348623157e308, float("nan"),
+                  float("inf"), float("-inf"), 1e16, 1e22, 123456789012345.67]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(SERIES_SIZES),
+       pool=st.lists(st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60).map(float),
+                               st.sampled_from(SPECIAL_FLOATS)), min_size=1, max_size=12),
+       spread=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), exact=st.booleans())
+@example(n=2 * _ROWS + 3, pool=[-0.0], spread=True, seed=0, exact=True)
+def test_write_series_matches_rowwise_writer(tmp_path_factory, n, pool, spread, seed, exact):
+    rng = np.random.default_rng(seed)
+    values = np.array(pool)[rng.integers(len(pool), size=n)]
+    if spread:
+        # mostly distinct values, so the larger sizes need several repr batches
+        fresh = rng.random(n) < 0.9
+        values[fresh] = rng.random(fresh.sum()) * 10.0 ** rng.integers(-330, 309, fresh.sum())
+    series = MeasurementSeries(kind="cos", dim=int(n ** 0.5), basis="hadamard:sequency",
+                               values=values, flux=None if exact else 1e9, seed=None if exact else 7)
+    folder = tmp_path_factory.mktemp("series")
+    write_series(folder / "fast.csv", series)
+    _write_series_rowwise(folder / "rowwise.csv", series)
+    assert (folder / "fast.csv").read_bytes() == (folder / "rowwise.csv").read_bytes()
 
 
 def test_pgm_header_and_encoding(tmp_path):
