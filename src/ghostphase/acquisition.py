@@ -8,11 +8,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .scene import SpectralDecomposition
-from .wht import DimensionError, OrthoMatrix, fwht2
+from .wht import OrthoMatrix
 from .projections import RandomBasis
 
 SQRT2 = np.sqrt(2.0)
 
+# A scan basis has ``descriptor`` (its series-header name), ``mask(j)``, ``analyze`` (field -> the
+# N overlaps <M_j|field>), ``synthesize`` (w -> (1/N) sum_j w_j M_j) and ``solve`` (vectors w ->
+# images whose overlaps are w/N).
 Basis = Union[OrthoMatrix, RandomBasis]
 
 
@@ -40,27 +43,6 @@ class MeasurementSeries:
         return self.flux is None
 
 
-def basis_descriptor(basis: Basis) -> str:
-    if isinstance(basis, OrthoMatrix):
-        return f"hadamard:{basis.ordering}"
-    return f"random:{basis.seed}"
-
-
-def mask_overlaps(obj: np.ndarray, basis: Basis) -> np.ndarray:
-    """All N inner products <M_j|O> as a flat complex vector.
-
-    Hadamard bases go through the fast transform; random bases use
-    direct per-mask sums.
-    """
-    if isinstance(basis, OrthoMatrix):
-        if obj.shape != (basis.dim, basis.dim):
-            raise DimensionError(f"object shape {obj.shape} does not match d={basis.dim}")
-        return fwht2(obj, basis).ravel()
-    if obj.shape != (basis.dim, basis.dim):
-        raise DimensionError(f"object shape {obj.shape} does not match d={basis.dim}")
-    return np.einsum("jxy,xy->j", basis.masks, obj)
-
-
 def projection_values(overlaps: np.ndarray, kind: str) -> np.ndarray:
     """|<T_j|O>|^2 from the basis overlaps (reference overlap at index 0)."""
     c0 = overlaps[0]
@@ -75,13 +57,8 @@ def projection_values(overlaps: np.ndarray, kind: str) -> np.ndarray:
 
 def measure_exact(obj: np.ndarray, basis: Basis, kind: str) -> MeasurementSeries:
     """Exact detection probabilities v_j = |<T_j|O>|^2 for every mask."""
-    overlaps = mask_overlaps(obj, basis)
-    return MeasurementSeries(
-        kind=kind,
-        dim=basis.dim,
-        basis=basis_descriptor(basis),
-        values=projection_values(overlaps, kind),
-    )
+    return MeasurementSeries(kind=kind, dim=basis.dim, basis=basis.descriptor,
+                             values=projection_values(basis.analyze(obj), kind))
 
 
 def closed_form_values(

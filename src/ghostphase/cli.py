@@ -69,7 +69,6 @@ def _basis_from_descriptor(descriptor: str, d: int):
         basis.entries.flags.writeable = False
     elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
         basis = projections.random_basis(d * d, d, int(arg))
-        basis.masks.flags.writeable = False
     else:
         raise DataError(f"unknown basis descriptor {descriptor!r}")
     return basis
@@ -203,22 +202,11 @@ def cmd_gen_masks(args, cfg: RunConfig, out: str) -> None:
     basis = _make_basis(cfg)
     indices = range(args.count) if args.index is None else [args.index]
     for j in indices:
-        if cfg.basis == "hadamard":
-            M = wht.basis_mask(j, basis)
-            cosm = projections.cos_mask(j, basis).entries
-            sinm = projections.sin_mask(j, basis).entries
-        else:
-            if not 0 <= j < basis.size:
-                raise IndexError(f"mask index {j} out of range for N={basis.size}")
-            M = basis.masks[j]
-            cosm = (M + basis.masks[0]) / np.sqrt(2)
-            sinm = (M + 1j * basis.masks[0]) / np.sqrt(2)
-        formats.write_mask_text(os.path.join(out, f"mask_basis_{j:05d}.txt"),
-                                projections.export_mask_symbols(M, "basis"), "basis", j)
-        formats.write_mask_text(os.path.join(out, f"mask_cos_{j:05d}.txt"),
-                                projections.export_mask_symbols(cosm, "cos"), "cos", j)
-        formats.write_mask_text(os.path.join(out, f"mask_sin_{j:05d}.txt"),
-                                projections.export_mask_symbols(sinm, "sin"), "sin", j)
+        masks = {"basis": basis.mask(j), "cos": projections.cos_mask(j, basis).entries,
+                 "sin": projections.sin_mask(j, basis).entries}
+        for kind, mask in masks.items():
+            formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"),
+                                    projections.export_mask_symbols(mask, kind), kind, j)
     print(f"wrote {3 * len(list(indices))} mask files to {out}")
 
 

@@ -66,8 +66,8 @@ class RunConfig:
             raise ConfigError(f"ordering: must be 'natural' or 'sequency', got {self.ordering!r}")
         if self.artifact_mode not in ("analytic", "heuristic"):
             raise ConfigError(f"artifact_mode: must be 'analytic' or 'heuristic', got {self.artifact_mode!r}")
-        if self.d < 1 or (self.d & (self.d - 1)) and self.basis == "hadamard":
-            raise ConfigError(f"d: hadamard basis needs a power of two, got {self.d}")
+        if self.d < 2 or self.d & (self.d - 1) and self.basis == "hadamard":
+            raise ConfigError(f"d: must be at least 2 (a power of two for the hadamard basis), got {self.d}")
         if self.flux is not None and not (math.isfinite(self.flux) and self.flux > 0):
             raise ConfigError(f"flux: must be positive and finite, got {self.flux}")
         for key in ("basis_seed", "acquisition_seed"):
@@ -203,7 +203,11 @@ def load_config(path) -> RunConfig:
     import yaml
 
     with open(path) as fh:
-        doc = yaml.safe_load(fh) or {}
+        try:
+            doc = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            # PyYAML's message spans several lines; keep the CLI's error to one
+            raise ConfigError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     return config_from_document(doc)
 
 

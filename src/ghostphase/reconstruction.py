@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import Basis, MeasurementSeries, basis_descriptor
+from .acquisition import Basis, MeasurementSeries
 from .wht import OrthoMatrix, fwht2
 
 # Measured sine-channel cross term is -sin(a_j - a_0).
@@ -50,14 +50,6 @@ class PhaseImage:
     support: np.ndarray = field(repr=False)   # bool; False pixels are untrusted
 
 
-def _coefficient_image(coeffs: np.ndarray, basis: Basis) -> np.ndarray:
-    """(1/N) sum_j w_j M_j for a flat coefficient vector w."""
-    N = coeffs.size
-    if isinstance(basis, OrthoMatrix):
-        return fwht2(coeffs.reshape(basis.dim, basis.dim), basis) / N
-    return np.einsum("j,jxy->xy", coeffs, basis.masks) / N
-
-
 def ghost_image(series: MeasurementSeries, basis: Basis) -> GhostImage:
     """Mean-subtracted correlation reconstruction (one channel).
 
@@ -67,11 +59,14 @@ def ghost_image(series: MeasurementSeries, basis: Basis) -> GhostImage:
     v = np.asarray(series.values, dtype=float)
     if v.size != basis.dim * basis.dim:
         raise ValueError(f"series length {v.size} does not match basis N={basis.dim ** 2}")
-    if series.basis != basis_descriptor(basis):
-        raise ValueError(f"series basis {series.basis!r} does not match {basis_descriptor(basis)!r}")
+    if series.basis != basis.descriptor:
+        raise ValueError(f"series basis {series.basis!r} does not match {basis.descriptor!r}")
     if not series.exact:
-        v = v / v.sum()
-    return GhostImage(channel=series.kind, entries=_coefficient_image(v - v.mean(), basis))
+        total = v.sum()
+        if not total > 0:
+            raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
+        v = v / total
+    return GhostImage(channel=series.kind, entries=basis.synthesize(v - v.mean()))
 
 
 def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> Tuple[GhostImage, ClosedFormTerms]:
@@ -188,7 +183,7 @@ def remove_artifact(
     spectral artifact), and patches the corner DC pixel.
     """
     if mode == "analytic":
-        if context.obj is None or not isinstance(context.basis, OrthoMatrix):
+        if context.obj is None or not getattr(context.basis, "descriptor", "").startswith("hadamard:"):
             raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
         _, tc = closed_form_gi(context.obj, context.basis, "cos")
         _, ts = closed_form_gi(context.obj, context.basis, "sin")
@@ -203,36 +198,7 @@ def remove_artifact(
         if context.basis is None:
             raise ValueError("heuristic artifact removal needs the scan basis")
         est = estimate_spectrum(context.series_cos, context.series_sin)
-        if isinstance(context.basis, OrthoMatrix):
-            re = _coefficient_image(est.cross_cos - est.cross_cos.mean(), context.basis)
-            im = _coefficient_image(est.cross_sin - est.cross_sin.mean(), context.basis)
-        else:
-            # Random masks are not orthogonal: the correlation sum carries a
-            # basis-crosstalk noise floor, so solve the (complete) mask
-            # system instead.  One LU solve takes both cross-term vectors;
-            # it is exact for an invertible mask set, and a singular set
-            # (common for d <= 4) is rejected rather than least-squared.
-            # LU does not flag every rank-deficient set, and exact data can
-            # be consistent with one, so the solve also takes a fixed
-            # pseudo-random probe column that such a set cannot reproduce:
-            # any column off by more than 1e-6 (relative) rejects the set.
-            basis = context.basis
-            N = basis.size
-            masks = basis.masks.reshape(N, N)
-            probe = np.random.default_rng(0).standard_normal(N)
-            rhs = np.column_stack((est.cross_cos, est.cross_sin, probe))
-            try:
-                solution = np.linalg.solve(masks, rhs)
-            except np.linalg.LinAlgError:
-                solution = None
-            if solution is None or not np.all(
-                    np.linalg.norm(masks @ solution - rhs, axis=0)
-                    <= 1e-6 * np.linalg.norm(rhs, axis=0)):
-                raise ValueError(f"random mask set (basis seed {basis.seed}, d={basis.dim}) is "
-                                 "singular; choose another basis seed")
-            solution = solution[:, :2] / N
-            re = solution[:, 0].reshape(gi_cos.entries.shape)
-            im = solution[:, 1].reshape(gi_sin.entries.shape)
+        re, im = context.basis.solve((est.cross_cos, est.cross_sin))
         return _patch_corner(re), _patch_corner(im)
 
     # Images-only fallback: corner patch and background-median subtraction.

@@ -90,7 +90,7 @@ def test_random_basis_series_matches_per_mask_sums():
     obj = random_complex_object(4, seed=5)
     series = measure_exact(obj, basis, "sin")
     for j in range(16):
-        T = (basis.masks[j] + 1j * basis.masks[0]) / np.sqrt(2)
+        T = (basis.mask(j) + 1j * basis.mask(0)) / np.sqrt(2)
         assert series.values[j] == pytest.approx(
             abs(np.sum(np.conj(T) * obj)) ** 2, abs=1e-12)
 

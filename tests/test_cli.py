@@ -47,6 +47,16 @@ def test_gen_masks_single_index(tmp_path):
     assert run("gen-masks", "--d", "8", "--index", "64", "--out", str(tmp_path)) == 2
 
 
+def test_gen_masks_random_basis_exports_its_masks(tmp_path):
+    assert run("gen-masks", "--d", "8", "--basis", "random", "--basis-seed", "3",
+               "--index", "5", "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "mask_basis_00005.txt").read_text().splitlines()
+    symbols = np.array([[int(v) for v in row.split()] for row in rows[1:]])
+    np.testing.assert_array_equal(symbols, np.sign(projections.random_basis(64, 8, 3).mask(5)))
+    assert run("gen-masks", "--d", "8", "--basis", "random", "--index", "64",
+               "--out", str(tmp_path)) == 2
+
+
 def test_acquire_row_contract(tmp_path):
     out = tmp_path / "out"
     assert run("gen-object", "--d", "16", "--out", str(out)) == 0
@@ -231,6 +241,8 @@ CONFIG_CASES = [
     pytest.param("d: 8\nanalysis: {samples: 1.5}\n", 2, None, id="fractional-samples"),
     pytest.param("d: 8\nacquisition_seed: 18446744073709551616\n", 2, None, id="seed-2**64"),
     pytest.param("d: 8\nbasis_seed: -1\n", 2, None, id="negative-basis-seed"),
+    pytest.param("d: [8\n", 2, None, id="yaml-parse-error"),
+    pytest.param("d: 1\nbasis: random\n", 2, None, id="d-below-2"),
 ]
 
 
@@ -243,7 +255,7 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code:
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         return
     document = yaml.safe_load((out / "resolved_config.yaml").read_text())
     assert {key: _lookup(document, key) for key in resolved} == resolved
@@ -264,6 +276,28 @@ def test_pipeline_rejects_out_of_range_seeds(tmp_path, capsys, flags):
     assert run("pipeline", "--d", "8", *flags, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("basis", ["hadamard", "random"])
+@pytest.mark.parametrize("d", ["1", "0", "-4"])
+def test_pipeline_d_below_two_is_usage_error_before_any_file(tmp_path, capsys, d, basis):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("pipeline", "--d", d, "--basis", basis, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: d: must be at least 2 (a power of two for the hadamard basis), got {d}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_pipeline_empty_sampled_series_prints_one_error_line(tmp_path):
+    # flux 1e-300 samples zero counts everywhere; run as a process to see every warning
+    src = os.path.dirname(os.path.dirname(ghostphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from ghostphase.cli import main; sys.exit(main())"
+    result = subprocess.run([sys.executable, "-c", code, "pipeline", "--d", "32", "--flux", "1e-300",
+                             "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == "error: the sampled cos series is empty: its counts sum to zero\n"
 
 
 def test_pipeline_accepts_largest_seeds(tmp_path):
@@ -408,7 +442,7 @@ def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):
     assert calls == [(64, 8, 3)]
 
 
-@pytest.mark.parametrize("descriptor, attr", [("random:3", "masks"), ("hadamard:sequency", "entries")])
+@pytest.mark.parametrize("descriptor, attr", [("random:3", "matrix"), ("hadamard:sequency", "entries")])
 def test_cached_basis_arrays_are_read_only(descriptor, attr):
     basis = cli._basis_from_descriptor(descriptor, 8)
     assert cli._basis_from_descriptor(descriptor, 8) is basis
@@ -416,18 +450,18 @@ def test_cached_basis_arrays_are_read_only(descriptor, attr):
 
 
 def test_pipeline_singular_random_basis_is_usage_error(tmp_path, capsys):
-    assert run("pipeline", "--d", "2", "--basis", "random", "--basis-seed", "0",
+    assert run("pipeline", "--d", "2", "--basis", "random", "--basis-seed", "1",
                "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "basis seed 0, d=2" in err and "singular" in err and "Traceback" not in err
+    assert "basis seed 1, d=2" in err and "singular" in err and "Traceback" not in err
 
 
 def test_pipeline_rank_deficient_random_basis_is_usage_error(tmp_path, capsys):
     # LU solves this rank-deficient set without error; the residual check rejects it
-    assert run("pipeline", "--d", "4", "--basis", "random", "--basis-seed", "13",
+    assert run("pipeline", "--d", "4", "--basis", "random", "--basis-seed", "12",
                "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "basis seed 13, d=4" in err and "singular" in err and "Traceback" not in err
+    assert "basis seed 12, d=4" in err and "singular" in err and "Traceback" not in err
 
 
 def test_pipeline_honours_yaml_object_and_analysis_keys(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ghostphase import basis_mask, cos_mask, hadamard_matrix, random_basis, sin_mask
+from ghostphase.wht import DimensionError
 from ghostphase.projections import export_mask_symbols
 
 from conftest import naive_overlap, random_complex_object
@@ -79,27 +80,79 @@ def test_overlap_linearity():
 def test_random_basis_determinism_and_reference():
     a = random_basis(64, 8, seed=9)
     b = random_basis(64, 8, seed=9)
-    np.testing.assert_array_equal(a.masks, b.masks)
-    np.testing.assert_allclose(a.masks[0], np.full((8, 8), 1 / 8))
-    assert set(np.unique(np.round(a.masks[1:] * 8))) == {-1.0, 1.0}
+    np.testing.assert_array_equal(a.matrix, b.matrix)
+    np.testing.assert_allclose(a.mask(0), np.full((8, 8), 1 / 8))
+    assert set(np.unique(np.round(a.matrix[1:] * 8))) == {-1.0, 1.0}
 
 
 def test_random_basis_seed_sensitivity():
     a = random_basis(256, 16, seed=1)
     b = random_basis(256, 16, seed=2)
-    differing = np.mean(a.masks[1:] != b.masks[1:])
+    differing = np.mean(a.matrix[1:] != b.matrix[1:])
     assert differing >= 0.40
 
 
 def test_random_basis_entry_mean():
     basis = random_basis(256, 16, seed=3)
-    signs = np.sign(basis.masks)
+    signs = np.sign(basis.matrix)
     assert abs(signs.mean()) <= 4 / np.sqrt(256 * 256)
 
 
 def test_random_basis_bad_count():
     with pytest.raises(ValueError):
         random_basis(60, 8, seed=0)
+
+
+def _philox(seed):
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+
+
+def test_philox_advance_steps_four_words():
+    # RandomBasis.mask seeks mask j with advance((j - 1) * words // 4)
+    full = _philox(7).random_raw(24)
+    for steps in (1, 2, 5):
+        stream = _philox(7)
+        stream.advance(steps)
+        np.testing.assert_array_equal(stream.random_raw(4), full[4 * steps:4 * steps + 4])
+
+
+def test_random_mask_signs_are_the_stream_bits():
+    # d = 8: four words per mask; pixel i of mask j is +1 where bit i of word 4(j-1) is set
+    words = _philox(21).random_raw(4 * 63)
+    basis = random_basis(64, 8, seed=21)
+    shifts = np.arange(64, dtype=np.uint64)
+    for j in (1, 2, 40, 63):
+        bits = (words[4 * (j - 1)] >> shifts) & np.uint64(1)
+        np.testing.assert_array_equal(basis.matrix[j], np.where(bits == 1, 1.0, -1.0) / 8)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_random_mask_alone_equals_matrix_row(d):
+    N = d * d
+    basis = random_basis(N, d, seed=17)
+    assert not basis.matrix.flags.writeable
+    for j in (0, 1, N // 2, N - 1):
+        np.testing.assert_array_equal(basis.mask(j), basis.matrix[j].reshape(d, d))
+    for bad in (-1, N):
+        with pytest.raises(IndexError):
+            basis.mask(bad)
+
+
+@pytest.mark.parametrize("basis", [hadamard_matrix(8), hadamard_matrix(8, "sequency"),
+                                   random_basis(64, 8, seed=4), random_basis(9, 3, seed=2)],
+                         ids=["hadamard-natural", "hadamard-sequency", "random-d8", "random-d3"])
+def test_analyze_and_synthesize_match_per_mask_sums(basis):
+    d, N = basis.dim, basis.size
+    masks = [basis.mask(j) for j in range(N)]
+    obj = random_complex_object(d, seed=6)
+    for field in (obj, obj.real):
+        expected = np.array([np.sum(M * field) for M in masks])
+        np.testing.assert_allclose(basis.analyze(field), expected, rtol=1e-12)
+    w = np.random.default_rng(2).standard_normal(N)
+    expected = sum(wj * M for wj, M in zip(w, masks)) / N
+    np.testing.assert_allclose(basis.synthesize(w), expected, rtol=1e-12)
+    with pytest.raises(DimensionError):
+        basis.analyze(np.zeros((d + 1, d + 1)))
 
 
 def test_mask_symbol_export():

@@ -242,7 +242,7 @@ def test_random_solve_matches_least_squares(d, seed):
     obj = _object("spiral-flower-phase", d)
     basis = random_basis(d * d, d, seed)
     re, im, est = _random_heuristic(obj, basis)
-    M = basis.masks.reshape(d * d, d * d)
+    M = basis.matrix
     for got, cross in ((re, est.cross_cos), (im, est.cross_sin)):
         ref = np.linalg.lstsq(M, cross, rcond=None)[0].reshape(d, d) / (d * d)
         ref[0, 0] = (ref[0, 1] + ref[1, 0] + ref[1, 1]) / 3.0
@@ -250,21 +250,21 @@ def test_random_solve_matches_least_squares(d, seed):
 
 
 def test_singular_random_mask_set_is_rejected():
-    # seed 0 at d=2 draws the negated reference as mask 3; LAPACK flags the set
-    basis = random_basis(4, 2, seed=0)
-    assert np.linalg.matrix_rank(basis.masks.reshape(4, 4)) < 4
-    with pytest.raises(ValueError, match=r"basis seed 0, d=2\) is singular"):
+    # seed 1 at d=2 draws the reference itself as mask 1; LAPACK flags the set
+    basis = random_basis(4, 2, seed=1)
+    assert np.linalg.matrix_rank(basis.matrix) < 4
+    with pytest.raises(ValueError, match=r"basis seed 1, d=2\) is singular"):
         _random_heuristic(np.ones((2, 2), complex) / 2, basis)
 
 
 @pytest.mark.parametrize("kind", ["pi-slit-phase", "azimuthal-ring-phase"])
 def test_rank_deficient_random_mask_set_is_rejected(kind):
-    # seed 13 at d=4 draws a rank-deficient set that LU solves without error
-    basis = random_basis(16, 4, seed=13)
-    M = basis.masks.reshape(16, 16)
+    # seed 12 at d=4 draws a rank-deficient set that LU solves without error
+    basis = random_basis(16, 4, seed=12)
+    M = basis.matrix
     assert np.linalg.matrix_rank(M) < 16
     np.linalg.solve(M, np.eye(16)[0])
-    with pytest.raises(ValueError, match=r"basis seed 13, d=4\) is singular"):
+    with pytest.raises(ValueError, match=r"basis seed 12, d=4\) is singular"):
         _random_heuristic(_object(kind, 4), basis)
 
 
