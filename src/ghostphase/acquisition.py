@@ -8,14 +8,11 @@ from typing import Optional, Union
 import numpy as np
 
 from .scene import SpectralDecomposition
-from .wht import OrthoMatrix
+from .wht import OrthoMatrix, fwht2
 from .projections import RandomBasis
 
 SQRT2 = np.sqrt(2.0)
 
-# A scan basis has ``descriptor`` (its series-header name), ``mask(j)``, ``analyze`` (field -> the
-# N overlaps <M_j|field>), ``synthesize`` (w -> (1/N) sum_j w_j M_j) and ``solve`` (vectors w ->
-# images whose overlaps are w/N).
 Basis = Union[OrthoMatrix, RandomBasis]
 
 
@@ -43,6 +40,13 @@ class MeasurementSeries:
         return self.flux is None
 
 
+def mask_overlaps(obj: np.ndarray, basis: Basis) -> np.ndarray:
+    """All N inner products <M_j|O>: Hadamard by the fast transform, random by the mask matrix."""
+    if isinstance(basis, OrthoMatrix):
+        return fwht2(obj, basis).ravel()
+    return basis.analyze(obj)
+
+
 def projection_values(overlaps: np.ndarray, kind: str) -> np.ndarray:
     """|<T_j|O>|^2 from the basis overlaps (reference overlap at index 0)."""
     c0 = overlaps[0]
@@ -58,7 +62,7 @@ def projection_values(overlaps: np.ndarray, kind: str) -> np.ndarray:
 def measure_exact(obj: np.ndarray, basis: Basis, kind: str) -> MeasurementSeries:
     """Exact detection probabilities v_j = |<T_j|O>|^2 for every mask."""
     return MeasurementSeries(kind=kind, dim=basis.dim, basis=basis.descriptor,
-                             values=projection_values(basis.analyze(obj), kind))
+                             values=projection_values(mask_overlaps(obj, basis), kind))
 
 
 def closed_form_values(

@@ -62,8 +62,7 @@ class RandomBasis:
             raise IndexError(f"mask index {j} out of range for N={self.size}")
         if j == 0:
             return _uniform_mask(self.dim)
-        row = _fill_masks(np.empty((1, self.size)), self.seed, self.dim, j)
-        return row.reshape(self.dim, self.dim)
+        return _fill_masks(np.empty((1, self.size)), self.seed, self.dim, j).reshape(self.dim, self.dim)
 
     def analyze(self, field: np.ndarray) -> np.ndarray:
         x = np.asarray(field)
@@ -77,12 +76,9 @@ class RandomBasis:
         return (coeffs @ self.matrix).reshape(self.dim, self.dim) / coeffs.size
 
     def solve(self, rhs: tuple[np.ndarray, ...]) -> np.ndarray:
-        """One LU solve for every vector of ``rhs``, since the masks are not orthogonal.
-
-        A singular set (common for d <= 4) is rejected.  LU misses some rank-deficient sets and
-        exact data can fit one, so a fixed random probe column joins the solve: any column off
-        by more than 1e-6 (relative) rejects the set.
-        """
+        """One LU solve for all of ``rhs`` (the masks are not orthogonal).  A singular set (common
+        for d <= 4) is rejected; LU misses some rank-deficient sets, and exact data can fit one, so
+        a fixed random probe column joins the solve: any column off by over 1e-6 (relative) rejects."""
         probe = np.random.default_rng(0).standard_normal(self.size)
         columns = np.column_stack((*rhs, probe))
         try:

@@ -50,6 +50,13 @@ class PhaseImage:
     support: np.ndarray = field(repr=False)   # bool; False pixels are untrusted
 
 
+def _coefficient_image(coeffs: np.ndarray, basis: Basis) -> np.ndarray:
+    """(1/N) sum_j w_j M_j for a flat coefficient vector w."""
+    if isinstance(basis, OrthoMatrix):
+        return fwht2(coeffs.reshape(basis.dim, basis.dim), basis) / coeffs.size
+    return basis.synthesize(coeffs)
+
+
 def ghost_image(series: MeasurementSeries, basis: Basis) -> GhostImage:
     """Mean-subtracted correlation reconstruction (one channel).
 
@@ -66,7 +73,7 @@ def ghost_image(series: MeasurementSeries, basis: Basis) -> GhostImage:
         if not total > 0:
             raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
         v = v / total
-    return GhostImage(channel=series.kind, entries=basis.synthesize(v - v.mean()))
+    return GhostImage(channel=series.kind, entries=_coefficient_image(v - v.mean(), basis))
 
 
 def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> Tuple[GhostImage, ClosedFormTerms]:
@@ -183,7 +190,7 @@ def remove_artifact(
     spectral artifact), and patches the corner DC pixel.
     """
     if mode == "analytic":
-        if context.obj is None or not getattr(context.basis, "descriptor", "").startswith("hadamard:"):
+        if context.obj is None or not isinstance(context.basis, OrthoMatrix):
             raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
         _, tc = closed_form_gi(context.obj, context.basis, "cos")
         _, ts = closed_form_gi(context.obj, context.basis, "sin")
@@ -198,7 +205,10 @@ def remove_artifact(
         if context.basis is None:
             raise ValueError("heuristic artifact removal needs the scan basis")
         est = estimate_spectrum(context.series_cos, context.series_sin)
-        re, im = context.basis.solve((est.cross_cos, est.cross_sin))
+        if isinstance(context.basis, OrthoMatrix):  # orthonormal: a mean only feeds the corner pixel
+            re, im = (_coefficient_image(w - w.mean(), context.basis) for w in (est.cross_cos, est.cross_sin))
+        else:
+            re, im = context.basis.solve((est.cross_cos, est.cross_sin))
         return _patch_corner(re), _patch_corner(im)
 
     # Images-only fallback: corner patch and background-median subtraction.

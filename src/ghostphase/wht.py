@@ -58,16 +58,6 @@ class OrthoMatrix:
     def mask(self, j: int) -> np.ndarray:
         return basis_mask(j, self)
 
-    def analyze(self, field: np.ndarray) -> np.ndarray:
-        return fwht2(field, self).ravel()
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return fwht2(coeffs.reshape(self.dim, self.dim), self) / coeffs.size
-
-    def solve(self, rhs: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-        # the basis is orthonormal; each mean only feeds the corner pixel
-        return [self.synthesize(w - w.mean()) for w in rhs]
-
 
 def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
     """Build the d x d normalized Walsh-Hadamard matrix.
