@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import functools
 import hashlib
 import json
@@ -24,22 +25,10 @@ EXIT_DATA = 3
 
 def _load_cfg(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "d": getattr(args, "d", None),
-        "object_kind": getattr(args, "kind", None),
-        "illumination_radius": getattr(args, "illumination_radius", None),
-        "basis": getattr(args, "basis", None),
-        "ordering": getattr(args, "ordering", None),
-        "basis_seed": getattr(args, "basis_seed", None),
-        "flux": getattr(args, "flux", None),
-        "acquisition_seed": getattr(args, "seed", None),
-        "artifact_mode": getattr(args, "artifact_mode", None),
-        "denoise_window": getattr(args, "denoise_window", None),
-        "output_dir": getattr(args, "out", None),
-    }
-    for key, value in overrides.items():
+    for field in dataclasses.fields(cfg):  # every common flag's dest is a field name
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, field.name, value)
     return cfg.validate()
 
 
@@ -120,6 +109,8 @@ def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
     d = recovered.entries.shape[0]
     rmse = analysis.phase_rmse(recovered, truth)
     row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
+    if not 0 <= row < d:
+        raise ConfigError(f"analysis.row: must be in [0, d), got {row} for d={d}")
     radius = cfg.analysis_radius
     if radius is None:
         radii = cfg.annulus_radii or (d / 4, 3 * d / 8)
@@ -262,15 +253,15 @@ def cmd_pipeline(args, cfg: RunConfig, out: str) -> None:
 
 def _add_common(parser) -> None:
     parser.add_argument("--config", help="YAML run configuration")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--d", type=int, help="grid dimension")
-    parser.add_argument("--kind", help="object kind")
+    parser.add_argument("--kind", dest="object_kind", help="object kind")
     parser.add_argument("--illumination-radius", dest="illumination_radius", type=float)
     parser.add_argument("--basis", choices=("hadamard", "random"))
     parser.add_argument("--ordering", choices=("natural", "sequency"))
     parser.add_argument("--basis-seed", dest="basis_seed", type=int)
     parser.add_argument("--flux", type=float, help="expected total counts (omit for exact)")
-    parser.add_argument("--seed", type=int, help="acquisition sampling seed")
+    parser.add_argument("--seed", dest="acquisition_seed", type=int, help="acquisition sampling seed")
     parser.add_argument("--artifact-mode", dest="artifact_mode", choices=("analytic", "heuristic"))
     parser.add_argument("--denoise-window", dest="denoise_window", type=int)
 

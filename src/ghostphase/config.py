@@ -31,6 +31,7 @@ _ANALYSIS_FIELDS = {
     "row": ("analysis_row", int), "radius": ("analysis_radius", float),
     "samples": ("analysis_samples", int),
 }
+_SECTIONS = (("object", _OBJECT_FIELDS), ("analysis", _ANALYSIS_FIELDS))
 
 
 @dataclass
@@ -73,53 +74,27 @@ class RunConfig:
         for key in ("basis_seed", "acquisition_seed"):
             if not 0 <= getattr(self, key) < 2 ** 64:
                 raise ConfigError(f"{key}: must be in [0, 2**64), got {getattr(self, key)}")
-        if self.denoise_window % 2 == 0:
-            raise ConfigError(f"denoise_window: must be odd, got {self.denoise_window}")
+        if self.denoise_window < 1 or self.denoise_window % 2 == 0:
+            raise ConfigError(f"denoise_window: must be odd and at least 1, got {self.denoise_window}")
+        if self.analysis_samples < 2:
+            # azimuthal_slope fits a slope and an intercept
+            raise ConfigError(f"analysis.samples: must be at least 2, got {self.analysis_samples}")
         return self
 
     def object_spec(self) -> ObjectSpec:
-        radii = tuple(self.annulus_radii) if self.annulus_radii is not None else None
-        return ObjectSpec(
-            kind=self.object_kind,
-            slit_width=self.slit_width,
-            slit_gap=self.slit_gap,
-            annulus_radii=radii,
-            petals=self.petals,
-            bands=self.bands,
-            phase_depth=self.phase_depth,
-            illumination_radius=self.illumination_radius,
-            path=self.object_path,
-        )
+        spec = _section(self, _OBJECT_FIELDS)
+        if spec["annulus_radii"] is not None:
+            spec["annulus_radii"] = tuple(spec["annulus_radii"])
+        return ObjectSpec(**spec, illumination_radius=self.illumination_radius)
 
     def to_document(self) -> dict:
-        doc = {
-            "d": self.d,
-            "object": {
-                "kind": self.object_kind,
-                "slit_width": self.slit_width,
-                "slit_gap": self.slit_gap,
-                "annulus_radii": list(self.annulus_radii) if self.annulus_radii else None,
-                "petals": self.petals,
-                "bands": self.bands,
-                "phase_depth": self.phase_depth,
-                "path": self.object_path,
-            },
-            "illumination_radius": self.illumination_radius,
-            "basis": self.basis,
-            "ordering": self.ordering,
-            "basis_seed": self.basis_seed,
-            "flux": self.flux,
-            "acquisition_seed": self.acquisition_seed,
-            "artifact_mode": self.artifact_mode,
-            "denoise_window": self.denoise_window,
-            # output_dir is deliberately omitted: the document should not
-            # depend on where it is written, so runs stay byte-reproducible
-            "analysis": {
-                "row": self.analysis_row,
-                "radius": self.analysis_radius,
-                "samples": self.analysis_samples,
-            },
-        }
+        doc = _section(self, _TOP_FIELDS)
+        # output_dir is deliberately omitted: the document should not
+        # depend on where it is written, so runs stay byte-reproducible
+        del doc["output_dir"]
+        for where, fields in _SECTIONS:
+            doc[where] = _section(self, fields)
+        doc["object"]["annulus_radii"] = list(self.annulus_radii) if self.annulus_radii else None
         return doc
 
     def dump(self, path) -> None:
@@ -211,6 +186,10 @@ def load_config(path) -> RunConfig:
     return config_from_document(doc)
 
 
+def _section(cfg: RunConfig, fields: dict) -> dict:
+    return {key: getattr(cfg, attr) for key, (attr, _) in fields.items()}
+
+
 def _apply(cfg: RunConfig, section: dict, fields: dict, prefix: str = "") -> None:
     for key, (attr, kind) in fields.items():
         if section.get(key) is not None:
@@ -220,10 +199,10 @@ def _apply(cfg: RunConfig, section: dict, fields: dict, prefix: str = "") -> Non
 def config_from_document(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    _check_keys(doc, {*_TOP_FIELDS, "object", "analysis"}, "config")
+    _check_keys(doc, {*_TOP_FIELDS, *dict(_SECTIONS)}, "config")
     cfg = RunConfig()
     _apply(cfg, doc, _TOP_FIELDS)
-    for where, fields in (("object", _OBJECT_FIELDS), ("analysis", _ANALYSIS_FIELDS)):
+    for where, fields in _SECTIONS:
         section = doc.get(where) or {}
         if not isinstance(section, dict):
             raise ConfigError(f"{where}: expected a mapping, got {section!r}")

@@ -42,8 +42,8 @@ def sin_mask(j: int, basis: OrthoMatrix | RandomBasis) -> ProjectionMask:
 @dataclass(frozen=True)
 class RandomBasis:
     """N = d*d random +-1/d masks; index 0 is the uniform reference.  All signs come from one
-    Philox stream keyed (seed, 0): mask j >= 1 owns the w = 4 ceil(N/256) words from word (j-1) w
-    on, so `mask` can seek it, and pixel i is +1 where bit i (least significant first) is set."""
+    Philox stream keyed (seed, 0): mask j >= 1 reads the w = 4 ceil(N/256) words from word (j-1) w
+    on, and pixel i is +1 where bit i (least significant first) is set."""
 
     seed: int
     dim: int
@@ -60,9 +60,7 @@ class RandomBasis:
     def mask(self, j: int) -> np.ndarray:
         if not 0 <= j < self.size:
             raise IndexError(f"mask index {j} out of range for N={self.size}")
-        if j == 0:
-            return _uniform_mask(self.dim)
-        return _fill_masks(np.empty((1, self.size)), self.seed, self.dim, j).reshape(self.dim, self.dim)
+        return self.matrix[j].reshape(self.dim, self.dim)
 
     def analyze(self, field: np.ndarray) -> np.ndarray:
         x = np.asarray(field)
@@ -93,12 +91,11 @@ class RandomBasis:
         return (solution[:, :-1] / self.size).T.reshape(-1, self.dim, self.dim)
 
 
-def _fill_masks(out: np.ndarray, seed: int, d: int, first: int) -> np.ndarray:
-    """Write masks first, first+1, ... (first >= 1), flattened, into the rows of ``out``."""
+def _fill_masks(out: np.ndarray, seed: int, d: int) -> None:
+    """Write masks 1, 2, ..., flattened, into the rows of ``out``."""
     count, N = out.shape
-    words = 4 * -(-N // 256)             # whole counter steps: advance(1) skips 4 words
+    words = 4 * -(-N // 256)             # whole 4-word Philox counter steps per mask
     stream = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    stream.advance((first - 1) * words // 4)
     step = 1 + 1023 // words             # 64 KiB of bits per block: no large temporaries
     for rows in np.split(out, range(step, count, step)):
         raw = stream.random_raw(len(rows) * words).astype("<u8", copy=False)
@@ -106,7 +103,6 @@ def _fill_masks(out: np.ndarray, seed: int, d: int, first: int) -> np.ndarray:
         # b * (2/d) - 1/d is exactly +-1/d: 2/d is 1/d scaled by a power of two
         np.multiply(bits[:, :N], 2.0 / d, out=rows)
         rows -= 1.0 / d
-    return out
 
 
 def random_basis(N: int, d: int, seed: int) -> RandomBasis:
@@ -114,7 +110,7 @@ def random_basis(N: int, d: int, seed: int) -> RandomBasis:
         raise ValueError(f"random basis needs N = d^2, got N={N}, d={d}")
     matrix = np.empty((N, N))
     matrix[0] = 1.0 / d
-    _fill_masks(matrix[1:], seed, d, 1)
+    _fill_masks(matrix[1:], seed, d)
     matrix.flags.writeable = False
     return RandomBasis(seed=seed, dim=d, matrix=matrix)
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostphase
@@ -148,13 +150,36 @@ def test_pipeline_manifest_and_determinism(tmp_path):
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
 
-def test_config_yaml_round_trip(tmp_path):
-    cfg = RunConfig(d=16, object_kind="azimuthal-ring-phase", flux=1e6,
-                    denoise_window=3, annulus_radii=(4.0, 6.0))
-    path = tmp_path / "run.yaml"
+_NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats())
+_CONFIGS = st.builds(
+    RunConfig, d=st.integers(1, 2 ** 70), object_kind=st.sampled_from(KINDS),
+    slit_width=st.none() | st.integers(-5, 100), slit_gap=st.none() | st.integers(-5, 100),
+    annulus_radii=st.none() | st.tuples(_NUMBERS, _NUMBERS),
+    petals=st.integers(-5, 100), bands=st.integers(-5, 100), phase_depth=st.floats(),
+    illumination_radius=st.none() | _NUMBERS, basis=st.sampled_from(["hadamard", "random"]),
+    ordering=st.sampled_from(["natural", "sequency"]), basis_seed=st.integers(0, 2 ** 64 - 1),
+    flux=st.none() | st.floats(), acquisition_seed=st.integers(0, 2 ** 64 - 1),
+    artifact_mode=st.sampled_from(["analytic", "heuristic"]), denoise_window=st.integers(1, 99),
+    analysis_row=st.none() | st.integers(-5, 300), analysis_radius=st.none() | _NUMBERS,
+    analysis_samples=st.integers(0, 1000))
+
+
+def _outcome(make):
+    try:
+        return repr(make())   # repr: NaN fields compare equal, and 1 and 1.0 stay apart
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_CONFIGS)
+@example(cfg=RunConfig(d=16, object_kind="azimuthal-ring-phase", flux=1e6,
+                       denoise_window=3, annulus_radii=(4.0, 6.0)))
+def test_config_yaml_round_trip(tmp_path_factory, cfg):
+    # every field reads back as dumped, or the dump is rejected as the config itself is
+    path = tmp_path_factory.mktemp("cfg") / "run.yaml"
     cfg.dump(path)
-    back = load_config(path)
-    assert back == cfg
+    assert _outcome(lambda: load_config(path)) == _outcome(cfg.validate)
 
 
 def test_config_unknown_keys_rejected():
@@ -243,6 +268,10 @@ CONFIG_CASES = [
     pytest.param("d: 8\nbasis_seed: -1\n", 2, None, id="negative-basis-seed"),
     pytest.param("d: [8\n", 2, None, id="yaml-parse-error"),
     pytest.param("d: 1\nbasis: random\n", 2, None, id="d-below-2"),
+    pytest.param("d: 16\ndenoise_window: -1\n", 2, None, id="negative-denoise-window"),
+    pytest.param("d: 8\nanalysis: {samples: 0}\n", 2, None, id="zero-samples"),
+    pytest.param("d: 8\nanalysis: {samples: 1}\n", 2, None, id="one-sample"),
+    pytest.param("d: 16\nanalysis: {row: 99}\n", 2, None, id="row-off-grid"),
 ]
 
 
@@ -261,6 +290,80 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     assert {key: _lookup(document, key) for key in resolved} == resolved
     if "flux" in resolved:
         assert "flux: 1000000.0\n" in (out / "resolved_config.yaml").read_text()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("denoise_window: -1", "denoise_window: must be odd and at least 1, got -1"),
+    ("analysis: {samples: -5}", "analysis.samples: must be at least 2, got -5"),
+])
+def test_pipeline_rejects_config_limits_before_any_file(tmp_path, capsys, text, error):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(f"d: 16\n{text}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("pipeline", "--config", str(cfgfile), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_analyze_row_off_the_grid_of_its_file_names_the_key(tmp_path, capsys):
+    # row 20 fits the default d=32 but not the d=16 phase map analyze reads
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("analysis: {row: 20}\n")
+    assert run("gen-object", "--d", "16", "--out", str(tmp_path)) == 0
+    obj = str(tmp_path / "object.gcf")
+    assert run("analyze", "--config", str(cfgfile), "--phase", obj, "--truth", obj,
+               "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: analysis.row: must be in [0, d), got 20 for d=16\n"
+
+
+# common flag, its value, the resolved_config.yaml key it sets and the value recorded there
+COMMON_FLAGS = [
+    ("--d", "4", "d", 4),
+    ("--kind", "flat", "object.kind", "flat"),
+    ("--illumination-radius", "5.5", "illumination_radius", 5.5),
+    ("--basis", "random", "basis", "random"),
+    ("--ordering", "sequency", "ordering", "sequency"),
+    ("--basis-seed", "9", "basis_seed", 9),
+    ("--flux", "1e6", "flux", 1e6),
+    ("--seed", "7", "acquisition_seed", 7),
+    ("--artifact-mode", "analytic", "artifact_mode", "analytic"),
+    ("--denoise-window", "5", "denoise_window", 5),
+]
+
+
+def test_every_common_flag_sets_a_run_config_field():
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_common(parser)
+    common = {action.dest for action in parser._actions}
+    assert common - {"config"} <= fields
+    assert {flag for action in parser._actions for flag in action.option_strings} == {
+        "--config", "--out", *(flag for flag, *_ in COMMON_FLAGS)}
+    # a subcommand's own options must not be mistaken for config overrides
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a.choices, dict))
+    for sub in subparsers.choices.values():
+        assert not ({action.dest for action in sub._actions} - common) & fields
+
+
+@pytest.mark.parametrize("flag, value, key, recorded", COMMON_FLAGS, ids=[r[0] for r in COMMON_FLAGS])
+def test_common_flag_lands_under_its_config_key(tmp_path, flag, value, key, recorded):
+    expected = RunConfig(d=8).to_document()
+    section, _, name = key.rpartition(".")
+    target = expected[section] if section else expected
+    assert target[name] != recorded
+    target[name] = recorded
+    out = tmp_path / "out"
+    assert run("gen-object", "--d", "8", flag, value, "--out", str(out)) == 0
+    assert yaml.safe_load((out / "resolved_config.yaml").read_text()) == expected
+
+
+def test_out_flag_is_not_recorded(tmp_path):
+    out = tmp_path / "somewhere-else"
+    assert run("pipeline", "--d", "8", "--out", str(out)) == 0
+    text = (out / "resolved_config.yaml").read_text()
+    assert "output_dir" not in text and "somewhere-else" not in text
+    assert yaml.safe_load(text) == RunConfig(d=8).to_document()
 
 
 SEED_CASES = [
@@ -361,21 +464,8 @@ def test_analyze_malformed_field_is_data_error(tmp_path, capsys, raw):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
-_NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats())
-
-
 @settings(max_examples=300, deadline=None)
-@given(cfg=st.builds(
-    RunConfig, d=st.integers(1, 2 ** 70), object_kind=st.sampled_from(KINDS),
-    slit_width=st.none() | st.integers(-5, 100), slit_gap=st.none() | st.integers(-5, 100),
-    annulus_radii=st.none() | st.tuples(_NUMBERS, _NUMBERS),
-    petals=st.integers(-5, 100), bands=st.integers(-5, 100), phase_depth=st.floats(),
-    illumination_radius=st.none() | _NUMBERS, basis=st.sampled_from(["hadamard", "random"]),
-    ordering=st.sampled_from(["natural", "sequency"]), basis_seed=st.integers(0, 2 ** 64 - 1),
-    flux=st.none() | st.floats(), acquisition_seed=st.integers(0, 2 ** 64 - 1),
-    artifact_mode=st.sampled_from(["analytic", "heuristic"]), denoise_window=st.integers(1, 99),
-    analysis_row=st.none() | st.integers(-5, 300), analysis_radius=st.none() | _NUMBERS,
-    analysis_samples=st.integers(0, 1000)))
+@given(cfg=_CONFIGS)
 def test_config_dump_matches_yaml_safe_dump(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("cfg") / "resolved_config.yaml"
     cfg.dump(path)
@@ -479,6 +569,34 @@ def test_pipeline_honours_yaml_object_and_analysis_keys(tmp_path):
     report = dict(line.split(": ") for line in (piped / "report.txt").read_text().splitlines())
     assert report["cross_section_row"] == "10" and report["azimuthal_radius"] == "6.5"
     assert len((piped / "cross_azimuthal.csv").read_text().splitlines()) == 1 + 32
+
+
+@pytest.mark.parametrize("kind", ["from-file", "annulus-amplitude"])
+def test_pipeline_rerun_from_its_resolved_config_reproduces_the_manifest(tmp_path, kind):
+    assert run("gen-object", "--d", "8", "--kind", "spiral-flower-phase",
+               "--out", str(tmp_path / "source")) == 0
+    document = {
+        "d": 8, "illumination_radius": 3.5, "basis": "random", "ordering": "sequency",
+        "basis_seed": 5, "flux": 1e6, "acquisition_seed": 4, "artifact_mode": "heuristic",
+        "denoise_window": 3, "output_dir": str(tmp_path / "unused"),
+        "object": {"kind": kind, "slit_width": 2, "slit_gap": 3, "annulus_radii": [1.5, 3],
+                   "petals": 5, "bands": 2, "phase_depth": 2.5,
+                   "path": str(tmp_path / "source" / "object.gcf")},
+        "analysis": {"row": 3, "radius": 2.5, "samples": 16},
+    }
+    if kind != "from-file":
+        del document["object"]["path"]
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump(document))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("pipeline", "--config", str(cfgfile), "--out", str(first)) == 0
+    assert run("pipeline", "--config", str(first / "resolved_config.yaml"),
+               "--out", str(second)) == 0
+    assert (first / "manifest.json").read_text() == (second / "manifest.json").read_text()
+    assert not (tmp_path / "unused").exists()
+    del document["output_dir"]
+    document["object"].setdefault("path", None)
+    assert yaml.safe_load((first / "resolved_config.yaml").read_text()) == document
 
 
 def test_pipeline_reads_none_of_its_files(tmp_path, monkeypatch):

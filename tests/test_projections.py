@@ -109,15 +109,6 @@ def _philox(seed):
     return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
 
 
-def test_philox_advance_steps_four_words():
-    # RandomBasis.mask seeks mask j with advance((j - 1) * words // 4)
-    full = _philox(7).random_raw(24)
-    for steps in (1, 2, 5):
-        stream = _philox(7)
-        stream.advance(steps)
-        np.testing.assert_array_equal(stream.random_raw(4), full[4 * steps:4 * steps + 4])
-
-
 def test_random_mask_signs_are_the_stream_bits():
     # d = 8: four words per mask; pixel i of mask j is +1 where bit i of word 4(j-1) is set
     words = _philox(21).random_raw(4 * 63)
