@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,22 +47,20 @@ def mask_overlaps(obj: np.ndarray, basis: Basis) -> np.ndarray:
     return basis.analyze(obj)
 
 
-def projection_values(overlaps: np.ndarray, kind: str) -> np.ndarray:
-    """|<T_j|O>|^2 from the basis overlaps (reference overlap at index 0)."""
+def measure_exact(obj: np.ndarray, basis: Basis) -> Tuple[MeasurementSeries, MeasurementSeries]:
+    """Exact detection probabilities v_j = |<T_j|O>|^2 of the cos and sin masks.
+
+    One overlap pass serves both channels: <T_j|O> is (c_j + c_0)/sqrt(2) for
+    the cos mask and (c_j - i c_0)/sqrt(2) for the sin mask, c_0 being the
+    reference overlap.
+    """
+    overlaps = mask_overlaps(obj, basis)
     c0 = overlaps[0]
-    if kind == "cos":
-        t = (overlaps + c0) / SQRT2
-    elif kind == "sin":
-        t = (overlaps - 1j * c0) / SQRT2
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    return np.abs(t) ** 2
-
-
-def measure_exact(obj: np.ndarray, basis: Basis, kind: str) -> MeasurementSeries:
-    """Exact detection probabilities v_j = |<T_j|O>|^2 for every mask."""
-    return MeasurementSeries(kind=kind, dim=basis.dim, basis=basis.descriptor,
-                             values=projection_values(mask_overlaps(obj, basis), kind))
+    t_cos = (overlaps + c0) / SQRT2
+    t_sin = (overlaps - 1j * c0) / SQRT2
+    return tuple(MeasurementSeries(kind=kind, dim=basis.dim, basis=basis.descriptor,
+                                   values=np.abs(t) ** 2)
+                 for kind, t in (("cos", t_cos), ("sin", t_sin)))
 
 
 def closed_form_values(

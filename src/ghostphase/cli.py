@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -73,11 +74,10 @@ Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
 
 def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
     """The (cos, sin) detection series of an object, exact or Poisson-sampled."""
-    basis = _make_basis(cfg)
-    pair = [acquisition.measure_exact(obj, basis, channel) for channel in ("cos", "sin")]
+    pair = acquisition.measure_exact(obj, _make_basis(cfg))
     if cfg.flux is not None:
-        pair = [acquisition.sample_counts(s, cfg.flux, cfg.acquisition_seed) for s in pair]
-    return tuple(pair)
+        pair = tuple(acquisition.sample_counts(s, cfg.flux, cfg.acquisition_seed) for s in pair)
+    return pair
 
 
 def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruction:
@@ -90,9 +90,10 @@ def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruct
     basis = _basis_from_descriptor(series_cos.basis, d)
     gi_cos = reconstruction.ghost_image(series_cos, basis)
     gi_sin = reconstruction.ghost_image(series_sin, basis)
-    context = reconstruction.ArtifactContext(
-        basis=basis, obj=obj, series_cos=series_cos, series_sin=series_sin)
-    re, im = reconstruction.remove_artifact(gi_cos, gi_sin, cfg.artifact_mode, context)
+    if cfg.artifact_mode == "analytic":
+        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, basis)
+    else:
+        re, im = reconstruction.remove_artifact(series_cos, series_sin, basis)
     # the support radius follows cfg.d, not the series dimension
     radius = cfg.illumination_radius
     if radius is None:
@@ -111,10 +112,12 @@ def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
     row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
     if not 0 <= row < d:
         raise ConfigError(f"analysis.row: must be in [0, d), got {row} for d={d}")
-    radius = cfg.analysis_radius
+    radius, what = cfg.analysis_radius, "analysis.radius:"
     if radius is None:
         radii = cfg.annulus_radii or (d / 4, 3 * d / 8)
-        radius = (radii[0] + radii[1]) / 2
+        radius, what = (radii[0] + radii[1]) / 2, "object.annulus_radii: their mean (the azimuthal radius)"
+    if not 0 <= radius <= d / 2:
+        raise ConfigError(f"{what} must be in [0, d/2], got {radius} for d={d}")
     horizontal = analysis.cross_section_horizontal(recovered, row)
     azimuthal = analysis.cross_section_azimuthal(recovered, radius, cfg.analysis_samples)
     return Analysis(horizontal, azimuthal, {
@@ -142,16 +145,16 @@ def write_series_pair(out, series_cos, series_sin) -> None:
 
 def write_reconstruction(out, rec: Reconstruction) -> None:
     phase = rec.phase
-    formats.write_field(os.path.join(out, "gi_cos.gcf"), rec.gi_cos.entries, "real")
-    formats.write_field(os.path.join(out, "gi_sin.gcf"), rec.gi_sin.entries, "real")
+    formats.write_field(os.path.join(out, "gi_cos.gcf"), rec.gi_cos, "real")
+    formats.write_field(os.path.join(out, "gi_sin.gcf"), rec.gi_sin, "real")
     formats.write_field(os.path.join(out, "re.gcf"), rec.re, "real")
     formats.write_field(os.path.join(out, "im.gcf"), rec.im, "real")
     formats.write_field(os.path.join(out, "phase.gcf"), phase.entries, "phase")
     formats.write_field(os.path.join(out, "support.gcf"), phase.support.astype(float), "real")
     formats.write_pgm(os.path.join(out, "phase.pgm"), phase.entries,
                       lo=-np.pi, hi=np.pi, invalid=~phase.support)
-    formats.write_pgm(os.path.join(out, "gi_cos.pgm"), rec.gi_cos.entries)
-    formats.write_pgm(os.path.join(out, "gi_sin.pgm"), rec.gi_sin.entries)
+    formats.write_pgm(os.path.join(out, "gi_cos.pgm"), rec.gi_cos)
+    formats.write_pgm(os.path.join(out, "gi_sin.pgm"), rec.gi_sin)
     print(f"wrote reconstruction outputs to {out}")
 
 
@@ -185,6 +188,22 @@ def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
     return _phase_image(entries, kind, support)
 
 
+@contextlib.contextmanager
+def _blame_files(paths, errors):
+    """Report ``errors`` that a stage raises on values read from ``paths`` as malformed data.
+
+    Floating-point overflow and invalid operations raise (FloatingPointError) instead of
+    warning, so values too large to compute with are reported too.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (ConfigError, DataError):
+        raise
+    except errors as exc:
+        raise DataError(f"{', '.join(paths)}: {exc}") from None
+
+
 def cmd_gen_object(args, cfg: RunConfig, out: str) -> None:
     write_object(out, scene.make_object(cfg.object_spec(), cfg.d), cfg.object_kind)
 
@@ -193,8 +212,8 @@ def cmd_gen_masks(args, cfg: RunConfig, out: str) -> None:
     basis = _make_basis(cfg)
     indices = range(args.count) if args.index is None else [args.index]
     for j in indices:
-        masks = {"basis": basis.mask(j), "cos": projections.cos_mask(j, basis).entries,
-                 "sin": projections.sin_mask(j, basis).entries}
+        masks = {"basis": basis.mask(j), "cos": projections.cos_mask(j, basis),
+                 "sin": projections.sin_mask(j, basis)}
         for kind, mask in masks.items():
             formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"),
                                     projections.export_mask_symbols(mask, kind), kind, j)
@@ -208,7 +227,10 @@ def cmd_acquire(args, cfg: RunConfig, out: str) -> None:
         cfg.d = obj.shape[0]
         cfg.validate()
         cfg.dump(os.path.join(out, "resolved_config.yaml"))
-    write_series_pair(out, *acquire(cfg, obj))
+    # a ValueError here is the config's: sampling a dark object at a finite flux
+    with _blame_files([args.object], FloatingPointError):
+        series = acquire(cfg, obj)
+    write_series_pair(out, *series)
 
 
 def cmd_reconstruct(args, cfg: RunConfig, out: str) -> None:
@@ -219,13 +241,19 @@ def cmd_reconstruct(args, cfg: RunConfig, out: str) -> None:
         if not args.object:
             raise ConfigError("analytic artifact mode needs --object (ground truth)")
         obj = _read_complex(args.object, "ground truth")
-    write_reconstruction(out, reconstruct(cfg, series_cos, series_sin, obj))
+    inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
+    with _blame_files(inputs, (ValueError, FloatingPointError)):
+        rec = reconstruct(cfg, series_cos, series_sin, obj)
+    write_reconstruction(out, rec)
 
 
 def cmd_analyze(args, cfg: RunConfig, out: str) -> None:
     recovered = _read_phase_image(args.phase, args.support)
     truth = _read_phase_image(args.truth, args.truth_support)
-    write_analysis(out, analyze(cfg, recovered, truth))
+    inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
+    with _blame_files(inputs, (ValueError, FloatingPointError)):
+        result = analyze(cfg, recovered, truth)
+    write_analysis(out, result)
 
 
 def cmd_pipeline(args, cfg: RunConfig, out: str) -> None:

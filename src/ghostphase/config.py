@@ -61,6 +61,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.object_kind not in KINDS:
             raise ConfigError(f"object.kind: unknown kind {self.object_kind!r}")
+        if self.bands < 1:
+            raise ConfigError(f"object.bands: must be at least 1, got {self.bands}")
         if self.basis not in ("hadamard", "random"):
             raise ConfigError(f"basis: must be 'hadamard' or 'random', got {self.basis!r}")
         if self.ordering not in ("natural", "sequency"):
@@ -141,7 +143,8 @@ def _yaml_lines(doc: dict, indent: str = ""):
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+        # YAML keys need not be strings: 1: 2 is an int key
+        raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(map(str, unknown)))}")
 
 
 def _convert(value, key: str, kind: type):

@@ -66,6 +66,8 @@ def read_field(path) -> Tuple[np.ndarray, str]:
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: field values must be finite")
     if kind == "complex":
         grid = flat.reshape(d, d, 2)
         return grid[..., 0] + 1j * grid[..., 1], kind
@@ -212,6 +214,8 @@ def read_pgm(path) -> np.ndarray:
         maxval = int(stream.readline())
     except ValueError:
         raise DataError(f"{path}: bad PGM header") from None
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: bad PGM header ({w}x{h} pixels)")
     if maxval != 65535:
         raise DataError(f"{path}: expected 16-bit PGM, maxval={maxval}")
     payload = stream.read()

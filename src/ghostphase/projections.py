@@ -11,32 +11,23 @@ from .wht import DimensionError, OrthoMatrix
 SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ProjectionMask:
-    index: int
-    kind: str                      # "cos" | "sin"
-    entries: np.ndarray = field(repr=False)
-
-
 def _uniform_mask(d: int) -> np.ndarray:
     return np.full((d, d), 1.0 / d)
 
 
-def cos_mask(j: int, basis: OrthoMatrix | RandomBasis) -> ProjectionMask:
+def cos_mask(j: int, basis: OrthoMatrix | RandomBasis) -> np.ndarray:
     """(M_j + M_0)/sqrt(2): a 0 / sqrt(2)/sqrt(N) amplitude mask.
 
     j = 0 gives the unnormalized uniform mask sqrt(2) * M_0; it is kept
     in the scan because the reconstruction is insensitive to the
     reference mode.
     """
-    M = basis.mask(j)
-    return ProjectionMask(index=j, kind="cos", entries=(M + _uniform_mask(basis.dim)) / SQRT2)
+    return (basis.mask(j) + _uniform_mask(basis.dim)) / SQRT2
 
 
-def sin_mask(j: int, basis: OrthoMatrix | RandomBasis) -> ProjectionMask:
+def sin_mask(j: int, basis: OrthoMatrix | RandomBasis) -> np.ndarray:
     """(M_j + i M_0)/sqrt(2): entries (+-1 + i)/(sqrt(2) sqrt(N))."""
-    M = basis.mask(j)
-    return ProjectionMask(index=j, kind="sin", entries=(M + 1j * _uniform_mask(basis.dim)) / SQRT2)
+    return (basis.mask(j) + 1j * _uniform_mask(basis.dim)) / SQRT2
 
 
 @dataclass(frozen=True)

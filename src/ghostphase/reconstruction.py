@@ -26,12 +26,6 @@ SINE_CHANNEL_SIGN = -1.0
 
 
 @dataclass(frozen=True)
-class GhostImage:
-    channel: str                    # "cos" | "sin"
-    entries: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class ClosedFormTerms:
     """The three closed-form contributions, each on the ghost-image scale."""
 
@@ -57,7 +51,7 @@ def _coefficient_image(coeffs: np.ndarray, basis: Basis) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def ghost_image(series: MeasurementSeries, basis: Basis) -> GhostImage:
+def ghost_image(series: MeasurementSeries, basis: Basis) -> np.ndarray:
     """Mean-subtracted correlation reconstruction (one channel).
 
     Sampled-count series are normalized by their total first; the overall
@@ -73,11 +67,11 @@ def ghost_image(series: MeasurementSeries, basis: Basis) -> GhostImage:
         if not total > 0:
             raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
         v = v / total
-    return GhostImage(channel=series.kind, entries=_coefficient_image(v - v.mean(), basis))
+    return _coefficient_image(v - v.mean(), basis)
 
 
-def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> Tuple[GhostImage, ClosedFormTerms]:
-    """Closed-form prediction of the measured ghost image.
+def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> ClosedFormTerms:
+    """Closed-form prediction of the measured ghost image (its ``total``).
 
     Term 1 is the real (or, sine channel, minus-imaginary) part of the
     object rephased by the reference phase; term 2 is the transform of
@@ -106,8 +100,7 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> Tuple[Ghost
     g = np.sqrt(N) * (1.0 / (2 * N) + cross_mean)
     term3 = np.zeros((d, d))
     term3[0, 0] = g
-    terms = ClosedFormTerms(term1 / N, term2 / N, term3 / N)
-    return GhostImage(channel=channel, entries=terms.total), terms
+    return ClosedFormTerms(term1 / N, term2 / N, term3 / N)
 
 
 @dataclass(frozen=True)
@@ -152,72 +145,42 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
     )
 
 
-@dataclass(frozen=True)
-class ArtifactContext:
-    """Inputs for remove_artifact beyond the two channel images.
-
-    Analytic mode needs the ground-truth object and its transform.
-    Heuristic mode estimates the spectral artifact from the measured
-    series when they are given; with images only it falls back to the
-    corner patch plus in-support median subtraction.
-    """
-
-    basis: Optional[Basis] = None
-    obj: Optional[np.ndarray] = None
-    series_cos: Optional[MeasurementSeries] = None
-    series_sin: Optional[MeasurementSeries] = None
-    support: Optional[np.ndarray] = None
-
-
 def _patch_corner(img: np.ndarray) -> np.ndarray:
     out = img.copy()
     out[0, 0] = (out[0, 1] + out[1, 0] + out[1, 1]) / 3.0
     return out
 
 
-def remove_artifact(
-    gi_cos: GhostImage,
-    gi_sin: GhostImage,
-    mode: str,
-    context: ArtifactContext,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split the two channels into fields proportional to Re(O) and Im(O).
+def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries,
+                    basis: Basis) -> Tuple[np.ndarray, np.ndarray]:
+    """Fields proportional to Re(O) and Im(O) from the measured series alone.
 
-    Analytic mode subtracts the closed-form spectral and DC terms
-    computed from the ground truth.  Heuristic mode works from measured
-    data only: it solves the channel pair for the per-mask probabilities,
-    rebuilds the channels from the cross terms alone (which removes the
-    spectral artifact), and patches the corner DC pixel.
+    Solves each mask's channel pair for the per-mask probability and cross
+    terms, rebuilds the two channels from the cross terms alone (which
+    removes the spectral artifact) and patches the corner DC pixel.
     """
-    if mode == "analytic":
-        if context.obj is None or not isinstance(context.basis, OrthoMatrix):
-            raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
-        _, tc = closed_form_gi(context.obj, context.basis, "cos")
-        _, ts = closed_form_gi(context.obj, context.basis, "sin")
-        re = gi_cos.entries - tc.spectral_part + tc.dc_part
-        im = SINE_CHANNEL_SIGN * (gi_sin.entries - ts.spectral_part + ts.dc_part)
-        return re, im
+    est = estimate_spectrum(series_cos, series_sin)
+    if isinstance(basis, OrthoMatrix):  # orthonormal: a mean only feeds the corner pixel
+        re, im = (_coefficient_image(w - w.mean(), basis) for w in (est.cross_cos, est.cross_sin))
+    else:
+        re, im = basis.solve((est.cross_cos, est.cross_sin))
+    return _patch_corner(re), _patch_corner(im)
 
-    if mode != "heuristic":
-        raise ValueError(f"unknown artifact mode {mode!r}")
 
-    if context.series_cos is not None and context.series_sin is not None:
-        if context.basis is None:
-            raise ValueError("heuristic artifact removal needs the scan basis")
-        est = estimate_spectrum(context.series_cos, context.series_sin)
-        if isinstance(context.basis, OrthoMatrix):  # orthonormal: a mean only feeds the corner pixel
-            re, im = (_coefficient_image(w - w.mean(), context.basis) for w in (est.cross_cos, est.cross_sin))
-        else:
-            re, im = context.basis.solve((est.cross_cos, est.cross_sin))
-        return _patch_corner(re), _patch_corner(im)
+def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray,
+                             basis: Basis) -> Tuple[np.ndarray, np.ndarray]:
+    """Fields proportional to Re(O) and Im(O) from the ghost images and the ground truth.
 
-    # Images-only fallback: corner patch and background-median subtraction.
-    support = context.support if context.support is not None else np.ones(gi_cos.entries.shape, bool)
-    re = _patch_corner(gi_cos.entries)
-    im = _patch_corner(gi_sin.entries)
-    re -= np.median(re[support])
-    im -= np.median(im[support])
-    return re, SINE_CHANNEL_SIGN * im
+    Subtracts the closed-form spectral and DC terms of ``obj`` from each
+    channel; the closed form holds for the Hadamard basis only.
+    """
+    if obj is None or not isinstance(basis, OrthoMatrix):
+        raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
+    tc = closed_form_gi(obj, basis, "cos")
+    ts = closed_form_gi(obj, basis, "sin")
+    re = gi_cos - tc.spectral_part + tc.dc_part
+    im = SINE_CHANNEL_SIGN * (gi_sin - ts.spectral_part + ts.dc_part)
+    return re, im
 
 
 def combine_phase(re: np.ndarray, im: np.ndarray, support: Optional[np.ndarray] = None) -> PhaseImage:

@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from ghostphase import (ArtifactContext, ObjectSpec, closed_form_gi, combine_phase,
-                        decompose, decompose_probability, denoise, disc_mask,
-                        ghost_image, hadamard_matrix, make_object, measure_exact,
-                        phase_pearson, phase_rmse, random_basis, remove_artifact,
+from ghostphase import (ObjectSpec, closed_form_gi, combine_phase, decompose,
+                        decompose_probability, denoise, disc_mask, ghost_image,
+                        hadamard_matrix, make_object, measure_exact, phase_pearson,
+                        phase_rmse, random_basis, remove_artifact, remove_artifact_analytic,
                         sample_counts)
 from ghostphase.analysis import azimuthal_slope, cross_section_azimuthal, cross_section_horizontal, wrap
 from ghostphase.scene import default_radius
@@ -42,14 +42,11 @@ def _truth_phase(obj):
 
 def _recover_heuristic(obj, basis, flux=None, seed=0, window=1, support=None):
     """Measured-data pipeline: series -> channels -> artifact removal -> phase."""
-    sc = measure_exact(obj, basis, "cos")
-    ss = measure_exact(obj, basis, "sin")
+    sc, ss = measure_exact(obj, basis)
     if flux is not None:
         sc = sample_counts(sc, flux, seed)
         ss = sample_counts(ss, flux, seed)
-    gic, gis = ghost_image(sc, basis), ghost_image(ss, basis)
-    re, im = remove_artifact(gic, gis, "heuristic",
-                             ArtifactContext(basis=basis, series_cos=sc, series_sin=ss))
+    re, im = remove_artifact(sc, ss, basis)
     if support is None:
         support = np.abs(obj) > 0
     return denoise(combine_phase(re, im, support), window)
@@ -62,10 +59,10 @@ def test_criterion_01_closed_form_identity():
         H = hadamard_matrix(d)
         for kind in ALL_KINDS:
             obj = _object(kind, d)
-            for channel in ("cos", "sin"):
-                gi = ghost_image(measure_exact(obj, H, channel), H)
-                cf, _ = closed_form_gi(obj, H, channel)
-                worst = max(worst, float(np.max(np.abs(gi.entries - cf.entries))))
+            for channel, series in zip(("cos", "sin"), measure_exact(obj, H)):
+                gi = ghost_image(series, H)
+                cf = closed_form_gi(obj, H, channel).total
+                worst = max(worst, float(np.max(np.abs(gi - cf))))
     elapsed = time.perf_counter() - start
     _report(1, "closed-form identity", worst <= 1e-10 and elapsed < 5.0,
             f"max|diff|={worst:.2e} in {elapsed:.2f}s")
@@ -78,9 +75,8 @@ def test_criterion_02_exact_phase_recovery_analytic():
         d = 32
         H = hadamard_matrix(d)
         obj = _object(kind, d)
-        gic = ghost_image(measure_exact(obj, H, "cos"), H)
-        gis = ghost_image(measure_exact(obj, H, "sin"), H)
-        re, im = remove_artifact(gic, gis, "analytic", ArtifactContext(basis=H, obj=obj))
+        gic, gis = (ghost_image(s, H) for s in measure_exact(obj, H))
+        re, im = remove_artifact_analytic(gic, gis, obj, H)
         phase = combine_phase(re, im, np.abs(obj) > 0)
         rmse = phase_rmse(phase, _truth_phase(obj))
         elapsed = time.perf_counter() - start
@@ -122,9 +118,8 @@ def test_criterion_05_amplitude_baseline():
     # compare across the whole illuminated disc: inside the slits and the
     # blocked regions between them (the object support alone is constant)
     support = disc_mask(d, default_radius(d))
-    sc, ss = measure_exact(obj, H, "cos"), measure_exact(obj, H, "sin")
-    re, im = remove_artifact(ghost_image(sc, H), ghost_image(ss, H), "heuristic",
-                             ArtifactContext(basis=H, series_cos=sc, series_sin=ss))
+    sc, ss = measure_exact(obj, H)
+    re, im = remove_artifact(sc, ss, H)
     intensity = np.abs(obj) ** 2
     r = float(np.corrcoef(re[support], intensity[support])[0, 1])
     phase = combine_phase(re, im, support)
@@ -166,8 +161,7 @@ def test_criterion_08_measurement_count_contract():
     for d in (4, 16, 128):
         H = hadamard_matrix(d)
         obj = make_object(ObjectSpec(kind="flat"), d)
-        counts[d] = tuple(measure_exact(obj, H, channel).values.size
-                          for channel in ("cos", "sin"))
+        counts[d] = tuple(series.values.size for series in measure_exact(obj, H))
     ok = all(counts[d] == (d * d, d * d) for d in counts)
     _report(8, "d^2 records per channel", ok,
             " ".join(f"d={d}:{c[0]}" for d, c in counts.items()))
@@ -184,9 +178,8 @@ def test_criterion_09_performance_and_correctness_anchor():
     H16 = hadamard_matrix(16)
     obj16 = _object("pi-slit-phase", 16)
     agree = max(
-        float(np.max(np.abs(measure_exact(obj16, H16, ch).values
-                            - naive_mask_series(obj16, H16, ch))))
-        for ch in ("cos", "sin"))
+        float(np.max(np.abs(series.values - naive_mask_series(obj16, H16, ch))))
+        for ch, series in zip(("cos", "sin"), measure_exact(obj16, H16)))
     ok = elapsed < 10.0 and agree <= 1e-12
     _report(9, "128x128 pipeline performance", ok,
             f"elapsed={elapsed:.2f}s naive-agreement={agree:.1e}")
@@ -200,8 +193,7 @@ def test_criterion_10_convention_oracle():
     for seed in range(trials):
         obj = random_complex_object(8, seed=seed)
         dec = decompose(obj, H)
-        sc = measure_exact(obj, H, "cos")
-        ss = measure_exact(obj, H, "sin")
+        sc, ss = measure_exact(obj, H)
         implemented_worst = max(implemented_worst,
                                 decompose_probability(sc, dec),
                                 decompose_probability(ss, dec))

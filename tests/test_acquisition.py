@@ -14,14 +14,14 @@ from conftest import naive_mask_series, random_complex_object
 
 def test_flat_object_cos_series():
     H = hadamard_matrix(4)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H, "cos")
+    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[0]
     assert series.values[0] == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(series.values[1:], 0.5, atol=1e-12)
 
 
 def test_flat_object_sin_series():
     H = hadamard_matrix(4)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H, "sin")
+    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[1]
     assert series.values[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(series.values[1:], 0.5, atol=1e-12)
 
@@ -30,7 +30,7 @@ def test_v0_is_twice_reference_probability():
     H = hadamard_matrix(8)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
     dec = decompose(obj, H)
-    series = measure_exact(obj, H, "cos")
+    series = measure_exact(obj, H)[0]
     assert series.values[0] == pytest.approx(2 * dec.reference_probability, abs=1e-12)
 
 
@@ -38,7 +38,7 @@ def test_v0_is_twice_reference_probability():
 def test_slit_matches_naive_oracle(kind):
     H = hadamard_matrix(4)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 4)
-    series = measure_exact(obj, H, kind)
+    series = measure_exact(obj, H)[("cos", "sin").index(kind)]
     np.testing.assert_allclose(series.values, naive_mask_series(obj, H, kind), atol=1e-12)
 
 
@@ -47,7 +47,7 @@ def test_slit_matches_naive_oracle(kind):
 def test_fast_path_equals_naive_path(d, kind):
     H = hadamard_matrix(d)
     obj = random_complex_object(d, seed=d)
-    series = measure_exact(obj, H, kind)
+    series = measure_exact(obj, H)[("cos", "sin").index(kind)]
     np.testing.assert_allclose(series.values, naive_mask_series(obj, H, kind), atol=1e-12)
 
 
@@ -56,8 +56,7 @@ def test_closed_form_residual_flat_and_global_phase():
     flat = make_object(ObjectSpec(kind="flat"), 8)
     for obj in (flat, np.exp(1j * np.pi / 2) * flat):
         dec = decompose(obj, H)
-        for kind in ("cos", "sin"):
-            series = measure_exact(obj, H, kind)
+        for kind, series in zip(("cos", "sin"), measure_exact(obj, H)):
             assert decompose_probability(series, dec) < 1e-12
 
 
@@ -65,8 +64,7 @@ def test_sign_convention_oracle():
     H = hadamard_matrix(8)
     obj = random_complex_object(8, seed=11)
     dec = decompose(obj, H)
-    cos_series = measure_exact(obj, H, "cos")
-    sin_series = measure_exact(obj, H, "sin")
+    cos_series, sin_series = measure_exact(obj, H)
     assert decompose_probability(cos_series, dec, delta_sign="minus") < 1e-10
     assert decompose_probability(sin_series, dec, delta_sign="minus") < 1e-10
     # alternative conventions that the oracle rules out
@@ -79,8 +77,7 @@ def test_energy_bookkeeping():
     H = hadamard_matrix(8)
     obj = random_complex_object(8, seed=4)
     dec = decompose(obj, H)
-    for kind in ("cos", "sin"):
-        series = measure_exact(obj, H, kind)
+    for kind, series in zip(("cos", "sin"), measure_exact(obj, H)):
         assert series.values.mean() == pytest.approx(
             closed_form_values(dec, kind).mean(), abs=1e-12)
 
@@ -88,7 +85,7 @@ def test_energy_bookkeeping():
 def test_random_basis_series_matches_per_mask_sums():
     basis = random_basis(16, 4, seed=5)
     obj = random_complex_object(4, seed=5)
-    series = measure_exact(obj, basis, "sin")
+    series = measure_exact(obj, basis)[1]
     for j in range(16):
         T = (basis.mask(j) + 1j * basis.mask(0)) / np.sqrt(2)
         assert series.values[j] == pytest.approx(
@@ -98,7 +95,7 @@ def test_random_basis_series_matches_per_mask_sums():
 def test_sampling_determinism_and_independence_of_channel():
     H = hadamard_matrix(8)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
-    cos_series = measure_exact(obj, H, "cos")
+    cos_series = measure_exact(obj, H)[0]
     a = sample_counts(cos_series, 1e5, seed=7)
     b = sample_counts(cos_series, 1e5, seed=7)
     np.testing.assert_array_equal(a.values, b.values)
@@ -109,7 +106,7 @@ def test_sampling_determinism_and_independence_of_channel():
 
 def test_sampling_rejects_bad_flux():
     H = hadamard_matrix(4)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H, "cos")
+    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[0]
     with pytest.raises(ValueError):
         sample_counts(series, 0, seed=0)
     with pytest.raises(ValueError):
@@ -125,7 +122,7 @@ def test_sampling_rejects_bad_flux():
 def test_sampling_law_of_large_numbers():
     H = hadamard_matrix(4)
     obj = make_object(ObjectSpec(kind="flat"), 4)
-    series = measure_exact(obj, H, "cos")
+    series = measure_exact(obj, H)[0]
     counts = sample_counts(series, 1e8, seed=1)
     exact = series.values / series.values.sum()
     sampled = counts.values / counts.values.sum()
@@ -137,7 +134,7 @@ def test_sampling_law_of_large_numbers():
 def test_sampling_unbiased_within_poisson_bands():
     H = hadamard_matrix(8)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
-    series = measure_exact(obj, H, "cos")
+    series = measure_exact(obj, H)[0]
     flux = 1e6
     reps = 100
     mean = np.zeros_like(series.values)
@@ -151,7 +148,7 @@ def test_sampling_unbiased_within_poisson_bands():
 
 def test_sampling_rejects_dark_series():
     H = hadamard_matrix(4)
-    dark = measure_exact(np.zeros((4, 4), complex), H, "cos")
+    dark = measure_exact(np.zeros((4, 4), complex), H)[0]
     with pytest.raises(ValueError, match="sums to zero"):
         sample_counts(dark, 1e6, seed=0)
 
@@ -159,7 +156,7 @@ def test_sampling_rejects_dark_series():
 @pytest.mark.parametrize("kind, kind_bit", [("cos", 0), ("sin", 1)])
 def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
     H = hadamard_matrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H, kind)
+    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[kind_bit]
     means = 1e5 * series.values / series.values.sum()
     rng = np.random.Generator(np.random.Philox(key=[7, kind_bit]))
     counts = sample_counts(series, 1e5, seed=7)
@@ -169,7 +166,7 @@ def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
 
 def test_sampling_cos_and_sin_streams_differ():
     H = hadamard_matrix(8)
-    cos_series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H, "cos")
+    cos_series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[0]
     sin_series = replace(cos_series, kind="sin")
     a = sample_counts(cos_series, 1e5, seed=7)
     b = sample_counts(sin_series, 1e5, seed=7)
@@ -179,7 +176,7 @@ def test_sampling_cos_and_sin_streams_differ():
 def test_sampling_keys_seeds_above_2_63_exactly():
     # a float64 key would round both seeds to 2**63 and repeat one stream
     H = hadamard_matrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H, "cos")
+    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[0]
     a = sample_counts(series, 1e5, seed=2**63 + 5)
     b = sample_counts(series, 1e5, seed=2**63 + 6)
     assert not np.array_equal(a.values, b.values)

@@ -272,6 +272,13 @@ CONFIG_CASES = [
     pytest.param("d: 8\nanalysis: {samples: 0}\n", 2, None, id="zero-samples"),
     pytest.param("d: 8\nanalysis: {samples: 1}\n", 2, None, id="one-sample"),
     pytest.param("d: 16\nanalysis: {row: 99}\n", 2, None, id="row-off-grid"),
+    pytest.param("d: 16\nanalysis: {radius: 99}\n", 2, None, id="radius-off-grid"),
+    pytest.param("d: 16\nanalysis: {radius: -2}\n", 2, None, id="negative-radius"),
+    pytest.param("d: 16\nobject: {kind: azimuthal-ring-phase, annulus_radii: [10, 16]}\n", 2, None,
+                 id="annulus-radius-off-grid"),
+    pytest.param("d: 16\nobject: {kind: spiral-flower-phase, bands: 0}\n", 2, None, id="zero-bands"),
+    pytest.param("d: 16\nobject: {kind: spiral-flower-phase, bands: -3}\n", 2, None,
+                 id="negative-bands"),
 ]
 
 
@@ -295,6 +302,8 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
 @pytest.mark.parametrize("text, error", [
     ("denoise_window: -1", "denoise_window: must be odd and at least 1, got -1"),
     ("analysis: {samples: -5}", "analysis.samples: must be at least 2, got -5"),
+    ("object: {kind: spiral-flower-phase, bands: 0}", "object.bands: must be at least 1, got 0"),
+    ("object: {kind: spiral-flower-phase, bands: -3}", "object.bands: must be at least 1, got -3"),
 ])
 def test_pipeline_rejects_config_limits_before_any_file(tmp_path, capsys, text, error):
     cfgfile = tmp_path / "run.yaml"
@@ -315,6 +324,19 @@ def test_analyze_row_off_the_grid_of_its_file_names_the_key(tmp_path, capsys):
     assert run("analyze", "--config", str(cfgfile), "--phase", obj, "--truth", obj,
                "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == "error: analysis.row: must be in [0, d), got 20 for d=16\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("analysis: {radius: 99}", "analysis.radius: must be in [0, d/2], got 99 for d=16"),
+    ("analysis: {radius: -2}", "analysis.radius: must be in [0, d/2], got -2 for d=16"),
+    ("object: {kind: azimuthal-ring-phase, annulus_radii: [10, 16]}",
+     "object.annulus_radii: their mean (the azimuthal radius) must be in [0, d/2], got 13.0 for d=16"),
+])
+def test_pipeline_radius_off_the_grid_names_its_key(tmp_path, capsys, text, error):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(f"d: 16\n{text}\n")
+    assert run("pipeline", "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # common flag, its value, the resolved_config.yaml key it sets and the value recorded there

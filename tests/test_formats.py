@@ -59,7 +59,7 @@ def test_field_validation_errors(tmp_path):
 
 def test_series_round_trip_exact(tmp_path):
     H = hadamard_matrix(16)
-    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 16), H, "cos")
+    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 16), H)[0]
     path = tmp_path / "series.csv"
     write_series(path, series)
     back = read_series(path)
@@ -72,7 +72,7 @@ def test_series_round_trip_exact(tmp_path):
 
 def test_series_round_trip_sampled(tmp_path):
     H = hadamard_matrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 8), H, "sin")
+    series = measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[1]
     noisy = sample_counts(series, 1e5, seed=4)
     path = tmp_path / "noisy.csv"
     write_series(path, noisy)
@@ -84,7 +84,7 @@ def test_series_round_trip_sampled(tmp_path):
 def test_series_rejects_gaps_and_negatives(tmp_path):
     good = tmp_path / "good.csv"
     H = hadamard_matrix(2)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 2), H, "cos")
+    series = measure_exact(make_object(ObjectSpec(kind="flat"), 2), H)[0]
     write_series(good, series)
     lines = good.read_text().splitlines()
 

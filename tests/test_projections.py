@@ -14,7 +14,7 @@ SQRT2 = np.sqrt(2.0)
 
 def test_cos_mask_j0_uniform_unnormalized():
     H = hadamard_matrix(4)
-    T0 = cos_mask(0, H).entries
+    T0 = cos_mask(0, H)
     np.testing.assert_allclose(T0, np.full((4, 4), SQRT2 / 4), atol=1e-14)
     assert np.sum(np.abs(T0) ** 2) == pytest.approx(2.0, abs=1e-12)
 
@@ -23,7 +23,7 @@ def test_cos_mask_is_zero_one_structure():
     H = hadamard_matrix(8)
     N = 64
     for j in (1, 5, 17, 63):
-        T = cos_mask(j, H).entries
+        T = cos_mask(j, H)
         hi = SQRT2 / np.sqrt(N)
         assert np.all((np.abs(T) < 1e-14) | (np.abs(T - hi) < 1e-14))
         assert np.count_nonzero(np.abs(T) > 1e-14) == N // 2
@@ -32,7 +32,7 @@ def test_cos_mask_is_zero_one_structure():
 
 def test_cos_mask_elementwise_sum_oracle():
     H = hadamard_matrix(2)
-    T3 = cos_mask(3, H).entries
+    T3 = cos_mask(3, H)
     np.testing.assert_allclose(T3, (basis_mask(3, H) + basis_mask(0, H)) / SQRT2, atol=1e-14)
     np.testing.assert_allclose(T3, np.diag([SQRT2 / 2, SQRT2 / 2]), atol=1e-14)
 
@@ -40,10 +40,10 @@ def test_cos_mask_elementwise_sum_oracle():
 def test_sin_mask_entries_and_modulus():
     H = hadamard_matrix(4)
     N = 16
-    T0 = sin_mask(0, H).entries
+    T0 = sin_mask(0, H)
     np.testing.assert_allclose(T0, np.full((4, 4), (1 + 1j) / (SQRT2 * np.sqrt(N))), atol=1e-14)
     for j in (0, 3, 9, 15):
-        T = sin_mask(j, H).entries
+        T = sin_mask(j, H)
         np.testing.assert_allclose(np.abs(T), 1 / np.sqrt(N), atol=1e-14)
         if j != 0:
             assert np.sum(np.abs(T) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -62,18 +62,18 @@ def test_projection_identities_recover_basis_mask():
     M0 = basis_mask(0, H)
     for j in (0, 1, 13, 40, 63):
         Mj = basis_mask(j, H)
-        np.testing.assert_allclose(SQRT2 * cos_mask(j, H).entries - M0, Mj, atol=1e-14)
-        np.testing.assert_allclose(SQRT2 * sin_mask(j, H).entries - 1j * M0, Mj, atol=1e-14)
+        np.testing.assert_allclose(SQRT2 * cos_mask(j, H) - M0, Mj, atol=1e-14)
+        np.testing.assert_allclose(SQRT2 * sin_mask(j, H) - 1j * M0, Mj, atol=1e-14)
 
 
 def test_overlap_linearity():
     H = hadamard_matrix(4)
     obj = random_complex_object(4, 7)
     for j in (2, 7, 11):
-        lhs = naive_overlap(cos_mask(j, H).entries, obj)
+        lhs = naive_overlap(cos_mask(j, H), obj)
         rhs = (naive_overlap(basis_mask(j, H), obj) + naive_overlap(basis_mask(0, H), obj)) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        lhs = naive_overlap(sin_mask(4 + j, H).entries, obj)
+        lhs = naive_overlap(sin_mask(4 + j, H), obj)
         rhs = (naive_overlap(basis_mask(4 + j, H), obj)
                - 1j * naive_overlap(basis_mask(0, H), obj)) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -152,7 +152,7 @@ def test_mask_symbol_export():
     H = hadamard_matrix(4)
     sym = export_mask_symbols(basis_mask(5, H), "basis")
     assert set(np.unique(sym)) <= {-1, 1}
-    sym = export_mask_symbols(cos_mask(5, H).entries, "cos")
+    sym = export_mask_symbols(cos_mask(5, H), "cos")
     assert set(np.unique(sym)) == {0, 1}
-    sym = export_mask_symbols(sin_mask(5, H).entries, "sin")
+    sym = export_mask_symbols(sin_mask(5, H), "sin")
     assert set(np.unique(sym)) == {-1, 1}
