@@ -7,7 +7,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .scene import SpectralDecomposition
 from .wht import OrthoMatrix, fwht2
 from .projections import RandomBasis
 
@@ -61,49 +60,6 @@ def measure_exact(obj: np.ndarray, basis: Basis) -> Tuple[MeasurementSeries, Mea
     return tuple(MeasurementSeries(kind=kind, dim=basis.dim, basis=basis.descriptor,
                                    values=np.abs(t) ** 2)
                  for kind, t in (("cos", t_cos), ("sin", t_sin)))
-
-
-def closed_form_values(
-    dec: SpectralDecomposition,
-    kind: str,
-    delta_sign: str = "minus",
-    cross_sign: str = "minus",
-    sin_coeff: str = "half",
-) -> np.ndarray:
-    """Term-by-term prediction of the detection probabilities.
-
-    The defaults are the implemented conventions: phase differences against
-    the reference mode, a minus on the sine channel's cross term, and p_j/2
-    in both channels.
-    """
-    p = dec.probabilities
-    p0 = dec.reference_probability
-    a0 = dec.reference_phase
-    delta = dec.phases - a0 if delta_sign == "minus" else dec.phases + a0
-    cross = np.sqrt(p0 * p)
-    if kind == "cos":
-        return p0 / 2 + p / 2 + cross * np.cos(delta)
-    coeff = 0.5 if sin_coeff == "half" else 1.0
-    sign = -1.0 if cross_sign == "minus" else 1.0
-    return p0 / 2 + coeff * p + sign * cross * np.sin(delta)
-
-
-def decompose_probability(
-    series: MeasurementSeries,
-    dec: SpectralDecomposition,
-    delta_sign: str = "minus",
-    cross_sign: str = "minus",
-    sin_coeff: str = "half",
-) -> float:
-    """Max absolute residual of the series against the closed-form expansion.
-
-    Arbiter of the sign conventions: only the implemented convention set
-    drives the residual to zero for exact series.
-    """
-    if not series.exact:
-        raise ValueError("closed-form check needs an exact-mode series")
-    predicted = closed_form_values(dec, series.kind, delta_sign, cross_sign, sin_coeff)
-    return float(np.max(np.abs(series.values - predicted)))
 
 
 def sample_counts(series: MeasurementSeries, total_flux: float, seed: int) -> MeasurementSeries:

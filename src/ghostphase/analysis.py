@@ -63,23 +63,6 @@ def phase_rmse(recovered: PhaseImage, truth: PhaseImage) -> float:
     return float(np.sqrt(np.mean(residual ** 2)))
 
 
-def phase_pearson(a: PhaseImage, b: PhaseImage) -> float:
-    """Pearson correlation of two phase maps on their joint support.
-
-    The second map is re-branched pixelwise onto the sheet nearest the
-    first before correlating, so a pixel at +pi in one map and -pi in the
-    other counts as agreement rather than a 2*pi outlier.
-    """
-    both = a.support & b.support
-    if not both.any():
-        raise ValueError("empty support intersection")
-    x = a.entries[both]
-    y = x + wrap(b.entries[both] - x)
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
-        return 1.0 if np.allclose(x, y) else 0.0
-    return float(np.corrcoef(x, y)[0, 1])
-
-
 def azimuthal_slope(trace: CrossSection) -> float:
     """Least-squares slope of the unwrapped azimuthal trace vs angle."""
     th = trace.coordinates

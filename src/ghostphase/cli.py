@@ -67,6 +67,8 @@ def _basis_from_descriptor(descriptor: str, d: int):
 # A stage maps in-memory inputs to in-memory results under one RunConfig and
 # a writer puts one stage's results into the output directory.  Subcommands
 # read their inputs from files; `pipeline` hands each result to the next stage.
+# Every subcommand runs all of its stages before it creates the output
+# directory, so a run that fails writes nothing.
 
 Reconstruction = collections.namedtuple("Reconstruction", "gi_cos gi_sin re im phase")
 Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
@@ -204,36 +206,47 @@ def _blame_files(paths, errors):
         raise DataError(f"{', '.join(paths)}: {exc}") from None
 
 
-def cmd_gen_object(args, cfg: RunConfig, out: str) -> None:
-    write_object(out, scene.make_object(cfg.object_spec(), cfg.d), cfg.object_kind)
+def _make_object(cfg: RunConfig) -> np.ndarray:
+    """The configured object; a from-file object too large to normalize is malformed data."""
+    if cfg.object_kind != "from-file":
+        return scene.make_object(cfg.object_spec(), cfg.d)
+    with _blame_files([cfg.object_path], FloatingPointError):
+        return scene.make_object(cfg.object_spec(), cfg.d)
 
 
-def cmd_gen_masks(args, cfg: RunConfig, out: str) -> None:
+def cmd_gen_object(args, cfg: RunConfig) -> None:
+    obj = _make_object(cfg)
+    write_object(_outdir(cfg), obj, cfg.object_kind)
+
+
+def cmd_gen_masks(args, cfg: RunConfig) -> None:
     basis = _make_basis(cfg)
     indices = range(args.count) if args.index is None else [args.index]
+    grids = []
     for j in indices:
         masks = {"basis": basis.mask(j), "cos": projections.cos_mask(j, basis),
                  "sin": projections.sin_mask(j, basis)}
-        for kind, mask in masks.items():
-            formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"),
-                                    projections.export_mask_symbols(mask, kind), kind, j)
-    print(f"wrote {3 * len(list(indices))} mask files to {out}")
+        grids += [(kind, j, projections.export_mask_symbols(mask, kind))
+                  for kind, mask in masks.items()]
+    out = _outdir(cfg)
+    for kind, j, grid in grids:
+        formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"), grid, kind, j)
+    print(f"wrote {len(grids)} mask files to {out}")
 
 
-def cmd_acquire(args, cfg: RunConfig, out: str) -> None:
+def cmd_acquire(args, cfg: RunConfig) -> None:
     obj = _read_complex(args.object, "acquisition object")
     if obj.shape[0] != cfg.d:
         # the object's size is what gets measured; record it in place of cfg.d
         cfg.d = obj.shape[0]
         cfg.validate()
-        cfg.dump(os.path.join(out, "resolved_config.yaml"))
     # a ValueError here is the config's: sampling a dark object at a finite flux
     with _blame_files([args.object], FloatingPointError):
         series = acquire(cfg, obj)
-    write_series_pair(out, *series)
+    write_series_pair(_outdir(cfg), *series)
 
 
-def cmd_reconstruct(args, cfg: RunConfig, out: str) -> None:
+def cmd_reconstruct(args, cfg: RunConfig) -> None:
     series_cos = formats.read_series(args.cos)
     series_sin = formats.read_series(args.sin)
     obj = None
@@ -244,27 +257,29 @@ def cmd_reconstruct(args, cfg: RunConfig, out: str) -> None:
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs, (ValueError, FloatingPointError)):
         rec = reconstruct(cfg, series_cos, series_sin, obj)
-    write_reconstruction(out, rec)
+    write_reconstruction(_outdir(cfg), rec)
 
 
-def cmd_analyze(args, cfg: RunConfig, out: str) -> None:
+def cmd_analyze(args, cfg: RunConfig) -> None:
     recovered = _read_phase_image(args.phase, args.support)
     truth = _read_phase_image(args.truth, args.truth_support)
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
     with _blame_files(inputs, (ValueError, FloatingPointError)):
         result = analyze(cfg, recovered, truth)
-    write_analysis(out, result)
+    write_analysis(_outdir(cfg), result)
 
 
-def cmd_pipeline(args, cfg: RunConfig, out: str) -> None:
-    """Run every stage in memory; each stage's files are written and none is read back."""
-    obj = scene.make_object(cfg.object_spec(), cfg.d)
-    write_object(out, obj, cfg.object_kind)
+def cmd_pipeline(args, cfg: RunConfig) -> None:
+    """Run every stage in memory, then write each stage's files; none is read back."""
+    obj = _make_object(cfg)
     series = acquire(cfg, obj)
-    write_series_pair(out, *series)
     rec = reconstruct(cfg, *series, obj)
+    result = analyze(cfg, rec.phase, _phase_image(obj, "complex"))
+    out = _outdir(cfg)
+    write_object(out, obj, cfg.object_kind)
+    write_series_pair(out, *series)
     write_reconstruction(out, rec)
-    write_analysis(out, analyze(cfg, rec.phase, _phase_image(obj, "complex")))
+    write_analysis(out, result)
 
     manifest = {"artifacts": []}
     for name in sorted(os.listdir(out)):
@@ -342,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_cfg(args)
-        args.func(args, cfg, _outdir(cfg))
+        args.func(args, cfg)
         return EXIT_OK
     except (ConfigError, SpecError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

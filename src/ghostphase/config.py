@@ -13,6 +13,10 @@ class ConfigError(ValueError):
     pass
 
 
+# numpy's Poisson sampler rejects means above ~9.2e18, and a larger flux can overflow
+MAX_FLUX = 1e18
+
+
 # YAML key -> (RunConfig attribute, expected type), per document section
 _TOP_FIELDS = {
     "d": ("d", int), "illumination_radius": ("illumination_radius", float),
@@ -63,6 +67,8 @@ class RunConfig:
             raise ConfigError(f"object.kind: unknown kind {self.object_kind!r}")
         if self.bands < 1:
             raise ConfigError(f"object.bands: must be at least 1, got {self.bands}")
+        if not math.isfinite(self.phase_depth):
+            raise ConfigError(f"object.phase_depth: must be finite, got {self.phase_depth}")
         if self.basis not in ("hadamard", "random"):
             raise ConfigError(f"basis: must be 'hadamard' or 'random', got {self.basis!r}")
         if self.ordering not in ("natural", "sequency"):
@@ -71,8 +77,8 @@ class RunConfig:
             raise ConfigError(f"artifact_mode: must be 'analytic' or 'heuristic', got {self.artifact_mode!r}")
         if self.d < 2 or self.d & (self.d - 1) and self.basis == "hadamard":
             raise ConfigError(f"d: must be at least 2 (a power of two for the hadamard basis), got {self.d}")
-        if self.flux is not None and not (math.isfinite(self.flux) and self.flux > 0):
-            raise ConfigError(f"flux: must be positive and finite, got {self.flux}")
+        if self.flux is not None and not 0 < self.flux <= MAX_FLUX:
+            raise ConfigError(f"flux: must be positive and at most {MAX_FLUX:g}, got {self.flux}")
         for key in ("basis_seed", "acquisition_seed"):
             if not 0 <= getattr(self, key) < 2 ** 64:
                 raise ConfigError(f"{key}: must be in [0, 2**64), got {getattr(self, key)}")

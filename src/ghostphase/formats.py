@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import warnings
 from typing import Optional, Tuple
 
@@ -201,27 +200,6 @@ def write_pgm(path, data: np.ndarray, lo: Optional[float] = None, hi: Optional[f
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode())
         fh.write(pixels.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    stream = io.BytesIO(raw)
-    if stream.readline().strip() != b"P5":
-        raise DataError(f"{path}: not a binary PGM")
-    try:
-        w, h = (int(t) for t in stream.readline().split())
-        maxval = int(stream.readline())
-    except ValueError:
-        raise DataError(f"{path}: bad PGM header") from None
-    if w < 1 or h < 1:
-        raise DataError(f"{path}: bad PGM header ({w}x{h} pixels)")
-    if maxval != 65535:
-        raise DataError(f"{path}: expected 16-bit PGM, maxval={maxval}")
-    payload = stream.read()
-    if len(payload) != w * h * 2:
-        raise DataError(f"{path}: payload is {len(payload)} bytes, expected {w * h * 2}")
-    return np.frombuffer(payload, dtype=">u2").reshape(h, w).astype(int)
 
 
 def write_mask_text(path, symbols: np.ndarray, kind: str, index: int) -> None:

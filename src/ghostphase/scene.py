@@ -1,4 +1,4 @@
-"""Test objects, illumination support and spectral decomposition."""
+"""Test objects and illumination support."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-
-from .wht import OrthoMatrix, fwht2
 
 KINDS = (
     "flat",
@@ -168,35 +166,3 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
     if spec.kind != "from-file":
         obj = apply_illumination(obj, radius)
     return normalize(obj)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Per-mask probabilities and phases of an object in the scan basis."""
-
-    probabilities: np.ndarray   # p_j, flat length N
-    phases: np.ndarray          # alpha_j in (-pi, pi], flat length N
-
-    @property
-    def reference_probability(self) -> float:
-        return float(self.probabilities[0])
-
-    @property
-    def reference_phase(self) -> float:
-        return float(self.phases[0])
-
-
-def decompose(obj: np.ndarray, H: OrthoMatrix) -> SpectralDecomposition:
-    """Spectrum of the object: p_j = |<M_j|O>|^2, alpha_j = arg<M_j|O>."""
-    coeffs = fwht2(obj, H)
-    return SpectralDecomposition(
-        probabilities=(np.abs(coeffs) ** 2).ravel(),
-        phases=np.angle(coeffs).ravel(),
-    )
-
-
-def compose(dec: SpectralDecomposition, H: OrthoMatrix) -> np.ndarray:
-    """Rebuild the object field from its decomposition (inverse of decompose)."""
-    d = H.dim
-    coeffs = (np.sqrt(dec.probabilities) * np.exp(1j * dec.phases)).reshape(d, d)
-    return fwht2(coeffs, H)

@@ -56,7 +56,16 @@ class OrthoMatrix:
         return f"hadamard:{self.ordering}"
 
     def mask(self, j: int) -> np.ndarray:
-        return basis_mask(j, self)
+        """Outer-product mask M_j = h_n (x) h_m with j = n*d + m.
+
+        Entries are +-1/sqrt(N); M_0 is the uniform mask with every entry
+        1/sqrt(N).
+        """
+        d = self.dim
+        if not 0 <= j < d * d:
+            raise IndexError(f"mask index {j} out of range for N={d * d}")
+        n, m = divmod(int(j), d)
+        return np.outer(self.entries[n], self.entries[m])
 
 
 def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
@@ -76,19 +85,6 @@ def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
     if ordering == SEQUENCY:
         H = H[list(_sequency_permutation(d))]
     return OrthoMatrix(dim=d, entries=H / np.sqrt(d), ordering=ordering)
-
-
-def basis_mask(j: int, H: OrthoMatrix) -> np.ndarray:
-    """Outer-product mask M_j = h_n (x) h_m with j = n*d + m.
-
-    Entries are +-1/sqrt(N); M_0 is the uniform mask with every entry
-    1/sqrt(N).
-    """
-    d = H.dim
-    if not 0 <= j < d * d:
-        raise IndexError(f"mask index {j} out of range for N={d * d}")
-    n, m = divmod(int(j), d)
-    return np.outer(H.entries[n], H.entries[m])
 
 
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:
@@ -124,8 +120,3 @@ def fwht2(field: np.ndarray, H: OrthoMatrix) -> np.ndarray:
         perm = list(_sequency_permutation(d))
         out = out[np.ix_(perm, perm)]
     return out
-
-
-def sequency_counts(H: OrthoMatrix) -> np.ndarray:
-    """Sign-change count of each row, for ordering checks."""
-    return np.count_nonzero(np.diff(np.sign(H.entries), axis=1), axis=1)

@@ -1,9 +1,14 @@
-"""Shared oracles: naive brute-force counterparts of the fast paths."""
+"""Shared oracles: naive brute-force counterparts of the fast paths, and an in-process CLI run."""
+
+import contextlib
+import io
+import warnings
 
 import numpy as np
 import pytest
 
-from ghostphase import ObjectSpec, basis_mask, hadamard_matrix, make_object
+from ghostphase import ObjectSpec, cli, hadamard_matrix, make_object
+from ghostphase.analysis import wrap
 
 
 def naive_transform(X, H):
@@ -31,10 +36,56 @@ def naive_mask_series(obj, H, kind):
     uniform = np.full((d, d), 1.0 / d)
     values = np.empty(d * d)
     for j in range(d * d):
-        M = basis_mask(j, H)
+        M = H.mask(j)
         T = (M + uniform) / np.sqrt(2) if kind == "cos" else (M + 1j * uniform) / np.sqrt(2)
         values[j] = abs(naive_overlap(T, obj)) ** 2
     return values
+
+
+def closed_form_values(coeffs, kind, delta_sign="minus", cross_sign="minus", sin_coeff="half"):
+    """Term-by-term prediction of |<T_j|O>|^2 from the flat coefficients c_j = <M_j|O>.
+
+    With p_j = |c_j|^2 and alpha_j = arg c_j, the defaults are the implemented
+    conventions: phase differences against the reference mode, a minus on the
+    sine channel's cross term, and p_j/2 in both channels.
+    """
+    p = np.abs(coeffs) ** 2
+    alpha = np.angle(coeffs)
+    delta = alpha - alpha[0] if delta_sign == "minus" else alpha + alpha[0]
+    cross = np.sqrt(p[0] * p)
+    if kind == "cos":
+        return p[0] / 2 + p / 2 + cross * np.cos(delta)
+    coeff = 0.5 if sin_coeff == "half" else 1.0
+    sign = -1.0 if cross_sign == "minus" else 1.0
+    return p[0] / 2 + coeff * p + sign * cross * np.sin(delta)
+
+
+def decompose_probability(series, coeffs, **conventions):
+    """Max absolute residual of an exact series against the closed-form expansion.
+
+    Arbiter of the sign conventions: only the implemented convention set
+    drives the residual to zero.
+    """
+    assert series.exact, "closed-form check needs an exact-mode series"
+    predicted = closed_form_values(coeffs, series.kind, **conventions)
+    return float(np.max(np.abs(series.values - predicted)))
+
+
+def phase_pearson(a, b):
+    """Pearson correlation of two phase maps on their joint support.
+
+    The second map is re-branched pixelwise onto the sheet nearest the
+    first before correlating, so a pixel at +pi in one map and -pi in the
+    other counts as agreement rather than a 2*pi outlier.
+    """
+    both = a.support & b.support
+    if not both.any():
+        raise ValueError("empty support intersection")
+    x = a.entries[both]
+    y = x + wrap(b.entries[both] - x)
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        return 1.0 if np.allclose(x, y) else 0.0
+    return float(np.corrcoef(x, y)[0, 1])
 
 
 def disc_pixel_count(d, radius):
@@ -52,6 +103,16 @@ def random_complex_object(d, seed):
     rng = np.random.default_rng(seed)
     obj = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return obj / np.linalg.norm(obj)
+
+
+def run_cli(argv):
+    """Run the CLI in-process with every warning an error; return its exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, err.getvalue()
 
 
 @pytest.fixture

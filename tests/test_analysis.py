@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ghostphase import (CrossSection, azimuthal_slope, cross_section_azimuthal,
-                        cross_section_horizontal, phase_pearson, phase_rmse, wrap)
+                        cross_section_horizontal, phase_rmse, wrap)
 from ghostphase.reconstruction import PhaseImage
+
+from conftest import phase_pearson
 
 
 def _phase(entries, support=None):

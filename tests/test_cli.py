@@ -19,6 +19,8 @@ from ghostphase.config import ConfigError, RunConfig, config_from_document, load
 from ghostphase.formats import read_field, read_series, write_field
 from ghostphase.scene import KINDS
 
+from conftest import run_cli
+
 
 def run(*argv):
     return cli.main(list(argv))
@@ -151,8 +153,8 @@ def test_pipeline_manifest_and_determinism(tmp_path):
 
 
 _NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats())
-_CONFIGS = st.builds(
-    RunConfig, d=st.integers(1, 2 ** 70), object_kind=st.sampled_from(KINDS),
+_CONFIG_FIELDS = dict(
+    d=st.integers(1, 2 ** 70), object_kind=st.sampled_from(KINDS),
     slit_width=st.none() | st.integers(-5, 100), slit_gap=st.none() | st.integers(-5, 100),
     annulus_radii=st.none() | st.tuples(_NUMBERS, _NUMBERS),
     petals=st.integers(-5, 100), bands=st.integers(-5, 100), phase_depth=st.floats(),
@@ -162,6 +164,7 @@ _CONFIGS = st.builds(
     artifact_mode=st.sampled_from(["analytic", "heuristic"]), denoise_window=st.integers(1, 99),
     analysis_row=st.none() | st.integers(-5, 300), analysis_radius=st.none() | _NUMBERS,
     analysis_samples=st.integers(0, 1000))
+_CONFIGS = st.builds(RunConfig, **_CONFIG_FIELDS)
 
 
 def _outcome(make):
@@ -257,6 +260,7 @@ CONFIG_CASES = [
     pytest.param("d: 8\nflux: lots\n", 2, None, id="flux-word"),
     pytest.param("d: 8\nflux: .nan\n", 2, None, id="flux-nan"),
     pytest.param("d: 8\nflux: .inf\n", 2, None, id="flux-inf"),
+    pytest.param("d: 8\nflux: 1e300\n", 2, None, id="flux-past-poisson-limit"),
     pytest.param("d: 8.5\n", 2, None, id="fractional-d"),
     pytest.param("d: 8\nacquisition_seed: true\n", 2, None, id="bool-seed"),
     pytest.param("d: 8\nbasis_seed: [1]\n", 2, None, id="list-seed"),
@@ -279,6 +283,8 @@ CONFIG_CASES = [
     pytest.param("d: 16\nobject: {kind: spiral-flower-phase, bands: 0}\n", 2, None, id="zero-bands"),
     pytest.param("d: 16\nobject: {kind: spiral-flower-phase, bands: -3}\n", 2, None,
                  id="negative-bands"),
+    pytest.param("d: 8\nobject: {phase_depth: .inf}\n", 2, None, id="phase-depth-inf"),
+    pytest.param("d: 8\nobject: {phase_depth: .nan}\n", 2, None, id="phase-depth-nan"),
 ]
 
 
@@ -304,6 +310,7 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     ("analysis: {samples: -5}", "analysis.samples: must be at least 2, got -5"),
     ("object: {kind: spiral-flower-phase, bands: 0}", "object.bands: must be at least 1, got 0"),
     ("object: {kind: spiral-flower-phase, bands: -3}", "object.bands: must be at least 1, got -3"),
+    ("object: {phase_depth: .inf}", "object.phase_depth: must be finite, got inf"),
 ])
 def test_pipeline_rejects_config_limits_before_any_file(tmp_path, capsys, text, error):
     cfgfile = tmp_path / "run.yaml"
@@ -655,3 +662,56 @@ def test_pipeline_manifest_matches_stage_by_stage_run(tmp_path, flags):
     assert run("analyze", *flags, "--phase", f"{s}/phase.gcf", "--support", f"{s}/support.gcf",
                "--truth", f"{s}/object.gcf", "--out", s) == 0
     assert (piped / "manifest.json").read_text() == _manifest_text(staged)
+
+
+def _assert_clean_failure(code, stderr, out):
+    """Exit 2 or 3 with one error line and no output directory."""
+    assert code in (2, 3) and stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    assert not out.exists()
+
+
+# each fails in a late stage, after earlier stages have run
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(("pipeline", "--d", "16", "--basis", "random", "--artifact-mode", "analytic"),
+                 None, id="random-analytic"),
+    pytest.param(("pipeline", "--d", "2", "--basis", "random", "--basis-seed", "1"),
+                 None, id="singular-random-set"),
+    pytest.param(("pipeline",), "d: 16\nanalysis: {radius: 30}\n", id="radius-off-grid"),
+    pytest.param(("gen-masks", "--d", "8", "--index", "64"), None, id="mask-index-off-range"),
+])
+def test_failing_run_writes_no_output_directory(tmp_path, argv, config):
+    out = tmp_path / "out"
+    if config is not None:
+        (tmp_path / "run.yaml").write_text(config)
+        argv = (*argv, "--config", str(tmp_path / "run.yaml"))
+    code, stderr = run_cli([*argv, "--out", str(out)])
+    assert code == 2
+    _assert_clean_failure(code, stderr, out)
+
+
+@pytest.mark.parametrize("command", ["gen-object", "pipeline"])
+def test_from_file_object_that_overflows_is_data_error(tmp_path, command):
+    path = tmp_path / "huge.gcf"
+    write_field(path, np.full((8, 8), 1e300, complex), "complex")
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(yaml.safe_dump({"d": 8, "object": {"kind": "from-file", "path": str(path)}}))
+    out = tmp_path / "out"
+    code, stderr = run_cli([command, "--config", str(cfgfile), "--out", str(out)])
+    assert code == 3 and str(path) in stderr
+    _assert_clean_failure(code, stderr, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=st.builds(RunConfig, **{**_CONFIG_FIELDS, "d": st.integers(1, 8)}))
+# flux times the reference sample overflowed with a RuntimeWarning
+@example(cfg=RunConfig(d=2, object_kind="flat", flux=8.988465674311582e307))
+def test_pipeline_completes_or_fails_cleanly(tmp_path_factory, cfg):
+    # d stays small: a random basis holds d**4 floats
+    work = tmp_path_factory.mktemp("run")
+    cfg.dump(work / "run.yaml")
+    out = work / "out"
+    code, stderr = run_cli(["pipeline", "--config", str(work / "run.yaml"), "--out", str(out)])
+    if code == 0:
+        assert stderr == "" and (out / "manifest.json").is_file()
+    else:
+        _assert_clean_failure(code, stderr, out)

@@ -7,18 +7,17 @@ file) and exactly one ``error:`` line; no exception may escape ``main`` and
 no warning may be raised on the way.
 """
 
-import contextlib
-import io
 import shutil
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ghostphase import cli, formats
+from ghostphase import cli
+
+from conftest import run_cli
 
 # bytes that steer a parser: separators, signs, exponents, NUL and non-UTF-8
 _TOKENS = [b"\n", b"\r", b" ", b"#", b"=", b",", b":", b"-", b"+", b"e", b"0", b"9", b".",
@@ -58,12 +57,7 @@ def written(tmp_path_factory):
 
 def _run(argv, *allowed):
     """Run the CLI in-process with every warning an error; check its exit code and stderr."""
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
-    stderr = err.getvalue()
+    code, stderr = run_cli(argv)
     assert code in (0, *allowed), stderr
     if code:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
@@ -131,19 +125,3 @@ def test_config_file_survives_mutation(written, edits):
         _run(["gen-masks", "--d", "4", "--count", "1", "--config",
               str(work / "resolved_config.yaml"), "--out", str(work / "out")], 2)
 
-
-@_FUZZ
-@given(edits=_mutations())
-# "-4 -4": the payload size matched and reshape raised ValueError
-@example(edits=[("insert", 0.078, b"-"), ("insert", 0.141, b"-")])
-def test_read_pgm_raises_only_data_errors(written, edits):
-    # no subcommand reads a PGM, so the reader is fuzzed directly
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _case(written, "phase.pgm", edits, Path(tmp)) / "phase.pgm"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                pixels = formats.read_pgm(path)
-            except formats.DataError:
-                return
-        assert pixels.ndim == 2 and pixels.dtype.kind == "i"

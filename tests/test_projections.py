@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghostphase import basis_mask, cos_mask, hadamard_matrix, random_basis, sin_mask
+from ghostphase import cos_mask, hadamard_matrix, random_basis, sin_mask
 from ghostphase.wht import DimensionError
 from ghostphase.acquisition import mask_overlaps
 from ghostphase.projections import export_mask_symbols
@@ -33,7 +33,7 @@ def test_cos_mask_is_zero_one_structure():
 def test_cos_mask_elementwise_sum_oracle():
     H = hadamard_matrix(2)
     T3 = cos_mask(3, H)
-    np.testing.assert_allclose(T3, (basis_mask(3, H) + basis_mask(0, H)) / SQRT2, atol=1e-14)
+    np.testing.assert_allclose(T3, (H.mask(3) + H.mask(0)) / SQRT2, atol=1e-14)
     np.testing.assert_allclose(T3, np.diag([SQRT2 / 2, SQRT2 / 2]), atol=1e-14)
 
 
@@ -59,9 +59,9 @@ def test_mask_index_errors():
 
 def test_projection_identities_recover_basis_mask():
     H = hadamard_matrix(8)
-    M0 = basis_mask(0, H)
+    M0 = H.mask(0)
     for j in (0, 1, 13, 40, 63):
-        Mj = basis_mask(j, H)
+        Mj = H.mask(j)
         np.testing.assert_allclose(SQRT2 * cos_mask(j, H) - M0, Mj, atol=1e-14)
         np.testing.assert_allclose(SQRT2 * sin_mask(j, H) - 1j * M0, Mj, atol=1e-14)
 
@@ -71,11 +71,11 @@ def test_overlap_linearity():
     obj = random_complex_object(4, 7)
     for j in (2, 7, 11):
         lhs = naive_overlap(cos_mask(j, H), obj)
-        rhs = (naive_overlap(basis_mask(j, H), obj) + naive_overlap(basis_mask(0, H), obj)) / SQRT2
+        rhs = (naive_overlap(H.mask(j), obj) + naive_overlap(H.mask(0), obj)) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
         lhs = naive_overlap(sin_mask(4 + j, H), obj)
-        rhs = (naive_overlap(basis_mask(4 + j, H), obj)
-               - 1j * naive_overlap(basis_mask(0, H), obj)) / SQRT2
+        rhs = (naive_overlap(H.mask(4 + j), obj)
+               - 1j * naive_overlap(H.mask(0), obj)) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
 
 def test_mask_symbol_export():
     H = hadamard_matrix(4)
-    sym = export_mask_symbols(basis_mask(5, H), "basis")
+    sym = export_mask_symbols(H.mask(5), "basis")
     assert set(np.unique(sym)) <= {-1, 1}
     sym = export_mask_symbols(cos_mask(5, H), "cos")
     assert set(np.unique(sym)) == {0, 1}
