@@ -58,7 +58,7 @@ def _basis_from_descriptor(descriptor: str, d: int):
             raise DataError(f"basis {descriptor!r} with d={d}: {exc}") from None
         basis.entries.flags.writeable = False
     elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
-        basis = projections.random_basis(d * d, d, int(arg))
+        basis = projections.random_basis(d, int(arg))
     else:
         raise DataError(f"unknown basis descriptor {descriptor!r}")
     return basis
@@ -114,6 +114,8 @@ def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
     row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
     if not 0 <= row < d:
         raise ConfigError(f"analysis.row: must be in [0, d), got {row} for d={d}")
+    if cfg.analysis_row is not None and not recovered.support[row].any():
+        raise ConfigError(f"analysis.row: row {row} has no valid support pixels")
     radius, what = cfg.analysis_radius, "analysis.radius:"
     if radius is None:
         radii = cfg.annulus_radii or (d / 4, 3 * d / 8)
@@ -207,10 +209,10 @@ def _blame_files(paths, errors):
 
 
 def _make_object(cfg: RunConfig) -> np.ndarray:
-    """The configured object; a from-file object too large to normalize is malformed data."""
+    """The configured object; a from-file object that cannot be normalized is malformed data."""
     if cfg.object_kind != "from-file":
         return scene.make_object(cfg.object_spec(), cfg.d)
-    with _blame_files([cfg.object_path], FloatingPointError):
+    with _blame_files([cfg.object_path], (FloatingPointError, scene.ZeroFieldError)):
         return scene.make_object(cfg.object_spec(), cfg.d)
 
 
@@ -220,18 +222,22 @@ def cmd_gen_object(args, cfg: RunConfig) -> None:
 
 
 def cmd_gen_masks(args, cfg: RunConfig) -> None:
+    """Write each mask's sign grids as soon as they are made: memory does not grow with --count.
+    The cos mask (M_j + M_0)/sqrt(2) is open where M_j > 0; the sin mask (M_j + i M_0)/sqrt(2)
+    is in the 1+i state there and in the 1-i state elsewhere."""
     basis = _make_basis(cfg)
+    N = basis.size
+    if args.index is not None and not 0 <= args.index < N:
+        raise ConfigError(f"--index: must be in [0, {N}), got {args.index}")
+    if args.index is None and not 1 <= args.count <= N:
+        raise ConfigError(f"--count: must be in [1, {N}], got {args.count}")
     indices = range(args.count) if args.index is None else [args.index]
-    grids = []
-    for j in indices:
-        masks = {"basis": basis.mask(j), "cos": projections.cos_mask(j, basis),
-                 "sin": projections.sin_mask(j, basis)}
-        grids += [(kind, j, projections.export_mask_symbols(mask, kind))
-                  for kind, mask in masks.items()]
     out = _outdir(cfg)
-    for kind, j, grid in grids:
-        formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"), grid, kind, j)
-    print(f"wrote {len(grids)} mask files to {out}")
+    for j in indices:
+        signs = np.where(basis.mask(j) > 0, 1, -1)
+        for kind, grid in (("basis", signs), ("cos", (signs > 0).astype(int)), ("sin", signs)):
+            formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"), grid, kind, j)
+    print(f"wrote {3 * len(indices)} mask files to {out}")
 
 
 def cmd_acquire(args, cfg: RunConfig) -> None:

@@ -210,8 +210,7 @@ def write_mask_text(path, symbols: np.ndarray, kind: str, index: int) -> None:
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# kind={kind} j={index} d={symbols.shape[0]}\n")
-        for row in symbols:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        np.savetxt(fh, symbols, fmt="%d")
 
 
 def write_metrics(path, metrics: dict) -> None:

@@ -1,4 +1,4 @@
-"""Cosine/sine projection masks and the pseudo-complete random basis."""
+"""Seeded pseudo-complete random bases: d*d masks of +-1/d, an alternative to Hadamard masks."""
 
 from __future__ import annotations
 
@@ -6,28 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wht import DimensionError, OrthoMatrix
-
-SQRT2 = np.sqrt(2.0)
-
-
-def _uniform_mask(d: int) -> np.ndarray:
-    return np.full((d, d), 1.0 / d)
-
-
-def cos_mask(j: int, basis: OrthoMatrix | RandomBasis) -> np.ndarray:
-    """(M_j + M_0)/sqrt(2): a 0 / sqrt(2)/sqrt(N) amplitude mask.
-
-    j = 0 gives the unnormalized uniform mask sqrt(2) * M_0; it is kept
-    in the scan because the reconstruction is insensitive to the
-    reference mode.
-    """
-    return (basis.mask(j) + _uniform_mask(basis.dim)) / SQRT2
-
-
-def sin_mask(j: int, basis: OrthoMatrix | RandomBasis) -> np.ndarray:
-    """(M_j + i M_0)/sqrt(2): entries (+-1 + i)/(sqrt(2) sqrt(N))."""
-    return (basis.mask(j) + 1j * _uniform_mask(basis.dim)) / SQRT2
+from .wht import DimensionError
 
 
 @dataclass(frozen=True)
@@ -96,23 +75,10 @@ def _fill_masks(out: np.ndarray, seed: int, d: int) -> None:
         rows -= 1.0 / d
 
 
-def random_basis(N: int, d: int, seed: int) -> RandomBasis:
-    if N != d * d:
-        raise ValueError(f"random basis needs N = d^2, got N={N}, d={d}")
-    matrix = np.empty((N, N))
+def random_basis(d: int, seed: int) -> RandomBasis:
+    matrix = np.empty((d * d, d * d))
     matrix[0] = 1.0 / d
     _fill_masks(matrix[1:], seed, d)
     matrix.flags.writeable = False
     return RandomBasis(seed=seed, dim=d, matrix=matrix)
 
-
-def export_mask_symbols(mask: np.ndarray, kind: str) -> np.ndarray:
-    """Integer-symbol view of a mask for hardware export.
-
-    basis: +-1 grid; cos: 0/1 grid; sin: +1 for the 1+i state, -1 for 1-i.
-    """
-    if kind in ("basis", "sin"):
-        return np.where(mask.real > 0, 1, -1).astype(int)
-    if kind == "cos":
-        return (mask.real > 1e-12).astype(int)
-    raise ValueError(f"unknown mask kind {kind!r}")

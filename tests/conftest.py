@@ -30,14 +30,17 @@ def naive_overlap(mask, obj):
     return complex(np.sum(np.conj(mask) * obj))
 
 
+def paired_masks(basis, j):
+    """The explicit cos and sin masks (M_j + M_0)/sqrt(2) and (M_j + i M_0)/sqrt(2)."""
+    M, M0 = basis.mask(j), basis.mask(0)
+    return (M + M0) / np.sqrt(2), (M + 1j * M0) / np.sqrt(2)
+
+
 def naive_mask_series(obj, H, kind):
     """Per-mask |<T_j|obj>|^2 without any transform."""
-    d = H.dim
-    uniform = np.full((d, d), 1.0 / d)
-    values = np.empty(d * d)
-    for j in range(d * d):
-        M = H.mask(j)
-        T = (M + uniform) / np.sqrt(2) if kind == "cos" else (M + 1j * uniform) / np.sqrt(2)
+    values = np.empty(H.size)
+    for j in range(H.size):
+        T = paired_masks(H, j)[0 if kind == "cos" else 1]
         values[j] = abs(naive_overlap(T, obj)) ** 2
     return values
 

@@ -131,7 +131,7 @@ def test_criterion_06_random_basis_parity():
     d = 16
     obj = _object("pi-slit-phase", d)
     truth = _truth_phase(obj)
-    ph_random = _recover_heuristic(obj, random_basis(d * d, d, seed=42))
+    ph_random = _recover_heuristic(obj, random_basis(d, seed=42))
     ph_hadamard = _recover_heuristic(obj, hadamard_matrix(d))
     rmse = phase_rmse(ph_random, truth)
     r = phase_pearson(ph_hadamard, ph_random)

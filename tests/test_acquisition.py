@@ -83,7 +83,7 @@ def test_energy_bookkeeping():
 
 
 def test_random_basis_series_matches_per_mask_sums():
-    basis = random_basis(16, 4, seed=5)
+    basis = random_basis(4, seed=5)
     obj = random_complex_object(4, seed=5)
     series = measure_exact(obj, basis)[1]
     for j in range(16):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,9 +57,27 @@ def test_gen_masks_random_basis_exports_its_masks(tmp_path):
                "--index", "5", "--out", str(tmp_path)) == 0
     rows = (tmp_path / "mask_basis_00005.txt").read_text().splitlines()
     symbols = np.array([[int(v) for v in row.split()] for row in rows[1:]])
-    np.testing.assert_array_equal(symbols, np.sign(projections.random_basis(64, 8, 3).mask(5)))
+    np.testing.assert_array_equal(symbols, np.sign(projections.random_basis(8, 3).mask(5)))
     assert run("gen-masks", "--d", "8", "--basis", "random", "--index", "64",
                "--out", str(tmp_path)) == 2
+
+
+def test_gen_masks_memory_does_not_grow_with_count(tmp_path):
+    # each mask's grids are written as they are made; none is kept for later
+    def peak(count):
+        cli._basis_from_descriptor.cache_clear()
+        tracemalloc.start()
+        try:
+            code, stderr = run_cli(["gen-masks", "--d", "16", "--count", str(count),
+                                    "--out", str(tmp_path / str(count))])
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, stderr
+        return top
+
+    small = peak(16)
+    assert peak(256) < 2 * small
 
 
 def test_acquire_row_contract(tmp_path):
@@ -249,7 +268,8 @@ def _lookup(document, dotted):
     return document
 
 
-# config text -> expected exit code and, on success, resolved values ("section.key")
+# config text -> expected exit code and, on success, resolved values ("section.key");
+# on failure, the whole error output if it is given
 CONFIG_CASES = [
     pytest.param("d: 8\nflux: 1e6\n", 0, {"flux": 1000000.0}, id="flux-1e6"),
     pytest.param("d: '8'\n", 0, {"d": 8}, id="quoted-d"),
@@ -276,6 +296,9 @@ CONFIG_CASES = [
     pytest.param("d: 8\nanalysis: {samples: 0}\n", 2, None, id="zero-samples"),
     pytest.param("d: 8\nanalysis: {samples: 1}\n", 2, None, id="one-sample"),
     pytest.param("d: 16\nanalysis: {row: 99}\n", 2, None, id="row-off-grid"),
+    pytest.param("d: 16\nanalysis: {row: 0}\n", 2,
+                 "error: analysis.row: row 0 has no valid support pixels\n",
+                 id="row-outside-support"),
     pytest.param("d: 16\nanalysis: {radius: 99}\n", 2, None, id="radius-off-grid"),
     pytest.param("d: 16\nanalysis: {radius: -2}\n", 2, None, id="negative-radius"),
     pytest.param("d: 16\nobject: {kind: azimuthal-ring-phase, annulus_radii: [10, 16]}\n", 2, None,
@@ -298,6 +321,8 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert resolved is None or err == resolved
+        assert not out.exists()
         return
     document = yaml.safe_load((out / "resolved_config.yaml").read_text())
     assert {key: _lookup(document, key) for key in resolved} == resolved
@@ -558,7 +583,7 @@ def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):
     monkeypatch.setattr(projections, "random_basis", counting)
     assert run("pipeline", "--d", "8", "--basis", "random", "--basis-seed", "3",
                "--out", str(tmp_path)) == 0
-    assert calls == [(64, 8, 3)]
+    assert calls == [(8, 3)]
 
 
 @pytest.mark.parametrize("descriptor, attr", [("random:3", "matrix"), ("hadamard:sequency", "entries")])
@@ -678,6 +703,9 @@ def _assert_clean_failure(code, stderr, out):
                  None, id="singular-random-set"),
     pytest.param(("pipeline",), "d: 16\nanalysis: {radius: 30}\n", id="radius-off-grid"),
     pytest.param(("gen-masks", "--d", "8", "--index", "64"), None, id="mask-index-off-range"),
+    pytest.param(("gen-masks", "--d", "8", "--count", "0"), None, id="mask-count-zero"),
+    pytest.param(("gen-masks", "--d", "8", "--count", "-3"), None, id="mask-count-negative"),
+    pytest.param(("gen-masks", "--d", "8", "--count", "65"), None, id="mask-count-past-N"),
 ])
 def test_failing_run_writes_no_output_directory(tmp_path, argv, config):
     out = tmp_path / "out"
@@ -687,18 +715,23 @@ def test_failing_run_writes_no_output_directory(tmp_path, argv, config):
     code, stderr = run_cli([*argv, "--out", str(out)])
     assert code == 2
     _assert_clean_failure(code, stderr, out)
+    if "--count" in argv:
+        assert stderr.startswith("error: --count: must be in [1, 64], got ")
 
 
 @pytest.mark.parametrize("command", ["gen-object", "pipeline"])
 def test_from_file_object_that_overflows_is_data_error(tmp_path, command):
-    path = tmp_path / "huge.gcf"
-    write_field(path, np.full((8, 8), 1e300, complex), "complex")
-    cfgfile = tmp_path / "run.yaml"
-    cfgfile.write_text(yaml.safe_dump({"d": 8, "object": {"kind": "from-file", "path": str(path)}}))
-    out = tmp_path / "out"
-    code, stderr = run_cli([command, "--config", str(cfgfile), "--out", str(out)])
-    assert code == 3 and str(path) in stderr
-    _assert_clean_failure(code, stderr, out)
+    # a norm that overflows, is zero, or underflows to zero cannot normalize the object
+    for value in (1e300, 0.0, 1e-320):
+        path = tmp_path / f"object-{value}.gcf"
+        write_field(path, np.full((8, 8), value, complex), "complex")
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text(yaml.safe_dump({"d": 8, "object": {"kind": "from-file",
+                                                              "path": str(path)}}))
+        out = tmp_path / "out"
+        code, stderr = run_cli([command, "--config", str(cfgfile), "--out", str(out)])
+        assert code == 3 and str(path) in stderr, (value, stderr)
+        _assert_clean_failure(code, stderr, out)
 
 
 @settings(max_examples=200, deadline=None)

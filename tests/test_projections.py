@@ -1,60 +1,84 @@
+"""The paired cos/sin masks, checked as explicit arrays and as the sign grids gen-masks writes."""
+
 import numpy as np
 import pytest
 
-from ghostphase import cos_mask, hadamard_matrix, random_basis, sin_mask
+from ghostphase import hadamard_matrix, measure_exact, random_basis
 from ghostphase.wht import DimensionError
 from ghostphase.acquisition import mask_overlaps
-from ghostphase.projections import export_mask_symbols
 from ghostphase.reconstruction import _coefficient_image
 
-from conftest import naive_overlap, random_complex_object
+from conftest import naive_overlap, paired_masks, random_complex_object, run_cli
 
 SQRT2 = np.sqrt(2.0)
 
 
-def test_cos_mask_j0_uniform_unnormalized():
+def _gen_masks(out, *flags):
+    """Run gen-masks and read its grids back as {(kind, j): int array}."""
+    code, stderr = run_cli(["gen-masks", *flags, "--out", str(out)])
+    assert code == 0, stderr
+    grids = {}
+    for path in out.glob("mask_*.txt"):
+        _, kind, j = path.stem.split("_")
+        grids[kind, int(j)] = np.loadtxt(path, dtype=int, ndmin=2)
+    return grids
+
+
+def test_cos_mask_j0_uniform_unnormalized(tmp_path):
     H = hadamard_matrix(4)
-    T0 = cos_mask(0, H)
+    T0, _ = paired_masks(H, 0)
     np.testing.assert_allclose(T0, np.full((4, 4), SQRT2 / 4), atol=1e-14)
     assert np.sum(np.abs(T0) ** 2) == pytest.approx(2.0, abs=1e-12)
+    grids = _gen_masks(tmp_path, "--d", "4", "--index", "0")
+    np.testing.assert_array_equal(grids["cos", 0], np.ones((4, 4), int))
 
 
-def test_cos_mask_is_zero_one_structure():
+def test_cos_mask_is_zero_one_structure(tmp_path):
     H = hadamard_matrix(8)
     N = 64
+    grids = _gen_masks(tmp_path, "--d", "8", "--count", "64")
     for j in (1, 5, 17, 63):
-        T = cos_mask(j, H)
+        T, _ = paired_masks(H, j)
         hi = SQRT2 / np.sqrt(N)
         assert np.all((np.abs(T) < 1e-14) | (np.abs(T - hi) < 1e-14))
         assert np.count_nonzero(np.abs(T) > 1e-14) == N // 2
         assert np.sum(np.abs(T) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert set(np.unique(grids["cos", j])) == {0, 1}
+        assert np.count_nonzero(grids["cos", j]) == N // 2
 
 
-def test_cos_mask_elementwise_sum_oracle():
+def test_cos_mask_elementwise_sum_oracle(tmp_path):
     H = hadamard_matrix(2)
-    T3 = cos_mask(3, H)
-    np.testing.assert_allclose(T3, (H.mask(3) + H.mask(0)) / SQRT2, atol=1e-14)
+    T3, _ = paired_masks(H, 3)
     np.testing.assert_allclose(T3, np.diag([SQRT2 / 2, SQRT2 / 2]), atol=1e-14)
+    grids = _gen_masks(tmp_path, "--d", "2", "--index", "3")
+    np.testing.assert_array_equal(grids["cos", 3], np.eye(2, dtype=int))
 
 
-def test_sin_mask_entries_and_modulus():
+def test_sin_mask_entries_and_modulus(tmp_path):
     H = hadamard_matrix(4)
     N = 16
-    T0 = sin_mask(0, H)
+    _, T0 = paired_masks(H, 0)
     np.testing.assert_allclose(T0, np.full((4, 4), (1 + 1j) / (SQRT2 * np.sqrt(N))), atol=1e-14)
     for j in (0, 3, 9, 15):
-        T = sin_mask(j, H)
+        _, T = paired_masks(H, j)
         np.testing.assert_allclose(np.abs(T), 1 / np.sqrt(N), atol=1e-14)
         if j != 0:
             assert np.sum(np.abs(T) ** 2) == pytest.approx(1.0, abs=1e-12)
+    # every pixel of the reference sin mask is in the 1+i state
+    grids = _gen_masks(tmp_path, "--d", "4", "--index", "0")
+    np.testing.assert_array_equal(grids["sin", 0], np.ones((4, 4), int))
 
 
-def test_mask_index_errors():
+def test_mask_index_errors(tmp_path):
     H = hadamard_matrix(4)
-    with pytest.raises(IndexError):
-        cos_mask(16, H)
-    with pytest.raises(IndexError):
-        sin_mask(-1, H)
+    for bad in (16, -1):
+        with pytest.raises(IndexError):
+            H.mask(bad)
+        code, stderr = run_cli(["gen-masks", "--d", "4", "--index", str(bad),
+                                "--out", str(tmp_path / "out")])
+        assert code == 2 and stderr == f"error: --index: must be in [0, 16), got {bad}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_projection_identities_recover_basis_mask():
@@ -62,47 +86,80 @@ def test_projection_identities_recover_basis_mask():
     M0 = H.mask(0)
     for j in (0, 1, 13, 40, 63):
         Mj = H.mask(j)
-        np.testing.assert_allclose(SQRT2 * cos_mask(j, H) - M0, Mj, atol=1e-14)
-        np.testing.assert_allclose(SQRT2 * sin_mask(j, H) - 1j * M0, Mj, atol=1e-14)
+        t_cos, t_sin = paired_masks(H, j)
+        np.testing.assert_allclose(SQRT2 * t_cos - M0, Mj, atol=1e-14)
+        np.testing.assert_allclose(SQRT2 * t_sin - 1j * M0, Mj, atol=1e-14)
 
 
 def test_overlap_linearity():
     H = hadamard_matrix(4)
     obj = random_complex_object(4, 7)
+    series_cos, series_sin = measure_exact(obj, H)
+    c0 = naive_overlap(H.mask(0), obj)
     for j in (2, 7, 11):
-        lhs = naive_overlap(cos_mask(j, H), obj)
-        rhs = (naive_overlap(H.mask(j), obj) + naive_overlap(H.mask(0), obj)) / SQRT2
+        lhs = naive_overlap(paired_masks(H, j)[0], obj)
+        rhs = (naive_overlap(H.mask(j), obj) + c0) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        lhs = naive_overlap(sin_mask(4 + j, H), obj)
-        rhs = (naive_overlap(H.mask(4 + j), obj)
-               - 1j * naive_overlap(H.mask(0), obj)) / SQRT2
+        assert series_cos.values[j] == pytest.approx(abs(lhs) ** 2, abs=1e-12)
+        lhs = naive_overlap(paired_masks(H, 4 + j)[1], obj)
+        rhs = (naive_overlap(H.mask(4 + j), obj) - 1j * c0) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
+        assert series_sin.values[4 + j] == pytest.approx(abs(lhs) ** 2, abs=1e-12)
+
+
+def test_mask_symbol_export(tmp_path):
+    grids = _gen_masks(tmp_path, "--d", "4", "--index", "5")
+    assert sorted(grids) == [("basis", 5), ("cos", 5), ("sin", 5)]
+    assert set(np.unique(grids["basis", 5])) == {-1, 1}
+    assert set(np.unique(grids["cos", 5])) == {0, 1}
+    assert set(np.unique(grids["sin", 5])) == {-1, 1}
+    for kind in ("basis", "cos", "sin"):
+        header = (tmp_path / f"mask_{kind}_00005.txt").read_text().splitlines()[0]
+        assert header == f"# kind={kind} j=5 d=4"
+
+
+FULL_SETS = [
+    *[pytest.param(("--d", str(d), "--ordering", order), hadamard_matrix(d, order),
+                   id=f"hadamard-{order}-d{d}")
+      for order in ("natural", "sequency") for d in (2, 4, 8)],
+    pytest.param(("--d", "8", "--basis", "random", "--basis-seed", "3"), random_basis(8, seed=3),
+                 id="random-d8"),
+]
+
+
+@pytest.mark.parametrize("flags, basis", FULL_SETS)
+def test_gen_masks_full_set_matches_oracle_masks(tmp_path, flags, basis):
+    # basis = sign(M_j); cos is open exactly where (M_j + M_0)/sqrt(2) is nonzero;
+    # sin is +1 (the 1+i state) where Re (M_j + i M_0)/sqrt(2) > 0 and -1 (1-i) elsewhere
+    N = basis.size
+    grids = _gen_masks(tmp_path, *flags, "--count", str(N))
+    assert len(grids) == 3 * N
+    for j in range(N):
+        t_cos, t_sin = paired_masks(basis, j)
+        np.testing.assert_array_equal(grids["basis", j], np.sign(basis.mask(j)))
+        np.testing.assert_array_equal(grids["cos", j], (t_cos != 0).astype(int))
+        np.testing.assert_array_equal(grids["sin", j], np.sign(t_sin.real))
 
 
 def test_random_basis_determinism_and_reference():
-    a = random_basis(64, 8, seed=9)
-    b = random_basis(64, 8, seed=9)
+    a = random_basis(8, seed=9)
+    b = random_basis(8, seed=9)
     np.testing.assert_array_equal(a.matrix, b.matrix)
     np.testing.assert_allclose(a.mask(0), np.full((8, 8), 1 / 8))
     assert set(np.unique(np.round(a.matrix[1:] * 8))) == {-1.0, 1.0}
 
 
 def test_random_basis_seed_sensitivity():
-    a = random_basis(256, 16, seed=1)
-    b = random_basis(256, 16, seed=2)
+    a = random_basis(16, seed=1)
+    b = random_basis(16, seed=2)
     differing = np.mean(a.matrix[1:] != b.matrix[1:])
     assert differing >= 0.40
 
 
 def test_random_basis_entry_mean():
-    basis = random_basis(256, 16, seed=3)
+    basis = random_basis(16, seed=3)
     signs = np.sign(basis.matrix)
     assert abs(signs.mean()) <= 4 / np.sqrt(256 * 256)
-
-
-def test_random_basis_bad_count():
-    with pytest.raises(ValueError):
-        random_basis(60, 8, seed=0)
 
 
 def _philox(seed):
@@ -112,7 +169,7 @@ def _philox(seed):
 def test_random_mask_signs_are_the_stream_bits():
     # d = 8: four words per mask; pixel i of mask j is +1 where bit i of word 4(j-1) is set
     words = _philox(21).random_raw(4 * 63)
-    basis = random_basis(64, 8, seed=21)
+    basis = random_basis(8, seed=21)
     shifts = np.arange(64, dtype=np.uint64)
     for j in (1, 2, 40, 63):
         bits = (words[4 * (j - 1)] >> shifts) & np.uint64(1)
@@ -122,7 +179,7 @@ def test_random_mask_signs_are_the_stream_bits():
 @pytest.mark.parametrize("d", [2, 3, 8, 32])
 def test_random_mask_alone_equals_matrix_row(d):
     N = d * d
-    basis = random_basis(N, d, seed=17)
+    basis = random_basis(d, seed=17)
     assert not basis.matrix.flags.writeable
     for j in (0, 1, N // 2, N - 1):
         np.testing.assert_array_equal(basis.mask(j), basis.matrix[j].reshape(d, d))
@@ -132,7 +189,7 @@ def test_random_mask_alone_equals_matrix_row(d):
 
 
 @pytest.mark.parametrize("basis", [hadamard_matrix(8), hadamard_matrix(8, "sequency"),
-                                   random_basis(64, 8, seed=4), random_basis(9, 3, seed=2)],
+                                   random_basis(8, seed=4), random_basis(3, seed=2)],
                          ids=["hadamard-natural", "hadamard-sequency", "random-d8", "random-d3"])
 def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
     d, N = basis.dim, basis.size
@@ -146,13 +203,3 @@ def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
     np.testing.assert_allclose(_coefficient_image(w, basis), expected, rtol=1e-12)
     with pytest.raises(DimensionError):
         mask_overlaps(np.zeros((d + 1, d + 1)), basis)
-
-
-def test_mask_symbol_export():
-    H = hadamard_matrix(4)
-    sym = export_mask_symbols(H.mask(5), "basis")
-    assert set(np.unique(sym)) <= {-1, 1}
-    sym = export_mask_symbols(cos_mask(5, H), "cos")
-    assert set(np.unique(sym)) == {0, 1}
-    sym = export_mask_symbols(sin_mask(5, H), "sin")
-    assert set(np.unique(sym)) == {-1, 1}

@@ -95,7 +95,7 @@ def test_analytic_removal_proportional_to_object():
 
 def test_analytic_requires_ground_truth():
     # the closed form is derived for the Hadamard basis only
-    basis = random_basis(16, 4, seed=5)
+    basis = random_basis(4, seed=5)
     obj = _object("flat", 4)
     gic, gis = (ghost_image(s, basis) for s in measure_exact(obj, basis))
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_random_vs_hadamard_reconstruction_agreement():
     d = 16
     obj = _object("pi-slit-phase", d)
     H = hadamard_matrix(d)
-    basis = random_basis(d * d, d, seed=42)
+    basis = random_basis(d, seed=42)
     support = disc_mask(d, 0.44 * d)
 
     def recover(b):
@@ -211,7 +211,7 @@ def _random_heuristic(obj, basis):
 @pytest.mark.parametrize("d", [8, 16])
 def test_random_solve_matches_least_squares(d, seed):
     obj = _object("spiral-flower-phase", d)
-    basis = random_basis(d * d, d, seed)
+    basis = random_basis(d, seed)
     re, im, est = _random_heuristic(obj, basis)
     M = basis.matrix
     for got, cross in ((re, est.cross_cos), (im, est.cross_sin)):
@@ -222,7 +222,7 @@ def test_random_solve_matches_least_squares(d, seed):
 
 def test_singular_random_mask_set_is_rejected():
     # seed 1 at d=2 draws the reference itself as mask 1; LAPACK flags the set
-    basis = random_basis(4, 2, seed=1)
+    basis = random_basis(2, seed=1)
     assert np.linalg.matrix_rank(basis.matrix) < 4
     with pytest.raises(ValueError, match=r"basis seed 1, d=2\) is singular"):
         _random_heuristic(np.ones((2, 2), complex) / 2, basis)
@@ -231,7 +231,7 @@ def test_singular_random_mask_set_is_rejected():
 @pytest.mark.parametrize("kind", ["pi-slit-phase", "azimuthal-ring-phase"])
 def test_rank_deficient_random_mask_set_is_rejected(kind):
     # seed 12 at d=4 draws a rank-deficient set that LU solves without error
-    basis = random_basis(16, 4, seed=12)
+    basis = random_basis(4, seed=12)
     M = basis.matrix
     assert np.linalg.matrix_rank(M) < 16
     np.linalg.solve(M, np.eye(16)[0])
