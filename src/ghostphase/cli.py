@@ -56,7 +56,6 @@ def _basis_from_descriptor(descriptor: str, d: int):
             basis = wht.hadamard_matrix(d, arg)
         except wht.DimensionError as exc:
             raise DataError(f"basis {descriptor!r} with d={d}: {exc}") from None
-        basis.entries.flags.writeable = False
     elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
         basis = projections.random_basis(d, int(arg))
     else:
@@ -176,20 +175,15 @@ def _read_complex(path, role: str) -> np.ndarray:
     return entries
 
 
-def _phase_image(entries, kind, support=None) -> reconstruction.PhaseImage:
-    """A field as a phase map; a complex field gives its angle where it is nonzero."""
-    if kind == "complex":
-        support = np.abs(entries) > 1e-12 * max(np.abs(entries).max(), 1e-300)
-        entries = np.angle(entries)
-    elif support is None:
-        support = np.ones(entries.shape, bool)
-    return reconstruction.PhaseImage(entries=entries, support=support)
-
-
 def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
+    """A field file as a phase map; a complex field is `combine_phase` of its two channels."""
     entries, kind = formats.read_field(path)
     support = formats.read_field(support_path)[0] > 0.5 if support_path else None
-    return _phase_image(entries, kind, support)
+    if kind == "complex":
+        return reconstruction.combine_phase(entries.real, entries.imag, support)
+    if support is None:
+        support = np.ones(entries.shape, bool)
+    return reconstruction.PhaseImage(entries=entries, support=support)
 
 
 @contextlib.contextmanager
@@ -209,11 +203,18 @@ def _blame_files(paths, errors):
 
 
 def _make_object(cfg: RunConfig) -> np.ndarray:
-    """The configured object; a from-file object that cannot be normalized is malformed data."""
+    """The configured object.  A from-file object is a complex d x d field, normalized here;
+    one that cannot be normalized is malformed data."""
     if cfg.object_kind != "from-file":
         return scene.make_object(cfg.object_spec(), cfg.d)
+    if cfg.object_path is None:
+        raise ConfigError("object.path: a from-file object needs a path")
+    obj = _read_complex(cfg.object_path, "from-file object")
+    if obj.shape != (cfg.d, cfg.d):
+        raise ConfigError(f"object.path: {cfg.object_path} is {obj.shape[0]}x{obj.shape[1]},"
+                          f" expected {cfg.d}x{cfg.d}")
     with _blame_files([cfg.object_path], (FloatingPointError, scene.ZeroFieldError)):
-        return scene.make_object(cfg.object_spec(), cfg.d)
+        return scene.normalize(obj)
 
 
 def cmd_gen_object(args, cfg: RunConfig) -> None:
@@ -267,11 +268,10 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:
-    recovered = _read_phase_image(args.phase, args.support)
-    truth = _read_phase_image(args.truth, args.truth_support)
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
     with _blame_files(inputs, (ValueError, FloatingPointError)):
-        result = analyze(cfg, recovered, truth)
+        result = analyze(cfg, _read_phase_image(args.phase, args.support),
+                         _read_phase_image(args.truth, args.truth_support))
     write_analysis(_outdir(cfg), result)
 
 
@@ -280,7 +280,7 @@ def cmd_pipeline(args, cfg: RunConfig) -> None:
     obj = _make_object(cfg)
     series = acquire(cfg, obj)
     rec = reconstruct(cfg, *series, obj)
-    result = analyze(cfg, rec.phase, _phase_image(obj, "complex"))
+    result = analyze(cfg, rec.phase, reconstruction.combine_phase(obj.real, obj.imag))
     out = _outdir(cfg)
     write_object(out, obj, cfg.object_kind)
     write_series_pair(out, *series)

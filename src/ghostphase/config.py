@@ -63,10 +63,12 @@ class RunConfig:
     analysis_samples: int = 64
 
     def validate(self) -> "RunConfig":
-        if self.object_kind not in KINDS:
+        if self.object_kind not in (*KINDS, "from-file"):
             raise ConfigError(f"object.kind: unknown kind {self.object_kind!r}")
         if self.bands < 1:
             raise ConfigError(f"object.bands: must be at least 1, got {self.bands}")
+        if self.illumination_radius is not None and not self.illumination_radius >= 0:
+            raise ConfigError(f"illumination_radius: must be nonnegative, got {self.illumination_radius}")
         if not math.isfinite(self.phase_depth):
             raise ConfigError(f"object.phase_depth: must be finite, got {self.phase_depth}")
         if self.basis not in ("hadamard", "random"):
@@ -90,7 +92,9 @@ class RunConfig:
         return self
 
     def object_spec(self) -> ObjectSpec:
+        """The generated object's geometry; a from-file object has none."""
         spec = _section(self, _OBJECT_FIELDS)
+        del spec["path"]
         if spec["annulus_radii"] is not None:
             spec["annulus_radii"] = tuple(spec["annulus_radii"])
         return ObjectSpec(**spec, illumination_radius=self.illumination_radius)

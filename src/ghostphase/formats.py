@@ -17,30 +17,28 @@ class DataError(ValueError):
     """Malformed or inconsistent file content."""
 
 
+def _dtype(kind: str) -> str:
+    """On-disk pixel type: a complex pixel is its (re, im) float64 pair."""
+    return "<c16" if kind == "complex" else "<f8"
+
+
 def write_field(path, data: np.ndarray, kind: str) -> None:
     """Write a d x d field: magic, 'd=<int> kind=<..>' header, raw LE float64.
 
     Complex fields interleave (re, im) per pixel; round trips are
-    bit-exact.
+    bit-exact, signed zeros included.
     """
     if kind not in FIELD_KINDS:
         raise DataError(f"unknown field kind {kind!r}")
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise DataError(f"field must be square, got shape {data.shape}")
-    d = data.shape[0]
+    if kind != "complex" and np.iscomplexobj(data):
+        raise DataError(f"{kind} field cannot hold complex data")
     with open(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
-        fh.write(f"d={d} kind={kind}\n".encode())
-        if kind == "complex":
-            payload = np.empty((d, d, 2))
-            payload[..., 0] = data.real
-            payload[..., 1] = data.imag
-        else:
-            if np.iscomplexobj(data):
-                raise DataError(f"{kind} field cannot hold complex data")
-            payload = data
-        fh.write(payload.astype("<f8").tobytes())
+        fh.write(f"d={data.shape[0]} kind={kind}\n".encode())
+        fh.write(data.astype(_dtype(kind)).tobytes())
 
 
 def read_field(path) -> Tuple[np.ndarray, str]:
@@ -59,18 +57,14 @@ def read_field(path) -> Tuple[np.ndarray, str]:
             raise DataError(f"{path}: bad field header (d={d})")
         if kind not in FIELD_KINDS:
             raise DataError(f"{path}: unknown field kind {kind!r}")
-        words = 2 if kind == "complex" else 1
         payload = fh.read()
-    expected = d * d * words * 8
+    expected = d * d * np.dtype(_dtype(kind)).itemsize
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     flat = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: field values must be finite")
-    if kind == "complex":
-        grid = flat.reshape(d, d, 2)
-        return grid[..., 0] + 1j * grid[..., 1], kind
-    return flat.reshape(d, d).copy(), kind
+    return flat.view(_dtype(kind)).reshape(d, d).copy(), kind
 
 
 # '-2.2250738585072014e-308' is the longest float64 repr

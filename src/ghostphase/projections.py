@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +18,15 @@ class RandomBasis:
 
     seed: int
     dim: int
-    matrix: np.ndarray = field(repr=False)   # (N, N)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The (N, N) read-only matrix of all masks, one flattened mask per row, built on first use."""
+        matrix = np.empty((self.size, self.size))
+        matrix[0] = 1.0 / self.dim
+        _fill_masks(matrix[1:], self.seed, self.dim)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def size(self) -> int:
@@ -30,7 +39,10 @@ class RandomBasis:
     def mask(self, j: int) -> np.ndarray:
         if not 0 <= j < self.size:
             raise IndexError(f"mask index {j} out of range for N={self.size}")
-        return self.matrix[j].reshape(self.dim, self.dim)
+        row = np.full((1, self.size), 1.0 / self.dim)
+        if j:
+            _fill_masks(row, self.seed, self.dim, first=j)
+        return row.reshape(self.dim, self.dim)
 
     def analyze(self, field: np.ndarray) -> np.ndarray:
         x = np.asarray(field)
@@ -61,11 +73,12 @@ class RandomBasis:
         return (solution[:, :-1] / self.size).T.reshape(-1, self.dim, self.dim)
 
 
-def _fill_masks(out: np.ndarray, seed: int, d: int) -> None:
-    """Write masks 1, 2, ..., flattened, into the rows of ``out``."""
+def _fill_masks(out: np.ndarray, seed: int, d: int, first: int = 1) -> None:
+    """Write masks first, first + 1, ..., flattened, into the rows of ``out``."""
     count, N = out.shape
     words = 4 * -(-N // 256)             # whole 4-word Philox counter steps per mask
     stream = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    stream.advance((first - 1) * words // 4)
     step = 1 + 1023 // words             # 64 KiB of bits per block: no large temporaries
     for rows in np.split(out, range(step, count, step)):
         raw = stream.random_raw(len(rows) * words).astype("<u8", copy=False)
@@ -76,9 +89,4 @@ def _fill_masks(out: np.ndarray, seed: int, d: int) -> None:
 
 
 def random_basis(d: int, seed: int) -> RandomBasis:
-    matrix = np.empty((d * d, d * d))
-    matrix[0] = 1.0 / d
-    _fill_masks(matrix[1:], seed, d)
-    matrix.flags.writeable = False
-    return RandomBasis(seed=seed, dim=d, matrix=matrix)
-
+    return RandomBasis(seed=seed, dim=d)

@@ -14,7 +14,6 @@ KINDS = (
     "pi-slit-phase",
     "azimuthal-ring-phase",
     "spiral-flower-phase",
-    "from-file",
 )
 
 
@@ -43,7 +42,6 @@ class ObjectSpec:
     bands: int = 3
     phase_depth: float = np.pi
     illumination_radius: Optional[float] = None
-    path: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -157,16 +155,4 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
             band = (r >= edges[b]) & (r < edges[b + 1])
             phase = spec.petals * theta[band] + b * np.pi / max(spec.bands - 1, 1)
             obj[band] = np.exp(1j * phase)
-    elif spec.kind == "from-file":
-        from .formats import read_field
-
-        if spec.path is None:
-            raise SpecError("from-file object needs a path")
-        obj, _ = read_field(spec.path)
-        if obj.shape != (d, d):
-            raise SpecError(f"file object is {obj.shape[0]}x{obj.shape[1]}, expected {d}x{d}")
-        obj = obj.astype(np.complex128)
-
-    if spec.kind != "from-file":
-        obj = apply_illumination(obj, radius)
-    return normalize(obj)
+    return normalize(apply_illumination(obj, radius))

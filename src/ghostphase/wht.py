@@ -84,7 +84,9 @@ def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
     H = _sylvester(d)
     if ordering == SEQUENCY:
         H = H[list(_sequency_permutation(d))]
-    return OrthoMatrix(dim=d, entries=H / np.sqrt(d), ordering=ordering)
+    entries = H / np.sqrt(d)
+    entries.flags.writeable = False     # shared by every stage that holds the basis
+    return OrthoMatrix(dim=d, entries=entries, ordering=ordering)
 
 
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:

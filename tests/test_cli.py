@@ -80,6 +80,20 @@ def test_gen_masks_memory_does_not_grow_with_count(tmp_path):
     assert peak(256) < 2 * small
 
 
+def test_gen_masks_random_index_draws_one_mask(tmp_path):
+    # the d=32 mask matrix alone is 8 MB; one mask is 8 KB
+    cli._basis_from_descriptor.cache_clear()
+    tracemalloc.start()
+    try:
+        code, stderr = run_cli(["gen-masks", "--d", "32", "--basis", "random", "--index", "1",
+                                "--out", str(tmp_path)])
+        top = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, stderr
+    assert top < 2 * 2 ** 20
+
+
 def test_acquire_row_contract(tmp_path):
     out = tmp_path / "out"
     assert run("gen-object", "--d", "16", "--out", str(out)) == 0
@@ -173,7 +187,7 @@ def test_pipeline_manifest_and_determinism(tmp_path):
 
 _NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats())
 _CONFIG_FIELDS = dict(
-    d=st.integers(1, 2 ** 70), object_kind=st.sampled_from(KINDS),
+    d=st.integers(1, 2 ** 70), object_kind=st.sampled_from((*KINDS, "from-file")),
     slit_width=st.none() | st.integers(-5, 100), slit_gap=st.none() | st.integers(-5, 100),
     annulus_radii=st.none() | st.tuples(_NUMBERS, _NUMBERS),
     petals=st.integers(-5, 100), bands=st.integers(-5, 100), phase_depth=st.floats(),
@@ -336,6 +350,9 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     ("object: {kind: spiral-flower-phase, bands: 0}", "object.bands: must be at least 1, got 0"),
     ("object: {kind: spiral-flower-phase, bands: -3}", "object.bands: must be at least 1, got -3"),
     ("object: {phase_depth: .inf}", "object.phase_depth: must be finite, got inf"),
+    ("illumination_radius: -1", "illumination_radius: must be nonnegative, got -1"),
+    ("illumination_radius: .nan", "illumination_radius: must be nonnegative, got nan"),
+    ("object: {kind: from-file}", "object.path: a from-file object needs a path"),
 ])
 def test_pipeline_rejects_config_limits_before_any_file(tmp_path, capsys, text, error):
     cfgfile = tmp_path / "run.yaml"
@@ -721,17 +738,50 @@ def test_failing_run_writes_no_output_directory(tmp_path, argv, config):
 
 @pytest.mark.parametrize("command", ["gen-object", "pipeline"])
 def test_from_file_object_that_overflows_is_data_error(tmp_path, command):
-    # a norm that overflows, is zero, or underflows to zero cannot normalize the object
-    for value in (1e300, 0.0, 1e-320):
-        path = tmp_path / f"object-{value}.gcf"
-        write_field(path, np.full((8, 8), value, complex), "complex")
+    # a norm that overflows, is zero, or underflows to zero cannot normalize the object;
+    # a phase or real field is not an object at all
+    fields = [(np.full((8, 8), value, complex), "complex") for value in (1e300, 0.0, 1e-320)]
+    fields += [(np.full((8, 8), 0.5), "phase"), (np.full((8, 8), 0.5), "real")]
+    for i, (data, kind) in enumerate(fields):
+        path = tmp_path / f"object-{i}-{kind}.gcf"
+        write_field(path, data, kind)
         cfgfile = tmp_path / "run.yaml"
         cfgfile.write_text(yaml.safe_dump({"d": 8, "object": {"kind": "from-file",
                                                               "path": str(path)}}))
         out = tmp_path / "out"
         code, stderr = run_cli([command, "--config", str(cfgfile), "--out", str(out)])
-        assert code == 3 and str(path) in stderr, (value, stderr)
+        assert code == 3 and str(path) in stderr, (i, kind, stderr)
         _assert_clean_failure(code, stderr, out)
+
+
+def test_from_file_object_of_the_wrong_size_names_its_key(tmp_path, capsys):
+    assert run("gen-object", "--d", "8", "--kind", "flat", "--out", str(tmp_path / "src")) == 0
+    path = tmp_path / "src" / "object.gcf"
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump({"d": 16, "object": {"kind": "from-file",
+                                                                           "path": str(path)}}))
+    capsys.readouterr()
+    assert run("pipeline", "--config", str(tmp_path / "run.yaml"), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: object.path: {path} is 8x8, expected 16x16\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_complex_phase_map_honours_its_support_file(tmp_path):
+    assert run("gen-object", "--d", "16", "--kind", "flat", "--out", str(tmp_path)) == 0
+    left = np.zeros((16, 16))
+    left[:, :8] = 1.0
+    write_field(tmp_path / "left.gcf", left, "real")
+    for name, support in (("all", ()), ("left", ("--support", str(tmp_path / "left.gcf")))):
+        out = tmp_path / name
+        assert run("analyze", "--phase", str(tmp_path / "object.gcf"), *support,
+                   "--truth", str(tmp_path / "object.gcf"), "--out", str(out)) == 0
+        report = dict(line.split(": ") for line in (out / "report.txt").read_text().splitlines())
+        assert report["support_pixels"] == ("256" if name == "all" else "128")
+    write_field(tmp_path / "small.gcf", left[:8, :8], "real")
+    code, stderr = run_cli(["analyze", "--phase", str(tmp_path / "object.gcf"), "--support",
+                            str(tmp_path / "small.gcf"), "--truth", str(tmp_path / "object.gcf"),
+                            "--out", str(tmp_path / "small")])
+    assert code == 3 and str(tmp_path / "small.gcf") in stderr
+    _assert_clean_failure(code, stderr, tmp_path / "small")
 
 
 @settings(max_examples=200, deadline=None)

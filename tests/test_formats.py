@@ -14,11 +14,13 @@ from conftest import random_complex_object
 def test_complex_field_round_trip_bit_exact(tmp_path):
     path = tmp_path / "field.gcf"
     obj = random_complex_object(16, seed=1) * np.pi
+    # signed zeros in either part: np.array_equal would not tell -0.0 from 0.0
+    obj.flat[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
     write_field(path, obj, "complex")
     back, kind = read_field(path)
     assert kind == "complex"
     assert back.dtype == complex
-    assert np.array_equal(back, obj)   # bit-exact, no tolerance
+    assert np.array_equal(back.view(np.uint64), obj.view(np.uint64))   # bit-exact
 
 
 def test_real_and_phase_field_round_trip(tmp_path):

@@ -180,9 +180,12 @@ def test_random_mask_signs_are_the_stream_bits():
 def test_random_mask_alone_equals_matrix_row(d):
     N = d * d
     basis = random_basis(d, seed=17)
+    indices = (0, 1, N // 2, N - 1)
+    alone = [basis.mask(j) for j in indices]
+    assert "matrix" not in vars(basis)   # each mask drew only its own row
     assert not basis.matrix.flags.writeable
-    for j in (0, 1, N // 2, N - 1):
-        np.testing.assert_array_equal(basis.mask(j), basis.matrix[j].reshape(d, d))
+    for j, mask in zip(indices, alone):
+        np.testing.assert_array_equal(mask, basis.matrix[j].reshape(d, d))
     for bad in (-1, N):
         with pytest.raises(IndexError):
             basis.mask(bad)

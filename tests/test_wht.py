@@ -37,6 +37,7 @@ def test_orthogonality_and_column_zero(d, ordering):
     assert np.all(np.abs(np.abs(H.entries) - 1 / np.sqrt(d)) < 1e-15)
     assert np.all(H.entries[0] > 0)
     assert np.all(H.entries[:, 0] > 0)
+    assert not H.entries.flags.writeable   # stages share one basis
 
 
 def test_non_power_of_two_rejected():
