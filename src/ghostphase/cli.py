@@ -17,7 +17,6 @@ import numpy as np
 from . import acquisition, analysis, formats, projections, reconstruction, scene, wht
 from .config import ConfigError, RunConfig, load_config
 from .formats import DataError
-from .scene import SpecError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,14 +51,11 @@ def _basis_from_descriptor(descriptor: str, d: int):
     """
     family, _, arg = descriptor.partition(":")
     if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):
-        try:
-            basis = wht.hadamard_matrix(d, arg)
-        except wht.DimensionError as exc:
-            raise DataError(f"basis {descriptor!r} with d={d}: {exc}") from None
+        basis = wht.hadamard_matrix(d, arg)
     elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
         basis = projections.random_basis(d, int(arg))
     else:
-        raise DataError(f"unknown basis descriptor {descriptor!r}")
+        raise ValueError(f"unknown basis descriptor {descriptor!r}")
     return basis
 
 
@@ -67,7 +63,8 @@ def _basis_from_descriptor(descriptor: str, d: int):
 # a writer puts one stage's results into the output directory.  Subcommands
 # read their inputs from files; `pipeline` hands each result to the next stage.
 # Every subcommand runs all of its stages before it creates the output
-# directory, so a run that fails writes nothing.
+# directory, so a run that fails writes nothing.  A stage raises ValueError on
+# values it cannot work with; `_blame_files` decides whose fault that is.
 
 Reconstruction = collections.namedtuple("Reconstruction", "gi_cos gi_sin re im phase")
 Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
@@ -84,9 +81,9 @@ def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
 def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruction:
     """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
     if series_cos.dim != series_sin.dim or series_cos.basis != series_sin.basis:
-        raise DataError("cos and sin series headers do not match")
+        raise ValueError("cos and sin series headers do not match")
     if series_cos.kind != "cos" or series_sin.kind != "sin":
-        raise DataError("series channel kinds do not match their roles")
+        raise ValueError("series channel kinds do not match their roles")
     d = series_cos.dim
     basis = _basis_from_descriptor(series_cos.basis, d)
     gi_cos = reconstruction.ghost_image(series_cos, basis)
@@ -107,7 +104,7 @@ def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruct
 def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
     """Phase error and cross-sections of a recovered phase map against the truth."""
     if recovered.entries.shape != truth.entries.shape:
-        raise DataError("phase and truth grids have different sizes")
+        raise ValueError("phase and truth grids have different sizes")
     d = recovered.entries.shape[0]
     rmse = analysis.phase_rmse(recovered, truth)
     row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
@@ -123,6 +120,12 @@ def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
         raise ConfigError(f"{what} must be in [0, d/2], got {radius} for d={d}")
     horizontal = analysis.cross_section_horizontal(recovered, row)
     azimuthal = analysis.cross_section_azimuthal(recovered, radius, cfg.analysis_samples)
+    if cfg.analysis_radius is not None:
+        # the support, sampled at the same pixels as the phase
+        on_support = analysis.cross_section_azimuthal(
+            dataclasses.replace(recovered, entries=recovered.support), radius, cfg.analysis_samples)
+        if not on_support.values.all():
+            raise ConfigError(f"analysis.radius: the circle of radius {radius} leaves the support")
     return Analysis(horizontal, azimuthal, {
         "phase_rmse_rad": repr(rmse),
         "cross_section_row": row,
@@ -168,18 +171,20 @@ def write_analysis(out, result: Analysis) -> None:
     print(f"phase_rmse_rad: {result.report['phase_rmse_rad']}")
 
 
-def _read_complex(path, role: str) -> np.ndarray:
+def _read_role(path, role: str, kinds=("complex",)) -> np.ndarray:
+    """A field file's entries, if its kind is one that ``role`` accepts."""
     entries, kind = formats.read_field(path)
-    if kind != "complex":
-        raise DataError(f"{path}: {role} must be a complex field")
+    if kind not in kinds:
+        raise DataError(f"{path}: {role} must be a {' or '.join(kinds)} field")
     return entries
 
 
 def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
-    """A field file as a phase map; a complex field is `combine_phase` of its two channels."""
-    entries, kind = formats.read_field(path)
-    support = formats.read_field(support_path)[0] > 0.5 if support_path else None
-    if kind == "complex":
+    """A phase or complex field as a phase map; a complex field is `combine_phase` of its
+    two channels.  A support is a real field, true where it exceeds 0.5."""
+    entries = _read_role(path, "phase map", ("phase", "complex"))
+    support = _read_role(support_path, "support", ("real",)) > 0.5 if support_path else None
+    if np.iscomplexobj(entries):
         return reconstruction.combine_phase(entries.real, entries.imag, support)
     if support is None:
         support = np.ones(entries.shape, bool)
@@ -187,18 +192,19 @@ def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
 
 
 @contextlib.contextmanager
-def _blame_files(paths, errors):
-    """Report ``errors`` that a stage raises on values read from ``paths`` as malformed data.
+def _blame_files(paths):
+    """Report a ValueError that a stage raises on values read from ``paths`` as malformed data.
 
     Floating-point overflow and invalid operations raise (FloatingPointError) instead of
-    warning, so values too large to compute with are reported too.
+    warning, so values too large to compute with are reported too.  A ConfigError stays
+    the config's, and a DataError already names its file.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except (ConfigError, DataError):
         raise
-    except errors as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise DataError(f"{', '.join(paths)}: {exc}") from None
 
 
@@ -209,11 +215,11 @@ def _make_object(cfg: RunConfig) -> np.ndarray:
         return scene.make_object(cfg.object_spec(), cfg.d)
     if cfg.object_path is None:
         raise ConfigError("object.path: a from-file object needs a path")
-    obj = _read_complex(cfg.object_path, "from-file object")
+    obj = _read_role(cfg.object_path, "from-file object")
     if obj.shape != (cfg.d, cfg.d):
         raise ConfigError(f"object.path: {cfg.object_path} is {obj.shape[0]}x{obj.shape[1]},"
                           f" expected {cfg.d}x{cfg.d}")
-    with _blame_files([cfg.object_path], (FloatingPointError, scene.ZeroFieldError)):
+    with _blame_files([cfg.object_path]):
         return scene.normalize(obj)
 
 
@@ -242,13 +248,12 @@ def cmd_gen_masks(args, cfg: RunConfig) -> None:
 
 
 def cmd_acquire(args, cfg: RunConfig) -> None:
-    obj = _read_complex(args.object, "acquisition object")
+    obj = _read_role(args.object, "acquisition object")
     if obj.shape[0] != cfg.d:
         # the object's size is what gets measured; record it in place of cfg.d
         cfg.d = obj.shape[0]
         cfg.validate()
-    # a ValueError here is the config's: sampling a dark object at a finite flux
-    with _blame_files([args.object], FloatingPointError):
+    with _blame_files([args.object]):
         series = acquire(cfg, obj)
     write_series_pair(_outdir(cfg), *series)
 
@@ -260,16 +265,16 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
     if cfg.artifact_mode == "analytic":
         if not args.object:
             raise ConfigError("analytic artifact mode needs --object (ground truth)")
-        obj = _read_complex(args.object, "ground truth")
+        obj = _read_role(args.object, "ground truth")
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
-    with _blame_files(inputs, (ValueError, FloatingPointError)):
+    with _blame_files(inputs):
         rec = reconstruct(cfg, series_cos, series_sin, obj)
     write_reconstruction(_outdir(cfg), rec)
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
-    with _blame_files(inputs, (ValueError, FloatingPointError)):
+    with _blame_files(inputs):
         result = analyze(cfg, _read_phase_image(args.phase, args.support),
                          _read_phase_image(args.truth, args.truth_support))
     write_analysis(_outdir(cfg), result)
@@ -365,13 +370,10 @@ def main(argv=None) -> int:
         cfg = _load_cfg(args)
         args.func(args, cfg)
         return EXIT_OK
-    except (ConfigError, SpecError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:   # ConfigError and SpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

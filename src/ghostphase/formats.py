@@ -154,8 +154,8 @@ def read_series(path) -> MeasurementSeries:
             raise DataError(f"{path}: missing series header field {exc}") from exc
         except ValueError as exc:
             raise DataError(f"{path}: bad series header value ({exc})") from None
-        if d < 1:
-            raise DataError(f"{path}: bad series header value (d={d})")
+        if d < 2:
+            raise DataError(f"{path}: bad series header value (d={d}, must be at least 2)")
         fh.seek(start)
         # Any warning is malformed input: "no data" for a header-only file, and
         # on older numpy an integer field parsed through a float ('1.0').

@@ -21,10 +21,6 @@ class SpecError(ValueError):
     """Invalid object geometry."""
 
 
-class ZeroFieldError(SpecError):
-    """A field whose norm is zero, or underflows to zero, cannot be normalized."""
-
-
 @dataclass(frozen=True)
 class ObjectSpec:
     """Geometry of a generated test object.
@@ -91,7 +87,7 @@ def apply_illumination(obj: np.ndarray, radius: float) -> np.ndarray:
 def normalize(obj: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(obj)
     if norm == 0:
-        raise ZeroFieldError("cannot normalize a field whose norm is zero or underflows to zero")
+        raise SpecError("cannot normalize a field whose norm is zero or underflows to zero")
     return obj / norm
 
 

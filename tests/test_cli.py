@@ -269,11 +269,14 @@ def test_acquire_rejects_non_finite_flux(tmp_path, capsys, flux):
     assert "flux" in capsys.readouterr().err
 
 
-def test_acquire_dark_object_at_finite_flux_is_usage_error(tmp_path, capsys):
+def test_acquire_dark_object_at_finite_flux_is_data_error(tmp_path, capsys):
     dark = tmp_path / "dark.gcf"
     write_field(dark, np.zeros((8, 8), complex), "complex")
-    assert run("acquire", "--object", str(dark), "--flux", "1e6", "--out", str(tmp_path)) == 2
-    assert "sums to zero" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run("acquire", "--object", str(dark), "--flux", "1e6", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dark}: ") and "sums to zero" in err
+    assert not out.exists()
 
 
 def _lookup(document, dotted):
@@ -314,6 +317,10 @@ CONFIG_CASES = [
                  "error: analysis.row: row 0 has no valid support pixels\n",
                  id="row-outside-support"),
     pytest.param("d: 16\nanalysis: {radius: 99}\n", 2, None, id="radius-off-grid"),
+    pytest.param("d: 32\nobject: {kind: azimuthal-ring-phase, annulus_radii: [4, 16]}\n"
+                 "analysis: {radius: 15.5}\n", 2,
+                 "error: analysis.radius: the circle of radius 15.5 leaves the support\n",
+                 id="radius-outside-support"),
     pytest.param("d: 16\nanalysis: {radius: -2}\n", 2, None, id="negative-radius"),
     pytest.param("d: 16\nobject: {kind: azimuthal-ring-phase, annulus_radii: [10, 16]}\n", 2, None,
                  id="annulus-radius-off-grid"),
@@ -486,24 +493,32 @@ def _replace(old, new):
     return lambda text: text.replace(old, new, 1)
 
 
-# series-file corruption -> reconstruct must exit 3 without a traceback
+def _resize(d):
+    """The series cut to its first d*d rows under a `# d=<d>` header."""
+    return lambda text: "".join(text.replace("# d=4 ", f"# d={d} ", 1).splitlines(True)[:d * d + 1])
+
+
+# READ: reading the cos file fails; STAGE: reconstruct fails on both files' values
+READ, STAGE = ("cos",), ("cos", "sin")
+
+# series-file corruption -> reconstruct must exit 3, naming the files to blame, without a traceback
 MALFORMED_SERIES = [
-    pytest.param(_replace("\n1,", "\n1;"), id="row-without-comma"),
-    pytest.param(_replace("\n1,", "\n1,x"), id="row-bad-number"),
-    pytest.param(_replace(" kind=", " kind "), id="header-token-without-equals"),
-    pytest.param(_replace("seed=none", "seed=abc"), id="header-bad-seed"),
-    pytest.param(_replace("hadamard:natural", "hadamard:bogus"), id="hadamard-bogus"),
-    pytest.param(_replace("hadamard:natural", "random:abc"), id="random-abc"),
-    pytest.param(_replace("hadamard:natural", "random:-1"), id="random-negative"),
-    pytest.param(_replace("hadamard:natural", f"random:{2 ** 64}"), id="random-2**64"),
-    pytest.param(lambda text: "".join(text.replace("# d=4 ", "# d=3 ", 1).splitlines(True)[:10]),
-                 id="hadamard-d3"),
-    pytest.param(lambda text: text.splitlines(True)[0], id="header-only"),
+    pytest.param(_replace("\n1,", "\n1;"), READ, id="row-without-comma"),
+    pytest.param(_replace("\n1,", "\n1,x"), READ, id="row-bad-number"),
+    pytest.param(_replace(" kind=", " kind "), READ, id="header-token-without-equals"),
+    pytest.param(_replace("seed=none", "seed=abc"), READ, id="header-bad-seed"),
+    pytest.param(_replace("hadamard:natural", "hadamard:bogus"), STAGE, id="hadamard-bogus"),
+    pytest.param(_replace("hadamard:natural", "random:abc"), STAGE, id="random-abc"),
+    pytest.param(_replace("hadamard:natural", "random:-1"), STAGE, id="random-negative"),
+    pytest.param(_replace("hadamard:natural", f"random:{2 ** 64}"), STAGE, id="random-2**64"),
+    pytest.param(_resize(3), STAGE, id="hadamard-d3"),
+    pytest.param(_resize(1), READ, id="d-1"),
+    pytest.param(lambda text: text.splitlines(True)[0], READ, id="header-only"),
 ]
 
 
-@pytest.mark.parametrize("corrupt", MALFORMED_SERIES)
-def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, recwarn, corrupt):
+@pytest.mark.parametrize("corrupt, blamed", MALFORMED_SERIES)
+def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, recwarn, corrupt, blamed):
     out = tmp_path / "out"
     assert run("gen-object", "--d", "4", "--out", str(out)) == 0
     assert run("acquire", "--object", str(out / "object.gcf"), "--out", str(out)) == 0
@@ -514,7 +529,9 @@ def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, recwarn, c
     assert run("reconstruct", "--cos", str(out / "series_cos.csv"),
                "--sin", str(out / "series_sin.csv"), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    files = ", ".join(str(out / f"series_{channel}.csv") for channel in blamed)
+    assert err.startswith(f"error: {files}: "), err
     assert not recwarn.list   # a warning would print to stderr outside pytest
 
 
@@ -523,6 +540,8 @@ MALFORMED_FIELDS = [
     pytest.param(b"GCF1\nd=2 kind=r\xffeal\n" + bytes(32), id="header-not-utf8"),
     pytest.param(b"GCF1\nd=-2 kind=real\n" + bytes(32), id="negative-d"),
     pytest.param(b"GCF1\nd=0 kind=real\n", id="zero-d"),
+    # a well-formed real field, such as gi_cos.gcf, is not a phase map
+    pytest.param(b"GCF1\nd=2 kind=real\n" + bytes(32), id="real-kind-phase-map"),
 ]
 
 
@@ -530,9 +549,11 @@ MALFORMED_FIELDS = [
 def test_analyze_malformed_field_is_data_error(tmp_path, capsys, raw):
     bad = tmp_path / "bad.gcf"
     bad.write_bytes(raw)
-    assert run("analyze", "--phase", str(bad), "--truth", str(bad), "--out", str(tmp_path)) == 3
+    out = tmp_path / "out"
+    assert run("analyze", "--phase", str(bad), "--truth", str(bad), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @settings(max_examples=300, deadline=None)
@@ -776,12 +797,18 @@ def test_analyze_complex_phase_map_honours_its_support_file(tmp_path):
                    "--truth", str(tmp_path / "object.gcf"), "--out", str(out)) == 0
         report = dict(line.split(": ") for line in (out / "report.txt").read_text().splitlines())
         assert report["support_pixels"] == ("256" if name == "all" else "128")
+    # a support must be a real field of the map's size
     write_field(tmp_path / "small.gcf", left[:8, :8], "real")
-    code, stderr = run_cli(["analyze", "--phase", str(tmp_path / "object.gcf"), "--support",
-                            str(tmp_path / "small.gcf"), "--truth", str(tmp_path / "object.gcf"),
-                            "--out", str(tmp_path / "small")])
-    assert code == 3 and str(tmp_path / "small.gcf") in stderr
-    _assert_clean_failure(code, stderr, tmp_path / "small")
+    write_field(tmp_path / "phase.gcf", np.full((16, 16), 0.25), "phase")
+    for name in ("small", "phase", "object"):
+        support = str(tmp_path / f"{name}.gcf")
+        code, stderr = run_cli(["analyze", "--phase", str(tmp_path / "object.gcf"), "--support",
+                                support, "--truth", str(tmp_path / "object.gcf"),
+                                "--out", str(tmp_path / "bad")])
+        assert code == 3 and support in stderr, stderr
+        _assert_clean_failure(code, stderr, tmp_path / "bad")
+        if name != "small":
+            assert stderr == f"error: {support}: support must be a real field\n"
 
 
 @settings(max_examples=200, deadline=None)

@@ -171,6 +171,7 @@ SERIES_PARITY = [
     pytest.param(_row1(b"0_1,0.25"), STRICTER, id="j-digit-separator"),
     pytest.param(_row1(b"1,0_25"), STRICTER, id="value-digit-separator"),
     pytest.param(HEADER.replace(b"d=2", b"d=-2") + ROWS, STRICTER, id="d-negative"),
+    pytest.param(HEADER.replace(b"d=2", b"d=1") + b"0,0.5\n", STRICTER, id="d-1"),
 ]
 
 
@@ -189,7 +190,7 @@ def test_read_series_parity_table(tmp_path, raw, expected):
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=st.integers(1, 4).flatmap(lambda d: st.lists(st.one_of(
+@given(values=st.integers(2, 4).flatmap(lambda d: st.lists(st.one_of(
     st.floats(0.0, allow_nan=False, allow_infinity=False),
     st.integers(0, 2 ** 60).map(float),
     st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1.7976931348623157e308])),

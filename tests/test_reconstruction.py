@@ -130,6 +130,49 @@ def test_heuristic_equals_analytic_for_exact_hadamard_series():
     np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
 
 
+# objects near a uniform reference: 1 + a X for a unit-norm random X, then normalized
+_NEAR_REFERENCE = st.builds(lambda d, a, seed: normalize(1.0 + a * random_complex_object(d, seed)),
+                            st.sampled_from([4, 8, 16]), st.floats(0.0, 0.25),
+                            st.integers(0, 2 ** 32 - 1))
+
+
+def _dominant_spectrum(obj, H):
+    """The object's coefficients, after checking that the reference mode dominates."""
+    coeffs = fwht2(obj, H).ravel()
+    p = np.abs(coeffs) ** 2
+    assert p[0] > p[1:].sum()
+    return coeffs, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=_NEAR_REFERENCE)
+def test_estimate_spectrum_recovers_any_reference_dominated_object(obj):
+    H = hadamard_matrix(obj.shape[0])
+    coeffs, p = _dominant_spectrum(obj, H)
+    est = estimate_spectrum(*measure_exact(obj, H))
+    assert est.p0 == pytest.approx(p[0], abs=1e-12)
+    np.testing.assert_allclose(est.probabilities, p, atol=1e-9)
+    delta = np.angle(coeffs) - np.angle(coeffs[0])
+    cross = np.sqrt(p[0] * p)
+    np.testing.assert_allclose(est.cross_cos, cross * np.cos(delta), atol=1e-9)
+    np.testing.assert_allclose(est.cross_sin, cross * np.sin(delta), atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=_NEAR_REFERENCE)
+def test_heuristic_equals_analytic_for_any_reference_dominated_object(obj):
+    d = obj.shape[0]
+    H = hadamard_matrix(d)
+    _dominant_spectrum(obj, H)
+    sc, ss = measure_exact(obj, H)
+    re_a, im_a = remove_artifact_analytic(ghost_image(sc, H), ghost_image(ss, H), obj, H)
+    re_h, im_h = remove_artifact(sc, ss, H)
+    interior = np.ones((d, d), bool)
+    interior[0, 0] = False
+    np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
+    np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
+
+
 def test_combine_phase_basics():
     re = np.array([[1.0, 0.0], [0.0, 0.0]])
     im = np.array([[0.0, 1.0], [0.0, 0.0]])
