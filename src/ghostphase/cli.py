@@ -250,9 +250,12 @@ def cmd_gen_masks(args, cfg: RunConfig) -> None:
 def cmd_acquire(args, cfg: RunConfig) -> None:
     obj = _read_role(args.object, "acquisition object")
     if obj.shape[0] != cfg.d:
-        # the object's size is what gets measured; record it in place of cfg.d
-        cfg.d = obj.shape[0]
-        cfg.validate()
+        # the object's size is what gets measured; record it in place of cfg.d.
+        # A size the basis cannot scan is the file's fault, not the config's
+        try:
+            cfg = dataclasses.replace(cfg, d=obj.shape[0]).validate()
+        except ConfigError as exc:
+            raise DataError(f"{args.object}: {exc}") from None
     with _blame_files([args.object]):
         series = acquire(cfg, obj)
     write_series_pair(_outdir(cfg), *series)

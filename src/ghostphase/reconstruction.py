@@ -70,13 +70,13 @@ def ghost_image(series: MeasurementSeries, basis: Basis) -> np.ndarray:
     return _coefficient_image(v - v.mean(), basis)
 
 
-def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> ClosedFormTerms:
-    """Closed-form prediction of the measured ghost image (its ``total``).
+def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, ClosedFormTerms]:
+    """Closed-form prediction of the measured (cos, sin) ghost images (each one's ``total``).
 
-    Term 1 is the real (or, sine channel, minus-imaginary) part of the
-    object rephased by the reference phase; term 2 is the transform of
-    the elementwise-squared spectrum; term 3 weights the corner pixel by
-    the ensemble average of the cross terms.
+    Term 1 is the real (cos) or minus-imaginary (sin) part of the object
+    rephased by the reference phase; term 2, the same in both channels, is
+    the transform of the elementwise-squared spectrum; term 3 weights the
+    corner pixel by the ensemble average of the cross terms.
     """
     d = H.dim
     N = d * d
@@ -85,22 +85,15 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix, channel: str) -> ClosedFormT
     p0 = np.abs(c0) ** 2
     a0 = np.angle(c0)
     rephased = np.exp(-1j * a0) * obj
-    P = np.abs(coeffs) ** 2
-
-    if channel == "cos":
-        term1 = np.sqrt(p0) * rephased.real
-        cross_mean = np.sqrt(p0) * (np.exp(-1j * a0) * coeffs).real.mean()
-    elif channel == "sin":
-        term1 = SINE_CHANNEL_SIGN * np.sqrt(p0) * rephased.imag
-        cross_mean = SINE_CHANNEL_SIGN * np.sqrt(p0) * (np.exp(-1j * a0) * coeffs).imag.mean()
-    else:
-        raise ValueError(f"unknown channel {channel!r}")
-
-    term2 = 0.5 * fwht2(P, H)
-    g = np.sqrt(N) * (1.0 / (2 * N) + cross_mean)
-    term3 = np.zeros((d, d))
-    term3[0, 0] = g
-    return ClosedFormTerms(term1 / N, term2 / N, term3 / N)
+    rotated = np.exp(-1j * a0) * coeffs
+    spectral = 0.5 * fwht2(np.abs(coeffs) ** 2, H) / N
+    terms = []
+    for sign, part in ((1.0, np.real), (SINE_CHANNEL_SIGN, np.imag)):
+        g = np.sqrt(N) * (1.0 / (2 * N) + sign * np.sqrt(p0) * part(rotated).mean())
+        dc = np.zeros((d, d))
+        dc[0, 0] = g
+        terms.append(ClosedFormTerms(sign * np.sqrt(p0) * part(rephased) / N, spectral, dc / N))
+    return terms[0], terms[1]
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,7 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
         p0=float(p0),
         probabilities=p,
         cross_cos=A - u,
-        cross_sin=-(B - u),
+        cross_sin=SINE_CHANNEL_SIGN * (B - u),
     )
 
 
@@ -176,8 +169,7 @@ def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.nda
     """
     if obj is None or not isinstance(basis, OrthoMatrix):
         raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
-    tc = closed_form_gi(obj, basis, "cos")
-    ts = closed_form_gi(obj, basis, "sin")
+    tc, ts = closed_form_gi(obj, basis)
     re = gi_cos - tc.spectral_part + tc.dc_part
     im = SINE_CHANNEL_SIGN * (gi_sin - ts.spectral_part + ts.dc_part)
     return re, im

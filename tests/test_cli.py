@@ -112,6 +112,11 @@ def test_acquire_records_the_object_size_it_measured(tmp_path):
     resolved = (out / "resolved_config.yaml").read_bytes()
     assert yaml.safe_load(resolved)["d"] == read_series(out / "series_cos.csv").dim == 16
     assert resolved == (explicit / "resolved_config.yaml").read_bytes()
+    # a random basis scans a size the hadamard basis cannot
+    write_field(tmp_path / "twelve.gcf", np.ones((12, 12), complex), "complex")
+    assert run("acquire", "--basis", "random", "--object", str(tmp_path / "twelve.gcf"),
+               "--out", str(tmp_path / "random")) == 0
+    assert yaml.safe_load((tmp_path / "random" / "resolved_config.yaml").read_text())["d"] == 12
 
 
 def test_acquire_missing_object_is_data_error(tmp_path):
@@ -535,22 +540,38 @@ def test_reconstruct_malformed_series_is_data_error(tmp_path, capsys, recwarn, c
     assert not recwarn.list   # a warning would print to stderr outside pytest
 
 
-# field-file bytes -> analyze must exit 3 with one error line
+def _analyze(bad):
+    return "analyze", "--phase", bad, "--truth", bad
+
+
+def _acquire(bad):
+    return "acquire", "--object", bad
+
+
+def _complex_field(d):
+    return f"GCF1\nd={d} kind=complex\n".encode() + np.ones((d, d), "<c16").tobytes()
+
+
+# field-file bytes -> the command reading them must exit 3 with one error line
 MALFORMED_FIELDS = [
-    pytest.param(b"GCF1\nd=2 kind=r\xffeal\n" + bytes(32), id="header-not-utf8"),
-    pytest.param(b"GCF1\nd=-2 kind=real\n" + bytes(32), id="negative-d"),
-    pytest.param(b"GCF1\nd=0 kind=real\n", id="zero-d"),
+    pytest.param(b"GCF1\nd=2 kind=r\xffeal\n" + bytes(32), _analyze, id="header-not-utf8"),
+    pytest.param(b"GCF1\nd=-2 kind=real\n" + bytes(32), _analyze, id="negative-d"),
+    pytest.param(b"GCF1\nd=0 kind=real\n", _analyze, id="zero-d"),
     # a well-formed real field, such as gi_cos.gcf, is not a phase map
-    pytest.param(b"GCF1\nd=2 kind=real\n" + bytes(32), id="real-kind-phase-map"),
+    pytest.param(b"GCF1\nd=2 kind=real\n" + bytes(32), _analyze, id="real-kind-phase-map"),
+    # acquire measures an object at its own size, which the hadamard basis cannot scan
+    pytest.param(_complex_field(6), _acquire, id="hadamard-object-6x6"),
+    pytest.param(_complex_field(1), _acquire, id="hadamard-object-1x1"),
+    pytest.param(_complex_field(12), _acquire, id="hadamard-object-12x12"),
 ]
 
 
-@pytest.mark.parametrize("raw", MALFORMED_FIELDS)
-def test_analyze_malformed_field_is_data_error(tmp_path, capsys, raw):
+@pytest.mark.parametrize("raw, command", MALFORMED_FIELDS)
+def test_analyze_malformed_field_is_data_error(tmp_path, capsys, raw, command):
     bad = tmp_path / "bad.gcf"
     bad.write_bytes(raw)
     out = tmp_path / "out"
-    assert run("analyze", "--phase", str(bad), "--truth", str(bad), "--out", str(out)) == 3
+    assert run(*command(str(bad)), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()

@@ -41,12 +41,16 @@ def test_constant_series_gives_zero_image():
 
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 @pytest.mark.parametrize("object_kind", ALL_KINDS)
-@pytest.mark.parametrize("d", [4, 8, 16])
-def test_closed_form_equivalence(kind, object_kind, d):
-    H = hadamard_matrix(d)
+# a natural-order case's id is its size alone
+@pytest.mark.parametrize("d, ordering", [
+    pytest.param(d, ordering, id=f"{d}" if ordering == "natural" else f"{d}-{ordering}")
+    for ordering in ("natural", "sequency") for d in (4, 8, 16)])
+def test_closed_form_equivalence(kind, object_kind, d, ordering):
+    H = hadamard_matrix(d, ordering)
     obj = _object(object_kind, d)
-    gi = ghost_image(measure_exact(obj, H)[("cos", "sin").index(kind)], H)
-    cf = closed_form_gi(obj, H, kind).total
+    channel = ("cos", "sin").index(kind)
+    gi = ghost_image(measure_exact(obj, H)[channel], H)
+    cf = closed_form_gi(obj, H)[channel].total
     assert np.max(np.abs(gi - cf)) <= 1e-10
 
 
@@ -76,7 +80,7 @@ def test_series_length_mismatch():
 def test_sin_term1_vanishes_for_real_objects():
     H = hadamard_matrix(8)
     obj = _object("double-slit-amplitude", 8)
-    terms = closed_form_gi(obj, H, "sin")
+    terms = closed_form_gi(obj, H)[1]
     np.testing.assert_allclose(terms.object_part, 0, atol=1e-14)
 
 
@@ -91,6 +95,23 @@ def test_analytic_removal_proportional_to_object():
     rotated = np.exp(-1j * np.angle(c0)) * obj
     np.testing.assert_allclose(re, scale * rotated.real, atol=1e-10)
     np.testing.assert_allclose(im, scale * rotated.imag, atol=1e-10)
+
+
+def test_analytic_removal_makes_two_transform_passes(monkeypatch):
+    # one pass for the spectrum and one for the artifact serve both channels
+    from ghostphase import reconstruction
+    H = hadamard_matrix(8)
+    obj = _object("pi-slit-phase", 8)
+    gic, gis = (ghost_image(s, H) for s in measure_exact(obj, H))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fwht2(*args)
+
+    monkeypatch.setattr(reconstruction, "fwht2", counted)
+    remove_artifact_analytic(gic, gis, obj, H)
+    assert len(calls) == 2
 
 
 def test_analytic_requires_ground_truth():
