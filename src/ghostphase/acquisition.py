@@ -25,7 +25,7 @@ class MeasurementSeries:
 
     kind: str                       # "cos" | "sin"
     dim: int
-    basis: str                      # e.g. "hadamard:natural" or "random:42"
+    basis: str                      # e.g. "hadamard:natural" or "permuted:42"
     values: np.ndarray = field(repr=False)
     flux: Optional[float] = None
     seed: Optional[int] = None
@@ -40,7 +40,7 @@ class MeasurementSeries:
 
 
 def mask_overlaps(obj: np.ndarray, basis: Basis) -> np.ndarray:
-    """All N inner products <M_j|O>: Hadamard by the fast transform, random by the mask matrix."""
+    """All N inner products <M_j|O>: Hadamard by the fast transform, random by its `analyze`."""
     if isinstance(basis, OrthoMatrix):
         return fwht2(obj, basis).ravel()
     return basis.analyze(obj)

@@ -39,8 +39,8 @@ def _outdir(cfg: RunConfig) -> str:
 
 
 def _make_basis(cfg: RunConfig):
-    arg = cfg.ordering if cfg.basis == "hadamard" else cfg.basis_seed
-    return _basis_from_descriptor(f"{cfg.basis}:{arg}", cfg.d)
+    descriptor = f"hadamard:{cfg.ordering}" if cfg.basis == "hadamard" else f"permuted:{cfg.basis_seed}"
+    return _basis_from_descriptor(descriptor, cfg.d)
 
 
 @functools.lru_cache(maxsize=1)
@@ -52,7 +52,7 @@ def _basis_from_descriptor(descriptor: str, d: int):
     family, _, arg = descriptor.partition(":")
     if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):
         basis = wht.hadamard_matrix(d, arg)
-    elif family == "random" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
+    elif family == "permuted" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
         basis = projections.random_basis(d, int(arg))
     else:
         raise ValueError(f"unknown basis descriptor {descriptor!r}")

@@ -77,8 +77,8 @@ class RunConfig:
             raise ConfigError(f"ordering: must be 'natural' or 'sequency', got {self.ordering!r}")
         if self.artifact_mode not in ("analytic", "heuristic"):
             raise ConfigError(f"artifact_mode: must be 'analytic' or 'heuristic', got {self.artifact_mode!r}")
-        if self.d < 2 or self.d & (self.d - 1) and self.basis == "hadamard":
-            raise ConfigError(f"d: must be at least 2 (a power of two for the hadamard basis), got {self.d}")
+        if self.d < 2 or self.d & (self.d - 1):
+            raise ConfigError(f"d: must be a power of two and at least 2, got {self.d}")
         if self.flux is not None and not 0 < self.flux <= MAX_FLUX:
             raise ConfigError(f"flux: must be positive and at most {MAX_FLUX:g}, got {self.flux}")
         for key in ("basis_seed", "acquisition_seed"):

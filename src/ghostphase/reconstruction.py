@@ -153,10 +153,8 @@ def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries
     removes the spectral artifact) and patches the corner DC pixel.
     """
     est = estimate_spectrum(series_cos, series_sin)
-    if isinstance(basis, OrthoMatrix):  # orthonormal: a mean only feeds the corner pixel
-        re, im = (_coefficient_image(w - w.mean(), basis) for w in (est.cross_cos, est.cross_sin))
-    else:
-        re, im = basis.solve((est.cross_cos, est.cross_sin))
+    # both families are orthonormal and sum to zero off the corner: a mean only feeds that pixel
+    re, im = (_coefficient_image(w - w.mean(), basis) for w in (est.cross_cos, est.cross_sin))
     return _patch_corner(re), _patch_corner(im)
 
 

@@ -36,6 +36,11 @@ def paired_masks(basis, j):
     return (M + M0) / np.sqrt(2), (M + 1j * M0) / np.sqrt(2)
 
 
+def mask_matrix(basis):
+    """The explicit (N, N) matrix of a basis, one flattened mask(j) per row."""
+    return np.array([basis.mask(j).ravel() for j in range(basis.size)])
+
+
 def naive_mask_series(obj, H, kind):
     """Per-mask |<T_j|obj>|^2 without any transform."""
     values = np.empty(H.size)

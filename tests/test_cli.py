@@ -81,7 +81,7 @@ def test_gen_masks_memory_does_not_grow_with_count(tmp_path):
 
 
 def test_gen_masks_random_index_draws_one_mask(tmp_path):
-    # the d=32 mask matrix alone is 8 MB; one mask is 8 KB
+    # an explicit d=32 mask matrix is 8 MB; one mask is 8 KB
     cli._basis_from_descriptor.cache_clear()
     tracemalloc.start()
     try:
@@ -112,11 +112,13 @@ def test_acquire_records_the_object_size_it_measured(tmp_path):
     resolved = (out / "resolved_config.yaml").read_bytes()
     assert yaml.safe_load(resolved)["d"] == read_series(out / "series_cos.csv").dim == 16
     assert resolved == (explicit / "resolved_config.yaml").read_bytes()
-    # a random basis scans a size the hadamard basis cannot
-    write_field(tmp_path / "twelve.gcf", np.ones((12, 12), complex), "complex")
-    assert run("acquire", "--basis", "random", "--object", str(tmp_path / "twelve.gcf"),
-               "--out", str(tmp_path / "random")) == 0
-    assert yaml.safe_load((tmp_path / "random" / "resolved_config.yaml").read_text())["d"] == 12
+    # a random basis scans the sizes the hadamard basis scans, and no other
+    twelve = tmp_path / "twelve.gcf"
+    write_field(twelve, np.ones((12, 12), complex), "complex")
+    code, stderr = run_cli(["acquire", "--basis", "random", "--object", str(twelve),
+                            "--out", str(tmp_path / "random")])
+    assert code == 3 and stderr.startswith(f"error: {twelve}: ") and stderr.count("\n") == 1
+    assert not (tmp_path / "random").exists()
 
 
 def test_acquire_missing_object_is_data_error(tmp_path):
@@ -244,7 +246,8 @@ def test_config_validation_messages():
         config_from_document({"flux": -5})
     with pytest.raises(ConfigError, match="d"):
         config_from_document({"d": 12})
-    assert config_from_document({"d": 12, "basis": "random"}).d == 12
+    with pytest.raises(ConfigError, match="d: must be a power of two"):
+        config_from_document({"d": 12, "basis": "random"})
 
 
 def test_cli_config_file_with_unknown_key(tmp_path, capsys):
@@ -471,7 +474,7 @@ def test_pipeline_d_below_two_is_usage_error_before_any_file(tmp_path, capsys, d
     out.mkdir()
     assert run("pipeline", "--d", d, "--basis", basis, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err == f"error: d: must be at least 2 (a power of two for the hadamard basis), got {d}\n"
+    assert err == f"error: d: must be a power of two and at least 2, got {d}\n"
     assert list(out.iterdir()) == []
 
 
@@ -491,7 +494,7 @@ def test_pipeline_accepts_largest_seeds(tmp_path):
     assert run("pipeline", "--d", "8", "--basis", "random", "--basis-seed", top,
                "--flux", "1e6", "--seed", top, "--out", str(tmp_path)) == 0
     header = (tmp_path / "series_cos.csv").read_text().splitlines()[0]
-    assert f"basis=random:{top}" in header and f"seed={top}" in header
+    assert f"basis=permuted:{top}" in header and f"seed={top}" in header
 
 
 def _replace(old, new):
@@ -513,9 +516,11 @@ MALFORMED_SERIES = [
     pytest.param(_replace(" kind=", " kind "), READ, id="header-token-without-equals"),
     pytest.param(_replace("seed=none", "seed=abc"), READ, id="header-bad-seed"),
     pytest.param(_replace("hadamard:natural", "hadamard:bogus"), STAGE, id="hadamard-bogus"),
-    pytest.param(_replace("hadamard:natural", "random:abc"), STAGE, id="random-abc"),
-    pytest.param(_replace("hadamard:natural", "random:-1"), STAGE, id="random-negative"),
-    pytest.param(_replace("hadamard:natural", f"random:{2 ** 64}"), STAGE, id="random-2**64"),
+    # the random family's descriptor is permuted:<seed>; random:<seed> named an older mask set
+    pytest.param(_replace("hadamard:natural", "permuted:abc"), STAGE, id="random-abc"),
+    pytest.param(_replace("hadamard:natural", "permuted:-1"), STAGE, id="random-negative"),
+    pytest.param(_replace("hadamard:natural", f"permuted:{2 ** 64}"), STAGE, id="random-2**64"),
+    pytest.param(_replace("hadamard:natural", "random:3"), STAGE, id="retired-random-descriptor"),
     pytest.param(_resize(3), STAGE, id="hadamard-d3"),
     pytest.param(_resize(1), READ, id="d-1"),
     pytest.param(lambda text: text.splitlines(True)[0], READ, id="header-only"),
@@ -645,26 +650,36 @@ def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):
     assert calls == [(8, 3)]
 
 
-@pytest.mark.parametrize("descriptor, attr", [("random:3", "matrix"), ("hadamard:sequency", "entries")])
+@pytest.mark.parametrize("descriptor, attr", [("permuted:3", "perm"), ("hadamard:sequency", "entries")])
 def test_cached_basis_arrays_are_read_only(descriptor, attr):
     basis = cli._basis_from_descriptor(descriptor, 8)
     assert cli._basis_from_descriptor(descriptor, 8) is basis
     assert not getattr(basis, attr).flags.writeable
 
 
-def test_pipeline_singular_random_basis_is_usage_error(tmp_path, capsys):
-    assert run("pipeline", "--d", "2", "--basis", "random", "--basis-seed", "1",
-               "--out", str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert "basis seed 1, d=2" in err and "singular" in err and "Traceback" not in err
+@pytest.mark.parametrize("d, seed", [(2, 1), (4, 12)], ids=["d2-seed1", "d4-seed12"])
+def test_pipeline_runs_random_seeds_that_drew_singular_sets(tmp_path, d, seed):
+    # i.i.d. sign masks were singular (d=2) or rank-deficient (d=4) for these seeds;
+    # shuffled Hadamard masks are orthonormal for every seed
+    code, stderr = run_cli(["pipeline", "--d", str(d), "--basis", "random", "--basis-seed", str(seed),
+                            "--kind", "azimuthal-ring-phase", "--out", str(tmp_path)])
+    assert code == 0 and stderr == ""
+    report = dict(line.split(": ") for line in (tmp_path / "report.txt").read_text().splitlines())
+    if d == 4:
+        assert float(report["phase_rmse_rad"]) < 1e-12
 
 
-def test_pipeline_rank_deficient_random_basis_is_usage_error(tmp_path, capsys):
-    # LU solves this rank-deficient set without error; the residual check rejects it
-    assert run("pipeline", "--d", "4", "--basis", "random", "--basis-seed", "12",
-               "--out", str(tmp_path)) == 2
-    err = capsys.readouterr().err
-    assert "basis seed 12, d=4" in err and "singular" in err and "Traceback" not in err
+def test_run_that_drew_a_singular_random_set_writes_every_output(tmp_path):
+    # with i.i.d. sign masks this run failed in reconstruct and left no output directory;
+    # it now writes the same files as a Hadamard run
+    random_out, hadamard_out = tmp_path / "random", tmp_path / "hadamard"
+    code, stderr = run_cli(["pipeline", "--d", "2", "--basis", "random", "--basis-seed", "1",
+                            "--out", str(random_out)])
+    assert code == 0 and stderr == ""
+    assert run("pipeline", "--d", "2", "--out", str(hadamard_out)) == 0
+    names = sorted(p.name for p in hadamard_out.iterdir())
+    assert "series_cos.csv" in names and "manifest.json" in names
+    assert sorted(p.name for p in random_out.iterdir()) == names
 
 
 def test_pipeline_honours_yaml_object_and_analysis_keys(tmp_path):
@@ -758,8 +773,6 @@ def _assert_clean_failure(code, stderr, out):
 @pytest.mark.parametrize("argv, config", [
     pytest.param(("pipeline", "--d", "16", "--basis", "random", "--artifact-mode", "analytic"),
                  None, id="random-analytic"),
-    pytest.param(("pipeline", "--d", "2", "--basis", "random", "--basis-seed", "1"),
-                 None, id="singular-random-set"),
     pytest.param(("pipeline",), "d: 16\nanalysis: {radius: 30}\n", id="radius-off-grid"),
     pytest.param(("gen-masks", "--d", "8", "--index", "64"), None, id="mask-index-off-range"),
     pytest.param(("gen-masks", "--d", "8", "--count", "0"), None, id="mask-count-zero"),
@@ -837,7 +850,6 @@ def test_analyze_complex_phase_map_honours_its_support_file(tmp_path):
 # flux times the reference sample overflowed with a RuntimeWarning
 @example(cfg=RunConfig(d=2, object_kind="flat", flux=8.988465674311582e307))
 def test_pipeline_completes_or_fails_cleanly(tmp_path_factory, cfg):
-    # d stays small: a random basis holds d**4 floats
     work = tmp_path_factory.mktemp("run")
     cfg.dump(work / "run.yaml")
     out = work / "out"

@@ -200,7 +200,7 @@ def test_read_series_parity_table(tmp_path, raw, expected):
 def test_series_round_trip_is_bit_identical(tmp_path_factory, values):
     d = int(len(values) ** 0.5)
     written = np.array(values, dtype=np.float64)
-    series = MeasurementSeries(kind="sin", dim=d, basis="random:7", values=written,
+    series = MeasurementSeries(kind="sin", dim=d, basis="permuted:7", values=written,
                                flux=1e9, seed=3)
     path = tmp_path_factory.mktemp("series") / "series.csv"
     write_series(path, series)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostphase import hadamard_matrix, measure_exact, random_basis
 from ghostphase.wht import DimensionError
 from ghostphase.acquisition import mask_overlaps
 from ghostphase.reconstruction import _coefficient_image
 
-from conftest import naive_overlap, paired_masks, random_complex_object, run_cli
+from conftest import mask_matrix, naive_overlap, paired_masks, random_complex_object, run_cli
 
 SQRT2 = np.sqrt(2.0)
 
@@ -144,56 +146,57 @@ def test_gen_masks_full_set_matches_oracle_masks(tmp_path, flags, basis):
 def test_random_basis_determinism_and_reference():
     a = random_basis(8, seed=9)
     b = random_basis(8, seed=9)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
+    np.testing.assert_array_equal(mask_matrix(a), mask_matrix(b))
     np.testing.assert_allclose(a.mask(0), np.full((8, 8), 1 / 8))
-    assert set(np.unique(np.round(a.matrix[1:] * 8))) == {-1.0, 1.0}
+    assert set(np.unique(np.round(mask_matrix(a)[1:] * 8))) == {-1.0, 1.0}
 
 
 def test_random_basis_seed_sensitivity():
     a = random_basis(16, seed=1)
     b = random_basis(16, seed=2)
-    differing = np.mean(a.matrix[1:] != b.matrix[1:])
+    differing = np.mean(mask_matrix(a)[1:] != mask_matrix(b)[1:])
     assert differing >= 0.40
 
 
 def test_random_basis_entry_mean():
     basis = random_basis(16, seed=3)
-    signs = np.sign(basis.matrix)
+    signs = np.sign(mask_matrix(basis))
     assert abs(signs.mean()) <= 4 / np.sqrt(256 * 256)
 
 
-def _philox(seed):
-    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 4, 8, 32]), seed=st.integers(0, 2 ** 64 - 1))
+def test_random_masks_are_orthonormal_with_the_hadamard_reference(d, seed):
+    basis = random_basis(d, seed)
+    M = mask_matrix(basis)
+    np.testing.assert_allclose(M @ M.T, np.eye(d * d), atol=1e-12)
+    np.testing.assert_array_equal(basis.mask(0), hadamard_matrix(d).mask(0))
+    assert basis.perm[0] == 0
 
 
-def test_random_mask_signs_are_the_stream_bits():
-    # d = 8: four words per mask; pixel i of mask j is +1 where bit i of word 4(j-1) is set
-    words = _philox(21).random_raw(4 * 63)
-    basis = random_basis(8, seed=21)
-    shifts = np.arange(64, dtype=np.uint64)
-    for j in (1, 2, 40, 63):
-        bits = (words[4 * (j - 1)] >> shifts) & np.uint64(1)
-        np.testing.assert_array_equal(basis.matrix[j], np.where(bits == 1, 1.0, -1.0) / 8)
+def test_random_permutation_is_pinned():
+    # drawn from Philox words, not a Generator method, so every numpy release draws it alike
+    np.testing.assert_array_equal(random_basis(4, seed=1).perm,
+                                  [0, 4, 6, 3, 10, 8, 11, 15, 1, 9, 14, 13, 7, 12, 2, 5])
 
 
-@pytest.mark.parametrize("d", [2, 3, 8, 32])
+@pytest.mark.parametrize("d", [2, 8, 32])
 def test_random_mask_alone_equals_matrix_row(d):
+    # row j of the Hadamard mask matrix, its columns (pixels) taken in perm order
     N = d * d
     basis = random_basis(d, seed=17)
-    indices = (0, 1, N // 2, N - 1)
-    alone = [basis.mask(j) for j in indices]
-    assert "matrix" not in vars(basis)   # each mask drew only its own row
-    assert not basis.matrix.flags.writeable
-    for j, mask in zip(indices, alone):
-        np.testing.assert_array_equal(mask, basis.matrix[j].reshape(d, d))
+    shuffled = mask_matrix(hadamard_matrix(d))[:, basis.perm]
+    assert not basis.perm.flags.writeable
+    for j in (0, 1, N // 2, N - 1):
+        np.testing.assert_array_equal(basis.mask(j), shuffled[j].reshape(d, d))
     for bad in (-1, N):
         with pytest.raises(IndexError):
             basis.mask(bad)
 
 
 @pytest.mark.parametrize("basis", [hadamard_matrix(8), hadamard_matrix(8, "sequency"),
-                                   random_basis(8, seed=4), random_basis(3, seed=2)],
-                         ids=["hadamard-natural", "hadamard-sequency", "random-d8", "random-d3"])
+                                   random_basis(8, seed=4), random_basis(2, seed=1)],
+                         ids=["hadamard-natural", "hadamard-sequency", "random-d8", "random-d2"])
 def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
     d, N = basis.dim, basis.size
     masks = [basis.mask(j) for j in range(N)]

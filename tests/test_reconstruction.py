@@ -13,7 +13,7 @@ from ghostphase import (ObjectSpec, closed_form_gi, combine_phase, denoise, disc
 from ghostphase.reconstruction import PhaseImage, _masked_median
 from ghostphase.analysis import wrap
 
-from conftest import phase_pearson, random_complex_object
+from conftest import mask_matrix, phase_pearson, random_complex_object
 
 ALL_KINDS = ["flat", "double-slit-amplitude", "annulus-amplitude",
              "pi-slit-phase", "azimuthal-ring-phase", "spiral-flower-phase"]
@@ -271,36 +271,29 @@ def _random_heuristic(obj, basis):
     return re, im, estimate_spectrum(sc, ss)
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42])
-@pytest.mark.parametrize("d", [8, 16])
-def test_random_solve_matches_least_squares(d, seed):
-    obj = _object("spiral-flower-phase", d)
-    basis = random_basis(d, seed)
+def _assert_matches_least_squares(obj, basis):
+    d = basis.dim
     re, im, est = _random_heuristic(obj, basis)
-    M = basis.matrix
+    M = mask_matrix(basis)
     for got, cross in ((re, est.cross_cos), (im, est.cross_sin)):
         ref = np.linalg.lstsq(M, cross, rcond=None)[0].reshape(d, d) / (d * d)
         ref[0, 0] = (ref[0, 1] + ref[1, 0] + ref[1, 1]) / 3.0
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
-def test_singular_random_mask_set_is_rejected():
-    # seed 1 at d=2 draws the reference itself as mask 1; LAPACK flags the set
-    basis = random_basis(2, seed=1)
-    assert np.linalg.matrix_rank(basis.matrix) < 4
-    with pytest.raises(ValueError, match=r"basis seed 1, d=2\) is singular"):
-        _random_heuristic(np.ones((2, 2), complex) / 2, basis)
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("d", [8, 16])
+def test_random_solve_matches_least_squares(d, seed):
+    _assert_matches_least_squares(_object("spiral-flower-phase", d), random_basis(d, seed))
 
 
-@pytest.mark.parametrize("kind", ["pi-slit-phase", "azimuthal-ring-phase"])
-def test_rank_deficient_random_mask_set_is_rejected(kind):
-    # seed 12 at d=4 draws a rank-deficient set that LU solves without error
-    basis = random_basis(4, seed=12)
-    M = basis.matrix
-    assert np.linalg.matrix_rank(M) < 16
-    np.linalg.solve(M, np.eye(16)[0])
-    with pytest.raises(ValueError, match=r"basis seed 12, d=4\) is singular"):
-        _random_heuristic(_object(kind, 4), basis)
+@pytest.mark.parametrize("d, seed, kind", [(2, 1, "flat"), (4, 12, "pi-slit-phase"),
+                                           (4, 12, "azimuthal-ring-phase")])
+def test_random_seeds_that_drew_singular_sets_now_solve(d, seed, kind):
+    # i.i.d. sign masks were singular (seed 1 at d=2) or rank-deficient (seed 12 at d=4)
+    basis = random_basis(d, seed)
+    assert np.linalg.matrix_rank(mask_matrix(basis)) == d * d
+    _assert_matches_least_squares(_object(kind, d), basis)
 
 
 def test_counts_normalization_preserves_structure():
