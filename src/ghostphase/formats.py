@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import warnings
 from typing import Optional, Tuple
 
@@ -38,7 +39,7 @@ def write_field(path, data: np.ndarray, kind: str) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
         fh.write(f"d={data.shape[0]} kind={kind}\n".encode())
-        fh.write(data.astype(_dtype(kind)).tobytes())
+        fh.write(np.ascontiguousarray(data, dtype=_dtype(kind)))
 
 
 def read_field(path) -> Tuple[np.ndarray, str]:
@@ -57,14 +58,18 @@ def read_field(path) -> Tuple[np.ndarray, str]:
             raise DataError(f"{path}: bad field header (d={d})")
         if kind not in FIELD_KINDS:
             raise DataError(f"{path}: unknown field kind {kind!r}")
-        payload = fh.read()
-    expected = d * d * np.dtype(_dtype(kind)).itemsize
-    if len(payload) != expected:
-        raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(flat).all():
+        expected = d * d * np.dtype(_dtype(kind)).itemsize
+        # a file is sized before the array is allocated, so a forged d costs no
+        # memory; a pipe is read into it, and one byte past it for trailing bytes
+        size = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else expected
+        if size == expected:
+            field = np.empty((d, d), dtype=_dtype(kind))
+            size = fh.readinto(field) + len(fh.read(1))
+        if size != expected:
+            raise DataError(f"{path}: payload is {size} bytes, expected {expected}")
+    if not np.isfinite(field).all():
         raise DataError(f"{path}: field values must be finite")
-    return flat.view(_dtype(kind)).reshape(d, d).copy(), kind
+    return field, kind
 
 
 # '-2.2250738585072014e-308' is the longest float64 repr

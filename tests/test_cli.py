@@ -611,6 +611,30 @@ def test_importing_the_cli_does_not_import_yaml():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_only_the_pipeline_loads_openssl(tmp_path):
+    # hashlib loads OpenSSL (_hashlib, +3.5 MB RSS), and only the pipeline's manifest hashes
+    assert run("pipeline", "--d", "16", "--out", str(tmp_path)) == 0
+    src = os.path.dirname(os.path.dirname(ghostphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy; loaded = ['_hashlib' in sys.modules]\n"
+            "from ghostphase import cli; loaded.append('_hashlib' in sys.modules)\n"
+            "out = sys.argv[1]\n"
+            "for argv in (['reconstruct', '--d', '16', '--cos', out + '/series_cos.csv',\n"
+            "              '--sin', out + '/series_sin.csv', '--out', out + '/r'],\n"
+            "             ['analyze', '--phase', out + '/r/phase.gcf', '--support', out + '/r/support.gcf',\n"
+            "              '--truth', out + '/object.gcf', '--out', out + '/a']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    loaded.append('_hashlib' in sys.modules)\n"
+            "print(loaded)\n")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.splitlines()[-1]
+    if loaded.startswith("[True"):
+        pytest.skip("this numpy release loads OpenSSL on import")
+    assert loaded == "[False, False, False, False]"
+
+
 # sha256 of the text artifacts, recorded from the row-by-row series writer
 # and the PyYAML config dump
 GOLDEN_TEXT_ARTIFACTS = {

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -57,6 +59,42 @@ def test_field_validation_errors(tmp_path):
     truncated.write_bytes(b"GCF1\nd=4 kind=real\n" + b"\0" * 64)
     with pytest.raises(DataError):
         read_field(truncated)
+
+
+def test_field_payload_is_sized_before_it_is_read(tmp_path):
+    path = tmp_path / "f.gcf"
+    write_field(path, np.arange(16.0).reshape(4, 4), "real")
+    raw = path.read_bytes()
+    back, _ = read_field(path)
+    back[0, 0] = -1.0   # the array is the reader's own
+    (tmp_path / "long.gcf").write_bytes(raw + b"\0")
+    with pytest.raises(DataError, match="payload is 129 bytes, expected 128"):
+        read_field(tmp_path / "long.gcf")
+    # a header claiming 1.6e17 payload bytes allocates nothing
+    (tmp_path / "forged.gcf").write_bytes(b"GCF1\nd=100000000 kind=complex\n" + raw[-128:])
+    with pytest.raises(DataError, match="payload is 128 bytes, expected 160000000000000000"):
+        read_field(tmp_path / "forged.gcf")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("tail, error", [(0, None), (1, "payload is 129 bytes"), (-3, "payload is 125 bytes")])
+def test_field_reads_from_a_pipe(tmp_path, tail, error):
+    path = tmp_path / "f.gcf"
+    write_field(path, np.arange(16.0).reshape(4, 4), "real")
+    raw = path.read_bytes()
+    raw = raw + b"\0" * tail if tail >= 0 else raw[:tail]
+    r, w = os.pipe()
+    try:
+        os.write(w, raw)
+        os.close(w)
+        if error is None:
+            back, kind = read_field(f"/dev/fd/{r}")
+            assert kind == "real" and np.array_equal(back, np.arange(16.0).reshape(4, 4))
+        else:
+            with pytest.raises(DataError, match=error):
+                read_field(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
 
 
 def test_series_round_trip_exact(tmp_path):

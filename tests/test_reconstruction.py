@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ghostphase import (ObjectSpec, closed_form_gi, combine_phase, denoise, disc
                         estimate_spectrum, fwht2, ghost_image, hadamard_matrix, make_object,
                         measure_exact, normalize, phase_rmse, random_basis, remove_artifact,
                         remove_artifact_analytic, sample_counts)
+from ghostphase import reconstruction
 from ghostphase.reconstruction import PhaseImage, _masked_median
 from ghostphase.analysis import wrap
 
@@ -361,3 +364,50 @@ def test_masked_median_matches_nanmedian(seed, d, window, density, ties):
     ref = _nanmedian_windows(data, valid, window)
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+# (d, window, rows per strip): at least three strips, the last one partial;
+# window 99 covers the whole 8x8 grid from every pixel
+STRIPS = [(8, 3, 3), (10, 5, 3), (7, 7, 2), (8, 99, 3), (11, 1, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), strips=st.sampled_from(STRIPS),
+       density=st.floats(0.0, 1.0), ties=st.booleans())
+@example(seed=0, strips=(8, 3, 3), density=0.0, ties=False)       # every window invalid
+@example(seed=1, strips=(10, 5, 3), density=0.2, ties=True)       # sparse, tied, signed zeros
+@example(seed=2, strips=(8, 99, 3), density=0.5, ties=True)        # window wider than the grid
+def test_masked_median_strips_match_nanmedian(seed, strips, density, ties):
+    d, window, rows = strips
+    assert -(-d // rows) >= 3 and d % rows
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(d, d))
+    if ties:
+        data = np.round(data)
+    valid = rng.random((d, d)) < density
+    row_bytes = window * window * d * data.itemsize
+    ref = _nanmedian_windows(data, valid, window)
+    # a budget below one row still filters one row per strip
+    for budget in (rows * row_bytes, rows * row_bytes + row_bytes - 1, 1):
+        with mock.patch.object(reconstruction, "_MEDIAN_BUDGET", budget):
+            got = _masked_median(data, valid, window)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_denoise_memory_does_not_grow_with_the_window():
+    # a whole window^2 stack of a d=256 grid is 4.7 MB at window 3 and 118 MB at 15
+    d = 256
+    rng = np.random.default_rng(0)
+    phase = PhaseImage(entries=rng.uniform(-np.pi, np.pi, (d, d)), support=disc_mask(d, 100.0))
+
+    def peak(window):
+        tracemalloc.start()
+        try:
+            denoise(phase, window)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) < 5 * 2 ** 20
+    assert peak(15) < 5 * 2 ** 20
