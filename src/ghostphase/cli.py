@@ -48,7 +48,7 @@ def _make_basis(cfg: RunConfig):
 def _basis_from_descriptor(descriptor: str, d: int):
     """Build the scan basis a series header names; `pipeline` builds it once.
 
-    The arrays of the returned basis are read-only, so stages can share it.
+    Its only array is a random basis's ``perm``, which is read-only, so stages can share it.
     """
     family, _, arg = descriptor.partition(":")
     if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):

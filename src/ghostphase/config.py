@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigError(f"basis: must be 'hadamard' or 'random', got {self.basis!r}")
         if self.ordering not in ("natural", "sequency"):
             raise ConfigError(f"ordering: must be 'natural' or 'sequency', got {self.ordering!r}")
+        if self.basis == "random" and self.ordering != "natural":
+            raise ConfigError(f"ordering: a random basis scans natural order, got {self.ordering!r}")
         if self.artifact_mode not in ("analytic", "heuristic"):
             raise ConfigError(f"artifact_mode: must be 'analytic' or 'heuristic', got {self.artifact_mode!r}")
         if self.d < 2 or self.d & (self.d - 1):

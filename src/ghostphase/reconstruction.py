@@ -242,6 +242,7 @@ def denoise(phase: PhaseImage, window: int = 3) -> PhaseImage:
     if window == 1:
         out = np.where(phase.support, phase.entries, 0.0)
         return PhaseImage(entries=out, support=phase.support)
+    window = min(window, 2 * max(phase.entries.shape) - 1)    # 2*size - 1 already reaches every pixel
     c = _masked_median(np.cos(phase.entries), phase.support, window)
     s = _masked_median(np.sin(phase.entries), phase.support, window)
     out = np.where(phase.support & ((c != 0) | (s != 0)), np.arctan2(s, c), 0.0)

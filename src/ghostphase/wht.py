@@ -1,13 +1,13 @@
-"""Walsh-Hadamard matrices, basis masks and the fast 2D transform.
+"""Walsh-Hadamard bases, their masks and the fast 2D transform.
 
-All masks are orthonormal: a d x d basis mask has entries +-1/sqrt(N)
+All masks are orthonormal: a d x d basis mask has values +-1/sqrt(N)
 with N = d*d, so <M_j|M_k> = delta_jk holds exactly and the transform
 is self-inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,24 +27,16 @@ def _is_power_of_two(d: int) -> bool:
 @lru_cache(maxsize=None)
 def _sequency_permutation(d: int) -> tuple:
     """perm[s] = natural (Sylvester) row index with sequency rank s."""
-    rows = _sylvester(d)
+    rows = _fwht_axis0(np.eye(d))    # H is symmetric, so its columns are its rows
     changes = np.count_nonzero(np.diff(np.sign(rows), axis=1), axis=1)
     return tuple(int(i) for i in np.argsort(changes, kind="stable"))
 
 
-def _sylvester(d: int) -> np.ndarray:
-    H = np.array([[1.0]])
-    while H.shape[0] < d:
-        H = np.block([[H, H], [H, -H]])
-    return H
-
-
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """Normalized Walsh-Hadamard matrix; rows are the 1D basis vectors h_n."""
+    """Normalized Walsh-Hadamard basis; its rows, the 1D basis vectors h_n, are made on demand."""
 
     dim: int
-    entries: np.ndarray = field(repr=False)
     ordering: str = NATURAL
 
     @property
@@ -58,20 +50,24 @@ class OrthoMatrix:
     def mask(self, j: int) -> np.ndarray:
         """Outer-product mask M_j = h_n (x) h_m with j = n*d + m.
 
-        Entries are +-1/sqrt(N); M_0 is the uniform mask with every entry
+        Values are +-1/sqrt(N); M_0 is the uniform mask with every value
         1/sqrt(N).
         """
         d = self.dim
         if not 0 <= j < d * d:
             raise IndexError(f"mask index {j} out of range for N={d * d}")
         n, m = divmod(int(j), d)
-        return np.outer(self.entries[n], self.entries[m])
+        natural = _sequency_permutation(d) if self.ordering == SEQUENCY else range(d)
+        impulses = np.zeros((d, 2))
+        impulses[[natural[n], natural[m]], [0, 1]] = 1.0
+        h = _fwht_axis0(impulses) / np.sqrt(d)
+        return np.outer(h[:, 0], h[:, 1])
 
 
 def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
-    """Build the d x d normalized Walsh-Hadamard matrix.
+    """The d x d normalized Walsh-Hadamard basis.
 
-    Rows carry the basis functions; entries are +-1/sqrt(d).  In natural
+    Rows carry the basis functions; values are +-1/sqrt(d).  In natural
     (Sylvester) order the matrix is symmetric, so rows and columns agree;
     the sequency reordering (rows ranked by sign-change count) preserves
     symmetry.  Row 0 is all-positive under both orderings.
@@ -81,24 +77,23 @@ def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
     d = int(d)
     if ordering not in (NATURAL, SEQUENCY):
         raise ValueError(f"unknown ordering {ordering!r}")
-    H = _sylvester(d)
-    if ordering == SEQUENCY:
-        H = H[list(_sequency_permutation(d))]
-    entries = H / np.sqrt(d)
-    entries.flags.writeable = False     # shared by every stage that holds the basis
-    return OrthoMatrix(dim=d, entries=entries, ordering=ordering)
+    return OrthoMatrix(dim=d, ordering=ordering)
 
 
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:
-    """In-place butterfly along axis 0 (unnormalized, natural order)."""
+    """In-place butterfly along axis 0 (unnormalized, natural order).
+
+    X must be a fresh writable copy, as every caller passes (C-contiguous for
+    C-ordered input).  Each stage writes through a (d/2h, 2, h, ...) reshape,
+    which only splits axis 0 and so is a view whatever the strides.
+    """
     d = X.shape[0]
     h = 1
     while h < d:
-        for i in range(0, d, h * 2):
-            a = X[i:i + h].copy()
-            b = X[i + h:i + 2 * h]
-            X[i:i + h] = a + b
-            X[i + h:i + 2 * h] = a - b
+        pairs = X.reshape(d // (2 * h), 2, h, *X.shape[1:])
+        a, b = pairs[:, 0].copy(), pairs[:, 1]
+        pairs[:, 0] += b
+        np.subtract(a, b, out=b)
         h *= 2
     return X
 

@@ -11,16 +11,32 @@ from ghostphase import ObjectSpec, cli, hadamard_matrix, make_object
 from ghostphase.analysis import wrap
 
 
+def sylvester(d, ordering="natural"):
+    """The normalized d x d Walsh-Hadamard matrix built by Sylvester's recursion.
+
+    Row n is the 1D basis vector h_n; in sequency order the natural rows are
+    ranked by their number of sign changes.
+    """
+    S = np.array([[1.0]])
+    while S.shape[0] < d:
+        S = np.block([[S, S], [S, -S]])
+    if ordering == "sequency":
+        changes = np.count_nonzero(np.diff(np.sign(S), axis=1), axis=1)
+        S = S[np.argsort(changes, kind="stable")]
+    return S / np.sqrt(d)
+
+
 def naive_transform(X, H):
     """Triple-loop H X H^T, the oracle for fwht2."""
     d = H.dim
+    E = sylvester(d, H.ordering)
     out = np.zeros((d, d), dtype=complex)
     for n in range(d):
         for m in range(d):
             acc = 0.0 + 0.0j
             for x in range(d):
                 for y in range(d):
-                    acc += H.entries[n, x] * X[x, y] * H.entries[m, y]
+                    acc += E[n, x] * X[x, y] * E[m, y]
             out[n, m] = acc
     return out
 

@@ -317,6 +317,9 @@ CONFIG_CASES = [
     pytest.param("d: 8\nbasis_seed: -1\n", 2, None, id="negative-basis-seed"),
     pytest.param("d: [8\n", 2, None, id="yaml-parse-error"),
     pytest.param("d: 1\nbasis: random\n", 2, None, id="d-below-2"),
+    pytest.param("d: 8\nbasis: random\nordering: sequency\n", 2,
+                 "error: ordering: a random basis scans natural order, got 'sequency'\n",
+                 id="random-basis-in-sequency-order"),
     pytest.param("d: 16\ndenoise_window: -1\n", 2, None, id="negative-denoise-window"),
     pytest.param("d: 8\nanalysis: {samples: 0}\n", 2, None, id="zero-samples"),
     pytest.param("d: 8\nanalysis: {samples: 1}\n", 2, None, id="one-sample"),
@@ -674,7 +677,7 @@ def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):
     assert calls == [(8, 3)]
 
 
-@pytest.mark.parametrize("descriptor, attr", [("permuted:3", "perm"), ("hadamard:sequency", "entries")])
+@pytest.mark.parametrize("descriptor, attr", [("permuted:3", "perm")])
 def test_cached_basis_arrays_are_read_only(descriptor, attr):
     basis = cli._basis_from_descriptor(descriptor, 8)
     assert cli._basis_from_descriptor(descriptor, 8) is basis
@@ -728,7 +731,7 @@ def test_pipeline_rerun_from_its_resolved_config_reproduces_the_manifest(tmp_pat
     assert run("gen-object", "--d", "8", "--kind", "spiral-flower-phase",
                "--out", str(tmp_path / "source")) == 0
     document = {
-        "d": 8, "illumination_radius": 3.5, "basis": "random", "ordering": "sequency",
+        "d": 8, "illumination_radius": 3.5, "basis": "random", "ordering": "natural",
         "basis_seed": 5, "flux": 1e6, "acquisition_seed": 4, "artifact_mode": "heuristic",
         "denoise_window": 3, "output_dir": str(tmp_path / "unused"),
         "object": {"kind": kind, "slit_width": 2, "slit_gap": 3, "annulus_radii": [1.5, 3],

@@ -411,3 +411,22 @@ def test_denoise_memory_does_not_grow_with_the_window():
 
     assert peak(3) < 5 * 2 ** 20
     assert peak(15) < 5 * 2 ** 20
+
+
+def test_denoise_window_wider_than_the_grid_gives_the_whole_grid_window(monkeypatch):
+    # at d=8 a 15-pixel window reaches every pixel from every pixel, so window 99 filters
+    # with 15: the median's time and memory grow as window^2
+    d = 8
+    rng = np.random.default_rng(4)
+    phase = PhaseImage(entries=rng.uniform(-np.pi, np.pi, (d, d)), support=disc_mask(d, 3.0))
+    windows = []
+
+    def recording(data, valid, window):
+        windows.append(window)
+        return _masked_median(data, valid, window)
+
+    monkeypatch.setattr(reconstruction, "_masked_median", recording)
+    wide, whole = denoise(phase, 99), denoise(phase, 15)
+    assert wide.entries.tobytes() == whole.entries.tobytes()
+    np.testing.assert_array_equal(wide.support, whole.support)
+    assert windows == [15] * 4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,39 +7,47 @@ from hypothesis import strategies as st
 
 from ghostphase import DimensionError, fwht2, hadamard_matrix
 
-from conftest import naive_transform, random_complex_object
+from conftest import naive_transform, random_complex_object, sylvester
+
+
+def basis_rows(H):
+    """The 1D basis vectors h_n as the masks carry them: M_(n, 0) = h_n (x) h_0, h_0 = 1/sqrt(d)."""
+    return np.array([H.mask(n * H.dim)[:, 0] for n in range(H.dim)]) * np.sqrt(H.dim)
 
 
 def test_d1_base_case():
     H = hadamard_matrix(1)
-    assert H.entries == pytest.approx(np.array([[1.0]]))
+    np.testing.assert_array_equal(H.mask(0), [[1.0]])
+    np.testing.assert_array_equal(fwht2(np.array([[2.5 - 1j]]), H), [[2.5 - 1j]])
 
 
 def test_d2_natural_is_sylvester():
     H = hadamard_matrix(2)
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    np.testing.assert_allclose(H.entries, expected)
+    np.testing.assert_allclose(basis_rows(H), expected)
 
 
 def test_d4_sequency_rows_ordered_by_sign_changes():
     # oracle: enumerate Sylvester rows, count sign changes, sort
-    nat = hadamard_matrix(4).entries
+    nat = sylvester(4)
     counts = [int(np.count_nonzero(np.diff(np.sign(row)))) for row in nat]
     expected = nat[np.argsort(counts, kind="stable")]
-    seq = hadamard_matrix(4, "sequency")
-    np.testing.assert_allclose(seq.entries, expected)
-    assert list(np.count_nonzero(np.diff(np.sign(seq.entries), axis=1), axis=1)) == [0, 1, 2, 3]
+    seq = basis_rows(hadamard_matrix(4, "sequency"))
+    np.testing.assert_allclose(seq, expected)
+    assert list(np.count_nonzero(np.diff(np.sign(seq), axis=1), axis=1)) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 @pytest.mark.parametrize("ordering", ["natural", "sequency"])
 def test_orthogonality_and_column_zero(d, ordering):
     H = hadamard_matrix(d, ordering)
-    np.testing.assert_allclose(H.entries @ H.entries.T, np.eye(d), atol=1e-12)
-    assert np.all(np.abs(np.abs(H.entries) - 1 / np.sqrt(d)) < 1e-15)
-    assert np.all(H.entries[0] > 0)
-    assert np.all(H.entries[:, 0] > 0)
-    assert not H.entries.flags.writeable   # stages share one basis
+    rows = basis_rows(H)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(d), atol=1e-12)
+    assert np.all(np.abs(np.abs(rows) - 1 / np.sqrt(d)) < 1e-15)
+    assert np.all(rows[0] > 0)
+    assert np.all(rows[:, 0] > 0)
+    # the basis holds no array, so stages share it without copies
+    assert [f.name for f in dataclasses.fields(H)] == ["dim", "ordering"]
 
 
 def test_non_power_of_two_rejected():
@@ -64,7 +74,18 @@ def test_mask_outer_product_factorization():
     row_mask = H.mask(1 * 4 + 0)   # h_1 (x) h_0
     col_mask = H.mask(0 * 4 + 1)   # h_0 (x) h_1
     np.testing.assert_allclose(M5, row_mask * col_mask * 4, atol=1e-14)
-    np.testing.assert_allclose(M5, np.outer(H.entries[1], H.entries[1]))
+    h1 = sylvester(4)[1]
+    np.testing.assert_allclose(M5, np.outer(h1, h1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 32])
+@pytest.mark.parametrize("ordering", ["natural", "sequency"])
+def test_masks_are_exact_outer_products_of_sylvester_rows(d, ordering):
+    H = hadamard_matrix(d, ordering)
+    rows = sylvester(d, ordering)
+    for j in range(d * d):
+        n, m = divmod(j, d)
+        np.testing.assert_array_equal(H.mask(j), np.outer(rows[n], rows[m]))
 
 
 def test_mask_index_out_of_range():
@@ -97,6 +118,15 @@ def test_fwht2_matches_naive(ordering):
     H = hadamard_matrix(8, ordering)
     X = random_complex_object(8, seed=1)
     np.testing.assert_allclose(fwht2(X, H), naive_transform(X, H), atol=1e-12)
+
+
+@pytest.mark.parametrize("ordering", ["natural", "sequency"])
+def test_fwht2_of_a_non_contiguous_view_matches_its_contiguous_copy(ordering):
+    H = hadamard_matrix(8, ordering)
+    big = random_complex_object(16, seed=5)
+    for view in (big[::2, 1::2], big[:8, :8].T, big.real[3:11, 2:10], big.imag[::-2, ::2].T):
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(fwht2(view, H), fwht2(np.ascontiguousarray(view), H))
 
 
 def test_fwht2_dimension_mismatch():
