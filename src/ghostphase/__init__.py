@@ -3,7 +3,7 @@
 from .wht import NATURAL, SEQUENCY, DimensionError, OrthoMatrix, fwht2, hadamard_matrix
 from .scene import (KINDS, ObjectSpec, SpecError, apply_illumination, default_radius, disc_mask,
                     make_object, normalize)
-from .projections import RandomBasis, random_basis
+from .projections import random_basis
 from .acquisition import MeasurementSeries, measure_exact, sample_counts
 from .reconstruction import (ClosedFormTerms, PhaseImage, SINE_CHANNEL_SIGN, closed_form_gi,
                              combine_phase, denoise, estimate_spectrum, ghost_image,

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .wht import OrthoMatrix, fwht2
-from .projections import RandomBasis
 
 SQRT2 = np.sqrt(2.0)
-
-Basis = Union[OrthoMatrix, RandomBasis]
 
 
 @dataclass(frozen=True)
@@ -39,14 +36,12 @@ class MeasurementSeries:
         return self.flux is None
 
 
-def mask_overlaps(obj: np.ndarray, basis: Basis) -> np.ndarray:
-    """All N inner products <M_j|O>: Hadamard by the fast transform, random by its `analyze`."""
-    if isinstance(basis, OrthoMatrix):
-        return fwht2(obj, basis).ravel()
-    return basis.analyze(obj)
+def mask_overlaps(obj: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
+    """All N inner products <M_j|O>: the fast transform of the object with the pixel shuffle undone."""
+    return fwht2(basis.unshuffle(obj), basis).ravel()
 
 
-def measure_exact(obj: np.ndarray, basis: Basis) -> Tuple[MeasurementSeries, MeasurementSeries]:
+def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSeries, MeasurementSeries]:
     """Exact detection probabilities v_j = |<T_j|O>|^2 of the cos and sin masks.
 
     One overlap pass serves both channels: <T_j|O> is (c_j + c_0)/sqrt(2) for

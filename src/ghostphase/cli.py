@@ -44,20 +44,15 @@ def _make_basis(cfg: RunConfig):
     return _basis_from_descriptor(descriptor, cfg.d)
 
 
-@functools.lru_cache(maxsize=1)
-def _basis_from_descriptor(descriptor: str, d: int):
-    """Build the scan basis a series header names; `pipeline` builds it once.
-
-    Its only array is a random basis's ``perm``, which is read-only, so stages can share it.
-    """
+def _basis_from_descriptor(descriptor: str, d: int) -> wht.OrthoMatrix:
+    """The scan basis a series header names.  A seeded basis draws its permutation once, on
+    first use, and stages share that read-only array."""
     family, _, arg = descriptor.partition(":")
     if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):
-        basis = wht.hadamard_matrix(d, arg)
-    elif family == "permuted" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
-        basis = projections.random_basis(d, int(arg))
-    else:
-        raise ValueError(f"unknown basis descriptor {descriptor!r}")
-    return basis
+        return wht.hadamard_matrix(d, arg)
+    if family == "permuted" and arg.isascii() and arg.isdigit() and int(arg) < 2 ** 64:
+        return projections.random_basis(d, int(arg))
+    raise ValueError(f"unknown basis descriptor {descriptor!r}")
 
 
 # A stage maps in-memory inputs to in-memory results under one RunConfig and
@@ -273,6 +268,9 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
         rec = reconstruct(cfg, series_cos, series_sin, obj)
+    basis = _basis_from_descriptor(series_cos.basis, series_cos.dim)   # record the basis that ran
+    seeded = {"basis": "hadamard"} if basis.seed is None else {"basis": "random", "basis_seed": basis.seed}
+    cfg = dataclasses.replace(cfg, ordering=basis.ordering, **seeded)
     write_reconstruction(_outdir(cfg), rec)
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import Basis, MeasurementSeries
+from .acquisition import MeasurementSeries
 from .wht import OrthoMatrix, fwht2
 
 # Measured sine-channel cross term is -sin(a_j - a_0).
@@ -49,14 +49,12 @@ class PhaseImage:
     support: np.ndarray = field(repr=False)   # bool; False pixels are untrusted
 
 
-def _coefficient_image(coeffs: np.ndarray, basis: Basis) -> np.ndarray:
+def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     """(1/N) sum_j w_j M_j for a flat coefficient vector w."""
-    if isinstance(basis, OrthoMatrix):
-        return fwht2(coeffs.reshape(basis.dim, basis.dim), basis) / coeffs.size
-    return basis.synthesize(coeffs)
+    return basis.shuffle(fwht2(coeffs.reshape(basis.dim, basis.dim), basis)) / coeffs.size
 
 
-def ghost_image(series: MeasurementSeries, basis: Basis) -> np.ndarray:
+def ghost_image(series: MeasurementSeries, basis: OrthoMatrix) -> np.ndarray:
     """Mean-subtracted correlation reconstruction (one channel).
 
     Sampled-count series are normalized by their total first; the overall
@@ -81,8 +79,10 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
     Term 1 is the real (cos) or minus-imaginary (sin) part of the object
     rephased by the reference phase; term 2, the same in both channels, is
     the transform of the elementwise-squared spectrum; term 3 weights the
-    corner pixel by the ensemble average of the cross terms.
+    corner pixel by the ensemble average of the cross terms, for an unshuffled basis only.
     """
+    if obj is None or H.seed is not None:
+        raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
     d = H.dim
     N = d * d
     coeffs = fwht2(obj, H)
@@ -150,7 +150,7 @@ def _patch_corner(img: np.ndarray) -> np.ndarray:
 
 
 def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries,
-                    basis: Basis) -> Tuple[np.ndarray, np.ndarray]:
+                    basis: OrthoMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Fields proportional to Re(O) and Im(O) from the measured series alone.
 
     Solves each mask's channel pair for the per-mask probability and cross
@@ -158,20 +158,18 @@ def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries
     removes the spectral artifact) and patches the corner DC pixel.
     """
     est = estimate_spectrum(series_cos, series_sin)
-    # both families are orthonormal and sum to zero off the corner: a mean only feeds that pixel
+    # shuffled or not, the masks are orthonormal and sum to zero off the corner: a mean only hits it
     re, im = (_coefficient_image(w - w.mean(), basis) for w in (est.cross_cos, est.cross_sin))
     return _patch_corner(re), _patch_corner(im)
 
 
 def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray,
-                             basis: Basis) -> Tuple[np.ndarray, np.ndarray]:
+                             basis: OrthoMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """Fields proportional to Re(O) and Im(O) from the ghost images and the ground truth.
 
     Subtracts the closed-form spectral and DC terms of ``obj`` from each
-    channel; the closed form holds for the Hadamard basis only.
+    channel; ``closed_form_gi`` rejects a missing object and a shuffled basis.
     """
-    if obj is None or not isinstance(basis, OrthoMatrix):
-        raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
     tc, ts = closed_form_gi(obj, basis)
     re = gi_cos - tc.spectral_part + tc.dc_part
     im = SINE_CHANNEL_SIGN * (gi_sin - ts.spectral_part + ts.dc_part)

@@ -91,6 +91,13 @@ def normalize(obj: np.ndarray) -> np.ndarray:
     return obj / norm
 
 
+def _annulus_radii(spec: ObjectSpec, d: int, default: Tuple[float, float]) -> Tuple[float, float]:
+    r0, r1 = spec.annulus_radii if spec.annulus_radii is not None else default
+    if not 0 <= r0 < r1 or r1 > d:
+        raise SpecError(f"bad annulus radii ({r0}, {r1})")
+    return r0, r1
+
+
 def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
     """Generate a normalized d x d complex object field.
 
@@ -122,9 +129,7 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
         right = (cols >= right0) & (cols < right0 + w)
         obj[left | right] = 1.0
     elif spec.kind == "annulus-amplitude":
-        r0, r1 = spec.annulus_radii if spec.annulus_radii is not None else (d / 4, 3 * d / 8)
-        if not 0 <= r0 < r1 or r1 > d:
-            raise SpecError(f"bad annulus radii ({r0}, {r1})")
+        r0, r1 = _annulus_radii(spec, d, (d / 4, 3 * d / 8))
         obj[(r >= r0) & (r <= r1)] = 1.0
     elif spec.kind == "pi-slit-phase":
         w = spec.slit_width if spec.slit_width is not None else max(1, d // 8)
@@ -135,16 +140,12 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
         slit = (cols >= c0) & (cols < c0 + w)
         obj[slit] = np.exp(1j * spec.phase_depth)
     elif spec.kind == "azimuthal-ring-phase":
-        r0, r1 = spec.annulus_radii if spec.annulus_radii is not None else (d / 4, 3 * d / 8)
-        if not 0 <= r0 < r1 or r1 > d:
-            raise SpecError(f"bad annulus radii ({r0}, {r1})")
+        r0, r1 = _annulus_radii(spec, d, (d / 4, 3 * d / 8))
         obj[:] = 1.0
         ann = (r >= r0) & (r <= r1)
         obj[ann] = np.exp(1j * theta[ann])
     elif spec.kind == "spiral-flower-phase":
-        r0, r1 = spec.annulus_radii if spec.annulus_radii is not None else (d / 8, 3 * d / 8)
-        if not 0 <= r0 < r1 or r1 > d:
-            raise SpecError(f"bad annulus radii ({r0}, {r1})")
+        r0, r1 = _annulus_radii(spec, d, (d / 8, 3 * d / 8))
         obj[:] = 1.0
         edges = np.linspace(r0, r1, spec.bands + 1)
         for b in range(spec.bands):

@@ -1,4 +1,4 @@
-"""Walsh-Hadamard bases, their masks and the fast 2D transform.
+"""Walsh-Hadamard bases (pixel-shuffled when seeded), their masks and the fast 2D transform.
 
 All masks are orthonormal: a d x d basis mask has values +-1/sqrt(N)
 with N = d*d, so <M_j|M_k> = delta_jk holds exactly and the transform
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -32,12 +33,25 @@ def _sequency_permutation(d: int) -> tuple:
     return tuple(int(i) for i in np.argsort(changes, kind="stable"))
 
 
+@lru_cache(maxsize=1)
+def _pixel_permutation(d: int, seed: int) -> np.ndarray:
+    """perm fixes pixel 0; perm[1:] is 1 + the stable argsort of the first N - 1 words of the
+    Philox stream keyed (seed, 0).  Read-only, so every basis with this seed shares it."""
+    words = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(d * d - 1)
+    perm = np.concatenate(([0], 1 + np.argsort(words, kind="stable")))
+    perm.flags.writeable = False
+    return perm
+
+
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """Normalized Walsh-Hadamard basis; its rows, the 1D basis vectors h_n, are made on demand."""
+    """Normalized Walsh-Hadamard basis; its rows, the 1D basis vectors h_n, are made on demand.
+    With a seed, pixel x of mask j is pixel perm[x] of Hadamard mask j (a structurally random
+    basis); perm fixes pixel 0, so mask 0 stays the uniform reference."""
 
     dim: int
     ordering: str = NATURAL
+    seed: Optional[int] = None
 
     @property
     def size(self) -> int:
@@ -45,10 +59,14 @@ class OrthoMatrix:
 
     @property
     def descriptor(self) -> str:
-        return f"hadamard:{self.ordering}"
+        return f"hadamard:{self.ordering}" if self.seed is None else f"permuted:{self.seed}"
+
+    @property
+    def perm(self) -> np.ndarray:
+        return _pixel_permutation(self.dim, self.seed)
 
     def mask(self, j: int) -> np.ndarray:
-        """Outer-product mask M_j = h_n (x) h_m with j = n*d + m.
+        """Outer-product mask M_j = h_n (x) h_m with j = n*d + m, its pixels shuffled if seeded.
 
         Values are +-1/sqrt(N); M_0 is the uniform mask with every value
         1/sqrt(N).
@@ -61,7 +79,24 @@ class OrthoMatrix:
         impulses = np.zeros((d, 2))
         impulses[[natural[n], natural[m]], [0, 1]] = 1.0
         h = _fwht_axis0(impulses) / np.sqrt(d)
-        return np.outer(h[:, 0], h[:, 1])
+        return self.shuffle(np.outer(h[:, 0], h[:, 1]))
+
+    def unshuffle(self, field: np.ndarray) -> np.ndarray:
+        """The field with the pixel shuffle undone, so that <M_j|field> is ``fwht2`` of it at j."""
+        if self.seed is None:
+            return field
+        x = np.asarray(field)
+        if x.shape != (self.dim, self.dim):
+            raise DimensionError(f"field shape {x.shape} does not match d={self.dim}")
+        unshuffled = np.empty(x.size, x.dtype)
+        unshuffled[self.perm] = x.ravel()
+        return unshuffled.reshape(x.shape)
+
+    def shuffle(self, image: np.ndarray) -> np.ndarray:
+        """A d x d image with its pixels taken in perm order: the Hadamard mask j becomes M_j."""
+        if self.seed is None:
+            return image
+        return image.ravel()[self.perm].reshape(self.dim, self.dim)
 
 
 def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
@@ -101,9 +136,10 @@ def _fwht_axis0(X: np.ndarray) -> np.ndarray:
 def fwht2(field: np.ndarray, H: OrthoMatrix) -> np.ndarray:
     """Separable fast 2D Walsh-Hadamard transform: H X H^T.
 
-    The (n, m) output entry equals the inner product <M_{j=(n,m)}|X>.
-    O(d^2 log d); self-inverse because H is symmetric orthogonal in both
-    orderings.
+    The (n, m) output entry equals the inner product <M_{j=(n,m)}|X> for an
+    unseeded H: only its ordering applies, never its pixel shuffle (see
+    ``H.unshuffle``).  O(d^2 log d); self-inverse because H is symmetric
+    orthogonal in both orderings.
     """
     X = np.asarray(field)
     d = H.dim

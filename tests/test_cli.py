@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostphase
-from ghostphase import cli, formats, projections
+from ghostphase import cli, formats, projections, wht
 from ghostphase.config import ConfigError, RunConfig, config_from_document, load_config
 from ghostphase.formats import read_field, read_series, write_field
 from ghostphase.scene import KINDS
@@ -65,7 +65,7 @@ def test_gen_masks_random_basis_exports_its_masks(tmp_path):
 def test_gen_masks_memory_does_not_grow_with_count(tmp_path):
     # each mask's grids are written as they are made; none is kept for later
     def peak(count):
-        cli._basis_from_descriptor.cache_clear()
+        wht._pixel_permutation.cache_clear()
         tracemalloc.start()
         try:
             code, stderr = run_cli(["gen-masks", "--d", "16", "--count", str(count),
@@ -82,7 +82,7 @@ def test_gen_masks_memory_does_not_grow_with_count(tmp_path):
 
 def test_gen_masks_random_index_draws_one_mask(tmp_path):
     # an explicit d=32 mask matrix is 8 MB; one mask is 8 KB
-    cli._basis_from_descriptor.cache_clear()
+    wht._pixel_permutation.cache_clear()
     tracemalloc.start()
     try:
         code, stderr = run_cli(["gen-masks", "--d", "32", "--basis", "random", "--index", "1",
@@ -662,26 +662,42 @@ def test_pipeline_text_artifacts_match_golden_digests(tmp_path, flags):
     assert digests == GOLDEN_TEXT_ARTIFACTS[flags]
 
 
-def test_pipeline_builds_random_basis_once(tmp_path, monkeypatch):
-    calls = []
-    build = projections.random_basis
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    cli._basis_from_descriptor.cache_clear()
-    monkeypatch.setattr(projections, "random_basis", counting)
+def test_pipeline_builds_random_basis_once(tmp_path):
+    # acquire and reconstruct each name the basis; its permutation is drawn once
+    wht._pixel_permutation.cache_clear()
     assert run("pipeline", "--d", "8", "--basis", "random", "--basis-seed", "3",
                "--out", str(tmp_path)) == 0
-    assert calls == [(8, 3)]
+    assert wht._pixel_permutation.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("descriptor, attr", [("permuted:3", "perm")])
 def test_cached_basis_arrays_are_read_only(descriptor, attr):
     basis = cli._basis_from_descriptor(descriptor, 8)
-    assert cli._basis_from_descriptor(descriptor, 8) is basis
+    again = cli._basis_from_descriptor(descriptor, 8)
+    assert again == basis == projections.random_basis(8, 3)
+    assert getattr(again, attr) is getattr(basis, attr)
     assert not getattr(basis, attr).flags.writeable
+
+
+@pytest.mark.parametrize("series_flags, flags, recorded", [
+    (("--basis", "random", "--basis-seed", "4"), (),
+     {"basis": "random", "basis_seed": 4, "ordering": "natural"}),
+    (("--basis", "random", "--basis-seed", "4"), ("--ordering", "sequency", "--basis-seed", "7"),
+     {"basis": "random", "basis_seed": 4, "ordering": "natural"}),
+    (("--ordering", "sequency"), ("--basis-seed", "5"),
+     {"basis": "hadamard", "basis_seed": 5, "ordering": "sequency"}),
+], ids=["permuted", "permuted-other-flags", "hadamard-sequency"])
+def test_reconstruct_records_the_basis_its_series_name(tmp_path, series_flags, flags, recorded):
+    # the series header picks the basis, so resolved_config.yaml records that basis, not the flags;
+    # a Hadamard series names no seed, so the configured one stays
+    series = tmp_path / "series"
+    assert run("pipeline", "--d", "8", *series_flags, "--out", str(series)) == 0
+    out = tmp_path / "out"
+    assert run("reconstruct", "--d", "8", *flags, "--cos", str(series / "series_cos.csv"),
+               "--sin", str(series / "series_sin.csv"), "--out", str(out)) == 0
+    assert (out / "phase.gcf").read_bytes() == (series / "phase.gcf").read_bytes()
+    resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    assert {key: resolved[key] for key in recorded} == recorded
 
 
 @pytest.mark.parametrize("d, seed", [(2, 1), (4, 12)], ids=["d2-seed1", "d4-seed12"])

@@ -174,6 +174,23 @@ def test_random_masks_are_orthonormal_with_the_hadamard_reference(d, seed):
     assert basis.perm[0] == 0
 
 
+def test_random_basis_is_a_hashable_value():
+    a, b = random_basis(8, 3), random_basis(8, 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != hadamard_matrix(8) and a != random_basis(8, 4)
+    assert a.descriptor == "permuted:3" and hadamard_matrix(8).descriptor == "hadamard:natural"
+
+
+def test_unseeded_shuffles_return_their_input():
+    H = hadamard_matrix(4)
+    field = np.arange(16.0).reshape(4, 4)
+    assert H.shuffle(field) is field and H.unshuffle(field) is field
+    basis = random_basis(4, seed=1)
+    np.testing.assert_array_equal(basis.shuffle(basis.unshuffle(field)), field)
+    with pytest.raises(DimensionError):
+        basis.unshuffle(np.zeros((1, 16)))
+
+
 def test_random_permutation_is_pinned():
     # drawn from Philox words, not a Generator method, so every numpy release draws it alike
     np.testing.assert_array_equal(random_basis(4, seed=1).perm,

@@ -126,6 +126,13 @@ def test_analytic_requires_ground_truth():
         remove_artifact_analytic(gic, gis, obj, basis)
 
 
+def test_closed_form_rejects_a_shuffled_basis():
+    obj = _object("flat", 8)
+    with pytest.raises(ValueError, match="Hadamard basis"):
+        closed_form_gi(obj, random_basis(8, 1))
+    closed_form_gi(obj, hadamard_matrix(8))
+
+
 def test_estimate_spectrum_matches_truth():
     # valid regime: the uniform reference mode carries most of the energy
     H = hadamard_matrix(8)

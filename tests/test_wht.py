@@ -47,7 +47,8 @@ def test_orthogonality_and_column_zero(d, ordering):
     assert np.all(rows[0] > 0)
     assert np.all(rows[:, 0] > 0)
     # the basis holds no array, so stages share it without copies
-    assert [f.name for f in dataclasses.fields(H)] == ["dim", "ordering"]
+    assert [f.name for f in dataclasses.fields(H)] == ["dim", "ordering", "seed"]
+    assert not any(isinstance(getattr(H, f.name), np.ndarray) for f in dataclasses.fields(H))
 
 
 def test_non_power_of_two_rejected():
