@@ -33,11 +33,41 @@ def _sequency_permutation(d: int) -> tuple:
     return tuple(int(i) for i in np.argsort(changes, kind="stable"))
 
 
+_MASK64 = 2 ** 64 - 1
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple:
+    """The low and high 64-bit words of a * b, the high word summed from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _SHIFT32, b & _LOW32, b >> _SHIFT32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = ((lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> _SHIFT32
+    return a * b, a_hi * b_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry
+
+
+def _philox_words(seed: int, n: int) -> np.ndarray:
+    """The first n words of numpy's ``Philox(key=[seed, 0]).random_raw``: Philox4x64-10
+    (Salmon et al., SC'11), whose block i is counter (i + 1, 0, 0, 0) and gives words 4i..4i+3.
+    uint64 array products wrap silently; the key schedule stays in Python ints, because numpy
+    scalar arithmetic raises on overflow under ``errstate(over="raise")``."""
+    k0, k1 = (int(k) for k in np.array([seed, 0], dtype=np.uint64))
+    x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
+    x1 = x2 = x3 = np.zeros_like(x0)
+    for _ in range(10):
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
+        lo2, hi2 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi2 ^ x1 ^ np.uint64(k0), lo2, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return np.stack((x0, x1, x2, x3), axis=1).ravel()[:n]
+
+
 @lru_cache(maxsize=1)
 def _pixel_permutation(d: int, seed: int) -> np.ndarray:
     """perm fixes pixel 0; perm[1:] is 1 + the stable argsort of the first N - 1 words of the
     Philox stream keyed (seed, 0).  Read-only, so every basis with this seed shares it."""
-    words = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(d * d - 1)
+    words = _philox_words(seed, d * d - 1)
     perm = np.concatenate(([0], 1 + np.argsort(words, kind="stable")))
     perm.flags.writeable = False
     return perm
@@ -53,6 +83,11 @@ class OrthoMatrix:
     ordering: str = NATURAL
     seed: Optional[int] = None
 
+    def __post_init__(self):
+        if self.seed is not None and self.ordering != NATURAL:
+            # the descriptor permuted:<seed> names natural-order masks
+            raise ValueError(f"a seeded basis scans natural order, got {self.ordering!r}")
+
     @property
     def size(self) -> int:
         return self.dim * self.dim
@@ -63,6 +98,8 @@ class OrthoMatrix:
 
     @property
     def perm(self) -> np.ndarray:
+        if self.seed is None:
+            raise ValueError("an unseeded basis has no pixel permutation")
         return _pixel_permutation(self.dim, self.seed)
 
     def mask(self, j: int) -> np.ndarray:

@@ -638,6 +638,31 @@ def test_only_the_pipeline_loads_openssl(tmp_path):
     assert loaded == "[False, False, False, False]"
 
 
+def test_exact_random_mask_runs_do_not_load_numpy_random(tmp_path):
+    # the basis permutation's Philox words are computed in wht; only shot noise draws from numpy.random
+    src = os.path.dirname(os.path.dirname(ghostphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy; loaded = ['numpy.random' in sys.modules]\n"
+            "from ghostphase import cli\n"
+            "out, basis = sys.argv[1], ['--d', '16', '--basis', 'random', '--basis-seed', '5']\n"
+            "for argv in (['pipeline', *basis, '--out', out + '/p'],\n"
+            "             ['acquire', *basis, '--object', out + '/p/object.gcf', '--out', out + '/a'],\n"
+            "             ['reconstruct', '--d', '16', '--cos', out + '/a/series_cos.csv',\n"
+            "              '--sin', out + '/a/series_sin.csv', '--out', out + '/r'],\n"
+            "             ['gen-masks', *basis, '--count', '5', '--out', out + '/m'],\n"
+            "             ['pipeline', *basis, '--flux', '1e6', '--out', out + '/f']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "print(loaded)\n")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.splitlines()[-1]
+    if loaded.startswith("[True"):
+        pytest.skip("this numpy release imports numpy.random on import")
+    assert loaded == "[False, False, False, False, False, True]"
+
+
 # sha256 of the text artifacts, recorded from the row-by-row series writer
 # and the PyYAML config dump
 GOLDEN_TEXT_ARTIFACTS = {

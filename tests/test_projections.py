@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostphase import hadamard_matrix, measure_exact, random_basis
-from ghostphase.wht import DimensionError
+from ghostphase.wht import DimensionError, OrthoMatrix, _philox_words
 from ghostphase.acquisition import mask_overlaps
 from ghostphase.reconstruction import _coefficient_image
 
@@ -195,6 +195,29 @@ def test_random_permutation_is_pinned():
     # drawn from Philox words, not a Generator method, so every numpy release draws it alike
     np.testing.assert_array_equal(random_basis(4, seed=1).perm,
                                   [0, 4, 6, 3, 10, 8, 11, 15, 1, 9, 14, 13, 7, 12, 2, 5])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
+def test_philox_words_equal_numpys_philox(seed):
+    # numpy's Philox is the oracle; stages run under errstate(over="raise")
+    for n in (1, 3, 4, 5, 1023, 65535):
+        with np.errstate(all="raise"):
+            words = _philox_words(seed, n)
+        oracle = np.random.Philox(key=np.array([seed, 0], np.uint64)).random_raw(n)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, oracle)
+
+
+def test_a_seeded_basis_scans_natural_order():
+    # permuted:<seed> names natural-order masks, so a seeded sequency basis would be misread
+    with pytest.raises(ValueError, match="natural order"):
+        OrthoMatrix(8, "sequency", seed=3)
+    assert OrthoMatrix(8, seed=3) == random_basis(8, 3)
+
+
+def test_an_unseeded_basis_has_no_permutation():
+    with pytest.raises(ValueError, match="no pixel permutation"):
+        hadamard_matrix(8).perm
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
