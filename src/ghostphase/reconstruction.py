@@ -51,26 +51,31 @@ class PhaseImage:
 
 def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     """(1/N) sum_j w_j M_j for a flat coefficient vector w."""
-    return basis.shuffle(fwht2(coeffs.reshape(basis.dim, basis.dim), basis)) / coeffs.size
+    image = basis.shuffle(fwht2(coeffs.reshape(basis.dim, basis.dim), basis))
+    image /= coeffs.size    # a fresh array: fwht2 copies, and so does a seeded shuffle
+    return image
 
 
 def ghost_image(series: MeasurementSeries, basis: OrthoMatrix) -> np.ndarray:
     """Mean-subtracted correlation reconstruction (one channel).
 
     Sampled-count series are normalized by their total first; the overall
-    scale only affects contrast.
+    scale only affects contrast.  The series' values are left as they are.
     """
     v = np.asarray(series.values, dtype=float)
     if v.size != basis.dim * basis.dim:
         raise ValueError(f"series length {v.size} does not match basis N={basis.dim ** 2}")
     if series.basis != basis.descriptor:
         raise ValueError(f"series basis {series.basis!r} does not match {basis.descriptor!r}")
-    if not series.exact:
+    if series.exact:
+        v = v.copy()    # asarray keeps exact float64 values as the caller's array
+    else:
         total = v.sum()
         if not total > 0:
             raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
         v = v / total
-    return _coefficient_image(v - v.mean(), basis)
+    v -= v.mean()
+    return _coefficient_image(v, basis)
 
 
 def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, ClosedFormTerms]:
@@ -120,6 +125,10 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
     is inferred from measured values; no ground truth enters.  Channels
     are brought to a common scale through their reference samples
     (v_cos_0 = 2 p0, v_sin_0 = p0).
+
+    The arithmetic updates arrays made here in place, in the order of the
+    textbook expressions, so the results keep their bits and the series
+    their values.
     """
     vc = np.asarray(series_cos.values, dtype=float)
     vs = np.asarray(series_sin.values, dtype=float)
@@ -128,25 +137,28 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
     p0 = vc[0] / 2.0
     if p0 <= 0 or vs[0] <= 0:
         raise ValueError("reference-mode samples are empty; cannot estimate the spectrum")
-    vs = vs * (p0 / vs[0])
     A = vc - p0 / 2
-    B = vs - p0 / 2
-    S = A + B + p0
-    disc = np.maximum(S * S - 2 * (A * A + B * B), 0.0)
-    u = (S - np.sqrt(disc)) / 2.0
-    p = np.maximum(2 * u, 0.0)
-    return SpectrumEstimate(
-        p0=float(p0),
-        probabilities=p,
-        cross_cos=A - u,
-        cross_sin=SINE_CHANNEL_SIGN * (B - u),
-    )
+    B = vs * (p0 / vs[0])
+    B -= p0 / 2
+    u = A + B
+    u += p0                         # S
+    disc = A * A                    # max(S^2 - 2 (A^2 + B^2), 0)
+    disc += B * B
+    disc *= 2
+    np.subtract(u * u, disc, out=disc)
+    np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    u -= disc                       # (S - sqrt(disc)) / 2
+    u /= 2.0
+    p = np.maximum(np.multiply(u, 2, out=disc), 0.0, out=disc)    # disc's buffer holds p
+    A -= u                          # the cross terms
+    B -= u
+    B *= SINE_CHANNEL_SIGN
+    return SpectrumEstimate(p0=float(p0), probabilities=p, cross_cos=A, cross_sin=B)
 
 
 def _patch_corner(img: np.ndarray) -> np.ndarray:
-    out = img.copy()
-    out[0, 0] = (out[0, 1] + out[1, 0] + out[1, 1]) / 3.0
-    return out
+    img[0, 0] = (img[0, 1] + img[1, 0] + img[1, 1]) / 3.0
+    return img
 
 
 def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries,
@@ -158,9 +170,12 @@ def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries
     removes the spectral artifact) and patches the corner DC pixel.
     """
     est = estimate_spectrum(series_cos, series_sin)
+    cross = est.cross_cos, est.cross_sin
+    del est     # its probabilities are not needed; the cross terms are this call's to update
     # shuffled or not, the masks are orthonormal and sum to zero off the corner: a mean only hits it
-    re, im = (_coefficient_image(w - w.mean(), basis) for w in (est.cross_cos, est.cross_sin))
-    return _patch_corner(re), _patch_corner(im)
+    for w in cross:
+        w -= w.mean()
+    return tuple(_patch_corner(_coefficient_image(w, basis)) for w in cross)
 
 
 def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray,

@@ -84,6 +84,9 @@ class OrthoMatrix:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if self.seed is not None and not 0 <= self.seed < 2 ** 64:
+            # the Philox key is one uint64 word
+            raise ValueError(f"basis seed must be in [0, 2**64), got {self.seed}")
         if self.seed is not None and self.ordering != NATURAL:
             # the descriptor permuted:<seed> names natural-order masks
             raise ValueError(f"a seeded basis scans natural order, got {self.ordering!r}")

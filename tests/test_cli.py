@@ -638,6 +638,26 @@ def test_only_the_pipeline_loads_openssl(tmp_path):
     assert loaded == "[False, False, False, False]"
 
 
+def test_pipeline_frees_its_stage_results_before_hashing(tmp_path, monkeypatch):
+    # with the object, series and reconstruction alive, OpenSSL loaded on top of 4.8 MB at d=256
+    live = []
+    sha256 = hashlib.sha256
+
+    def recording(*args):
+        if not live:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", recording)
+    tracemalloc.start()
+    try:
+        code, stderr = run_cli(["pipeline", "--d", "256", "--out", str(tmp_path)])
+    finally:
+        tracemalloc.stop()
+    assert code == 0, stderr
+    assert live[0] < 2 ** 20
+
+
 def test_exact_random_mask_runs_do_not_load_numpy_random(tmp_path):
     # the basis permutation's Philox words are computed in wht; only shot noise draws from numpy.random
     src = os.path.dirname(os.path.dirname(ghostphase.__file__))

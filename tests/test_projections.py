@@ -215,6 +215,16 @@ def test_a_seeded_basis_scans_natural_order():
     assert OrthoMatrix(8, seed=3) == random_basis(8, 3)
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, -1])
+def test_a_seed_outside_one_uint64_word_is_rejected(seed):
+    # such a basis used to build, name itself permuted:<seed> and fail in perm on first use
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        random_basis(8, seed)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        OrthoMatrix(8, seed=seed)
+    assert random_basis(8, 2 ** 64 - 1).descriptor == f"permuted:{2 ** 64 - 1}"
+
+
 def test_an_unseeded_basis_has_no_permutation():
     with pytest.raises(ValueError, match="no pixel permutation"):
         hadamard_matrix(8).perm

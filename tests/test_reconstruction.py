@@ -12,8 +12,9 @@ from ghostphase import (ObjectSpec, closed_form_gi, combine_phase, denoise, disc
                         estimate_spectrum, fwht2, ghost_image, hadamard_matrix, make_object,
                         measure_exact, normalize, phase_rmse, random_basis, remove_artifact,
                         remove_artifact_analytic, sample_counts)
-from ghostphase import reconstruction
-from ghostphase.reconstruction import PhaseImage, _masked_median
+from ghostphase import cli, reconstruction
+from ghostphase.config import RunConfig
+from ghostphase.reconstruction import SINE_CHANNEL_SIGN, PhaseImage, _masked_median
 from ghostphase.analysis import wrap
 
 from conftest import mask_matrix, phase_pearson, random_complex_object
@@ -202,6 +203,51 @@ def test_heuristic_equals_analytic_for_any_reference_dominated_object(obj):
     interior[0, 0] = False
     np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
     np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
+
+
+def _textbook_spectrum(series_cos, series_sin):
+    """estimate_spectrum's arithmetic written out of place, one expression per quantity."""
+    vc, vs = series_cos.values, series_sin.values
+    p0 = vc[0] / 2.0
+    vs = vs * (p0 / vs[0])
+    A = vc - p0 / 2
+    B = vs - p0 / 2
+    S = A + B + p0
+    disc = np.maximum(S * S - 2 * (A * A + B * B), 0.0)
+    u = (S - np.sqrt(disc)) / 2.0
+    return p0, np.maximum(2 * u, 0.0), A - u, SINE_CHANNEL_SIGN * (B - u)
+
+
+def _series_pair(obj, basis, flux):
+    pair = measure_exact(obj, basis)
+    return pair if flux is None else tuple(sample_counts(s, flux, seed=5) for s in pair)
+
+
+@pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
+@pytest.mark.parametrize("kind", ["azimuthal-ring-phase", "spiral-flower-phase"])
+def test_estimate_spectrum_is_bit_identical_to_the_textbook_expressions(kind, flux):
+    # in-place updates must keep every operation and its order, not just agree to rounding
+    pair = _series_pair(_object(kind, 64), hadamard_matrix(64), flux)
+    est = estimate_spectrum(*pair)
+    p0, p, cross_cos, cross_sin = _textbook_spectrum(*pair)
+    assert est.p0 == p0
+    for got, want in ((est.probabilities, p), (est.cross_cos, cross_cos), (est.cross_sin, cross_sin)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
+@pytest.mark.parametrize("basis", [hadamard_matrix(16), random_basis(16, 3)], ids=["hadamard", "random"])
+def test_reconstruction_leaves_the_series_values_alone(basis, flux):
+    # an exact series' values are the caller's array, and a pipeline writes them after reconstructing
+    pair = _series_pair(_object("spiral-flower-phase", 16), basis, flux)
+    before = [s.values.tobytes() for s in pair]
+    ghost_image(pair[0], basis)
+    ghost_image(pair[1], basis)
+    estimate_spectrum(*pair)
+    remove_artifact(*pair, basis)
+    cli.reconstruct(RunConfig(d=16), *pair)
+    assert [s.values.tobytes() for s in pair] == before
 
 
 def test_combine_phase_basics():
@@ -418,6 +464,26 @@ def test_denoise_memory_does_not_grow_with_the_window():
 
     assert peak(3) < 5 * 2 ** 20
     assert peak(15) < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
+def test_artifact_removal_working_set(flux):
+    # in N-sized float64 arrays at d=256: out-of-place arithmetic peaked at 9 in both
+    d = 256
+    H = hadamard_matrix(d)
+    pair = _series_pair(_object("azimuthal-ring-phase", d), H, flux)
+
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (8 * d * d)
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: estimate_spectrum(*pair)) < 6
+    assert peak(lambda: remove_artifact(*pair, H)) < 7
 
 
 def test_denoise_window_wider_than_the_grid_gives_the_whole_grid_window(monkeypatch):
