@@ -21,11 +21,14 @@ class MeasurementSeries:
     """
 
     kind: str                       # "cos" | "sin"
-    dim: int
-    basis: str                      # e.g. "hadamard:natural" or "permuted:42"
+    basis: OrthoMatrix              # the masks that measured the values
     values: np.ndarray = field(repr=False)
     flux: Optional[float] = None
     seed: Optional[int] = None
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
 
     @property
     def size(self) -> int:
@@ -52,8 +55,7 @@ def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSerie
     c0 = overlaps[0]
     t_cos = (overlaps + c0) / SQRT2
     t_sin = (overlaps - 1j * c0) / SQRT2
-    return tuple(MeasurementSeries(kind=kind, dim=basis.dim, basis=basis.descriptor,
-                                   values=np.abs(t) ** 2)
+    return tuple(MeasurementSeries(kind=kind, basis=basis, values=np.abs(t) ** 2)
                  for kind, t in (("cos", t_cos), ("sin", t_sin)))
 
 

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import acquisition, analysis, formats, projections, reconstruction, scene, wht
+from . import acquisition, analysis, formats, reconstruction, scene
 from .config import ConfigError, RunConfig, load_config
 from .formats import DataError
 
@@ -39,22 +39,6 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.output_dir
 
 
-def _make_basis(cfg: RunConfig):
-    descriptor = f"hadamard:{cfg.ordering}" if cfg.basis == "hadamard" else f"permuted:{cfg.basis_seed}"
-    return _basis_from_descriptor(descriptor, cfg.d)
-
-
-def _basis_from_descriptor(descriptor: str, d: int) -> wht.OrthoMatrix:
-    """The scan basis a series header names.  A seeded basis draws its permutation once, on
-    first use, and stages share that read-only array."""
-    family, _, arg = descriptor.partition(":")
-    if family == "hadamard" and arg in (wht.NATURAL, wht.SEQUENCY):
-        return wht.hadamard_matrix(d, arg)
-    if family == "permuted" and arg.isascii() and arg.isdigit():    # the basis checks the range
-        return projections.random_basis(d, int(arg))
-    raise ValueError(f"unknown basis descriptor {descriptor!r}")
-
-
 # A stage maps in-memory inputs to in-memory results under one RunConfig and
 # a writer puts one stage's results into the output directory.  Subcommands
 # read their inputs from files; `pipeline` hands each result to the next stage.
@@ -68,7 +52,7 @@ Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
 
 def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
     """The (cos, sin) detection series of an object, exact or Poisson-sampled."""
-    pair = acquisition.measure_exact(obj, _make_basis(cfg))
+    pair = acquisition.measure_exact(obj, cfg.scan_basis())
     if cfg.flux is not None:
         pair = tuple(acquisition.sample_counts(s, cfg.flux, cfg.acquisition_seed) for s in pair)
     return pair
@@ -76,18 +60,17 @@ def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
 
 def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruction:
     """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
-    if series_cos.dim != series_sin.dim or series_cos.basis != series_sin.basis:
+    if series_cos.basis != series_sin.basis:
         raise ValueError("cos and sin series headers do not match")
     if series_cos.kind != "cos" or series_sin.kind != "sin":
         raise ValueError("series channel kinds do not match their roles")
     d = series_cos.dim
-    basis = _basis_from_descriptor(series_cos.basis, d)
-    gi_cos = reconstruction.ghost_image(series_cos, basis)
-    gi_sin = reconstruction.ghost_image(series_sin, basis)
+    gi_cos = reconstruction.ghost_image(series_cos)
+    gi_sin = reconstruction.ghost_image(series_sin)
     if cfg.artifact_mode == "analytic":
-        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, basis)
+        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, series_cos.basis)
     else:
-        re, im = reconstruction.remove_artifact(series_cos, series_sin, basis)
+        re, im = reconstruction.remove_artifact(series_cos, series_sin)
     # the support radius follows cfg.d, not the series dimension
     radius = cfg.illumination_radius
     if radius is None:
@@ -228,7 +211,7 @@ def cmd_gen_masks(args, cfg: RunConfig) -> None:
     """Write each mask's sign grids as soon as they are made: memory does not grow with --count.
     The cos mask (M_j + M_0)/sqrt(2) is open where M_j > 0; the sin mask (M_j + i M_0)/sqrt(2)
     is in the 1+i state there and in the 1-i state elsewhere."""
-    basis = _make_basis(cfg)
+    basis = cfg.scan_basis()
     N = basis.size
     if args.index is not None and not 0 <= args.index < N:
         raise ConfigError(f"--index: must be in [0, {N}), got {args.index}")
@@ -268,18 +251,16 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
         rec = reconstruct(cfg, series_cos, series_sin, obj)
-    basis = _basis_from_descriptor(series_cos.basis, series_cos.dim)   # record the basis that ran
-    seeded = {"basis": "hadamard"} if basis.seed is None else {"basis": "random", "basis_seed": basis.seed}
-    cfg = dataclasses.replace(cfg, ordering=basis.ordering, **seeded)
-    write_reconstruction(_outdir(cfg), rec)
+    write_reconstruction(_outdir(cfg.with_basis(series_cos.basis)), rec)   # record the basis that ran
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
     with _blame_files(inputs):
-        result = analyze(cfg, _read_phase_image(args.phase, args.support),
-                         _read_phase_image(args.truth, args.truth_support))
-    write_analysis(_outdir(cfg), result)
+        recovered = _read_phase_image(args.phase, args.support)
+        result = analyze(cfg, recovered, _read_phase_image(args.truth, args.truth_support))
+    # the map's size is what was analysed; record it in place of cfg.d, as acquire does
+    write_analysis(_outdir(dataclasses.replace(cfg, d=recovered.entries.shape[0])), result)
 
 
 def _run_pipeline(cfg: RunConfig) -> str:

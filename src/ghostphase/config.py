@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .scene import KINDS, ObjectSpec
+from .wht import OrthoMatrix
 
 
 class ConfigError(ValueError):
@@ -92,6 +93,16 @@ class RunConfig:
             # azimuthal_slope fits a slope and an intercept
             raise ConfigError(f"analysis.samples: must be at least 2, got {self.analysis_samples}")
         return self
+
+    def scan_basis(self) -> OrthoMatrix:
+        """The configured d x d scan basis: Hadamard in its ordering, or seeded for random masks."""
+        return OrthoMatrix(self.d, self.ordering, self.basis_seed if self.basis == "random" else None)
+
+    def with_basis(self, basis: OrthoMatrix) -> "RunConfig":
+        """This config naming ``basis``; a Hadamard basis has no seed, so basis_seed stays, as d does."""
+        if basis.seed is None:
+            return replace(self, basis="hadamard", ordering=basis.ordering)
+        return replace(self, basis="random", ordering=basis.ordering, basis_seed=basis.seed)
 
     def object_spec(self) -> ObjectSpec:
         """The generated object's geometry; a from-file object has none."""

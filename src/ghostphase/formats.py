@@ -9,6 +9,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .acquisition import MeasurementSeries
+from .wht import OrthoMatrix
 
 MAGIC = b"GCF1"
 FIELD_KINDS = ("complex", "real", "phase")
@@ -104,7 +105,7 @@ def write_series(path, series: MeasurementSeries) -> None:
     n = values.size
     width = max(len(str(n - 1)), 4)     # room for the four table digits
     with open(path, "wb") as fh:
-        fh.write(f"# d={series.dim} basis={series.basis} kind={series.kind}"
+        fh.write(f"# d={series.dim} basis={series.basis.descriptor} kind={series.kind}"
                  f" flux={'exact' if series.exact else series.flux}"
                  f" seed={'none' if series.seed is None else series.seed}\n".encode())
         for start in range(0, n, _ROWS):
@@ -152,15 +153,15 @@ def read_series(path) -> MeasurementSeries:
         try:
             d = int(meta["d"])
             kind = meta["kind"]
-            basis = meta["basis"]
             flux = None if meta.get("flux", "exact") == "exact" else float(meta["flux"])
             seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
+            if d < 2:
+                raise ValueError(f"d={d}, must be at least 2")
+            basis = OrthoMatrix.from_descriptor(meta["basis"], d)   # the basis checks d too
         except KeyError as exc:
             raise DataError(f"{path}: missing series header field {exc}") from exc
         except ValueError as exc:
             raise DataError(f"{path}: bad series header value ({exc})") from None
-        if d < 2:
-            raise DataError(f"{path}: bad series header value (d={d}, must be at least 2)")
         fh.seek(start)
         # Any warning is malformed input: "no data" for a header-only file, and
         # on older numpy an integer field parsed through a float ('1.0').
@@ -177,7 +178,7 @@ def read_series(path) -> MeasurementSeries:
     values = np.ascontiguousarray(rows["v"])
     if not np.all(np.isfinite(values)) or (values < 0).any():
         raise DataError(f"{path}: series values must be finite and nonnegative")
-    return MeasurementSeries(kind=kind, dim=d, basis=basis, values=values, flux=flux, seed=seed)
+    return MeasurementSeries(kind=kind, basis=basis, values=values, flux=flux, seed=seed)
 
 
 def write_pgm(path, data: np.ndarray, lo: Optional[float] = None, hi: Optional[float] = None,

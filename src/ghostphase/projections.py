@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-
-from .wht import OrthoMatrix, hadamard_matrix
+from .wht import OrthoMatrix
 
 
 def random_basis(d: int, seed: int) -> OrthoMatrix:
     """The natural-order Hadamard basis with its pixels shuffled by the permutation of ``seed``."""
-    return dataclasses.replace(hadamard_matrix(d), seed=seed)
+    return OrthoMatrix(d, seed=seed)

@@ -56,17 +56,15 @@ def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     return image
 
 
-def ghost_image(series: MeasurementSeries, basis: OrthoMatrix) -> np.ndarray:
-    """Mean-subtracted correlation reconstruction (one channel).
+def ghost_image(series: MeasurementSeries) -> np.ndarray:
+    """Mean-subtracted correlation reconstruction (one channel) in the series' own basis.
 
     Sampled-count series are normalized by their total first; the overall
     scale only affects contrast.  The series' values are left as they are.
     """
     v = np.asarray(series.values, dtype=float)
-    if v.size != basis.dim * basis.dim:
-        raise ValueError(f"series length {v.size} does not match basis N={basis.dim ** 2}")
-    if series.basis != basis.descriptor:
-        raise ValueError(f"series basis {series.basis!r} does not match {basis.descriptor!r}")
+    if v.size != series.basis.size:
+        raise ValueError(f"series length {v.size} does not match basis N={series.basis.size}")
     if series.exact:
         v = v.copy()    # asarray keeps exact float64 values as the caller's array
     else:
@@ -75,7 +73,7 @@ def ghost_image(series: MeasurementSeries, basis: OrthoMatrix) -> np.ndarray:
             raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
         v = v / total
     v -= v.mean()
-    return _coefficient_image(v, basis)
+    return _coefficient_image(v, series.basis)
 
 
 def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, ClosedFormTerms]:
@@ -161,8 +159,8 @@ def _patch_corner(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries,
-                    basis: OrthoMatrix) -> Tuple[np.ndarray, np.ndarray]:
+def remove_artifact(series_cos: MeasurementSeries,
+                    series_sin: MeasurementSeries) -> Tuple[np.ndarray, np.ndarray]:
     """Fields proportional to Re(O) and Im(O) from the measured series alone.
 
     Solves each mask's channel pair for the per-mask probability and cross
@@ -175,7 +173,7 @@ def remove_artifact(series_cos: MeasurementSeries, series_sin: MeasurementSeries
     # shuffled or not, the masks are orthonormal and sum to zero off the corner: a mean only hits it
     for w in cross:
         w -= w.mean()
-    return tuple(_patch_corner(_coefficient_image(w, basis)) for w in cross)
+    return tuple(_patch_corner(_coefficient_image(w, series_cos.basis)) for w in cross)
 
 
 def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray,

@@ -21,10 +21,6 @@ class DimensionError(ValueError):
     """Raised for non power-of-two sizes or mismatched shapes."""
 
 
-def _is_power_of_two(d: int) -> bool:
-    return d >= 1 and (d & (d - 1)) == 0
-
-
 @lru_cache(maxsize=None)
 def _sequency_permutation(d: int) -> tuple:
     """perm[s] = natural (Sylvester) row index with sequency rank s."""
@@ -84,12 +80,19 @@ class OrthoMatrix:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.seed is not None and not 0 <= self.seed < 2 ** 64:
+        """Every check of a scan basis.  A numpy integer dim is stored as an int."""
+        dim, seed = self.dim, self.seed
+        if not isinstance(dim, (int, np.integer)) or dim < 1 or dim & (dim - 1):
+            raise DimensionError(f"dimension must be a power of two, got {dim!r}")
+        if self.ordering not in (NATURAL, SEQUENCY):
+            raise ValueError(f"unknown ordering {self.ordering!r}")
+        if seed is not None and not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64):
             # the Philox key is one uint64 word
-            raise ValueError(f"basis seed must be in [0, 2**64), got {self.seed}")
-        if self.seed is not None and self.ordering != NATURAL:
+            raise ValueError(f"basis seed must be an integer in [0, 2**64), got {seed!r}")
+        if seed is not None and self.ordering != NATURAL:
             # the descriptor permuted:<seed> names natural-order masks
             raise ValueError(f"a seeded basis scans natural order, got {self.ordering!r}")
+        object.__setattr__(self, "dim", int(dim))
 
     @property
     def size(self) -> int:
@@ -97,7 +100,18 @@ class OrthoMatrix:
 
     @property
     def descriptor(self) -> str:
+        """The basis's name in a series header: hadamard:<ordering> or permuted:<seed>."""
         return f"hadamard:{self.ordering}" if self.seed is None else f"permuted:{self.seed}"
+
+    @classmethod
+    def from_descriptor(cls, text: str, d: int) -> "OrthoMatrix":
+        """The d x d basis whose `descriptor` is ``text``; no other spelling (permuted:05) parses."""
+        family, _, arg = text.partition(":")
+        if family == "hadamard" and arg in (NATURAL, SEQUENCY):
+            return cls(d, arg)
+        if family == "permuted" and arg.isascii() and arg.isdigit() and str(int(arg)) == arg:
+            return cls(d, seed=int(arg))
+        raise ValueError(f"unknown basis descriptor {text!r}")
 
     @property
     def perm(self) -> np.ndarray:
@@ -147,12 +161,7 @@ def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
     the sequency reordering (rows ranked by sign-change count) preserves
     symmetry.  Row 0 is all-positive under both orderings.
     """
-    if not isinstance(d, (int, np.integer)) or not _is_power_of_two(int(d)):
-        raise DimensionError(f"dimension must be a power of two, got {d!r}")
-    d = int(d)
-    if ordering not in (NATURAL, SEQUENCY):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return OrthoMatrix(dim=d, ordering=ordering)
+    return OrthoMatrix(d, ordering)
 
 
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:

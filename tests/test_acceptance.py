@@ -45,7 +45,7 @@ def _recover_heuristic(obj, basis, flux=None, seed=0, window=1, support=None):
     if flux is not None:
         sc = sample_counts(sc, flux, seed)
         ss = sample_counts(ss, flux, seed)
-    re, im = remove_artifact(sc, ss, basis)
+    re, im = remove_artifact(sc, ss)
     if support is None:
         support = np.abs(obj) > 0
     return denoise(combine_phase(re, im, support), window)
@@ -59,7 +59,7 @@ def test_criterion_01_closed_form_identity():
         for kind in ALL_KINDS:
             obj = _object(kind, d)
             for series, terms in zip(measure_exact(obj, H), closed_form_gi(obj, H)):
-                gi = ghost_image(series, H)
+                gi = ghost_image(series)
                 cf = terms.total
                 worst = max(worst, float(np.max(np.abs(gi - cf))))
     elapsed = time.perf_counter() - start
@@ -74,7 +74,7 @@ def test_criterion_02_exact_phase_recovery_analytic():
         d = 32
         H = hadamard_matrix(d)
         obj = _object(kind, d)
-        gic, gis = (ghost_image(s, H) for s in measure_exact(obj, H))
+        gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
         re, im = remove_artifact_analytic(gic, gis, obj, H)
         phase = combine_phase(re, im, np.abs(obj) > 0)
         rmse = phase_rmse(phase, _truth_phase(obj))
@@ -118,7 +118,7 @@ def test_criterion_05_amplitude_baseline():
     # blocked regions between them (the object support alone is constant)
     support = disc_mask(d, default_radius(d))
     sc, ss = measure_exact(obj, H)
-    re, im = remove_artifact(sc, ss, H)
+    re, im = remove_artifact(sc, ss)
     intensity = np.abs(obj) ** 2
     r = float(np.corrcoef(re[support], intensity[support])[0, 1])
     phase = combine_phase(re, im, support)

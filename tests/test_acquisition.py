@@ -192,7 +192,7 @@ def test_sampling_keys_seeds_above_2_63_exactly():
        seed=st.integers(0, 2**63))
 def test_sampling_counts_are_nonnegative_integers(values, flux, seed):
     values = np.array(values)
-    series = MeasurementSeries(kind="cos", dim=1, basis="hadamard:natural", values=values)
+    series = MeasurementSeries(kind="cos", basis=hadamard_matrix(1), values=values)
     counts = sample_counts(series, flux, seed).values
     assert counts.shape == values.shape
     assert np.all(counts >= 0) and np.all(counts == np.round(counts))

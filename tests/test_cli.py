@@ -509,8 +509,13 @@ def _resize(d):
     return lambda text: "".join(text.replace("# d=4 ", f"# d={d} ", 1).splitlines(True)[:d * d + 1])
 
 
-# READ: reading the cos file fails; STAGE: reconstruct fails on both files' values
-READ, STAGE = ("cos",), ("cos", "sin")
+def _sin_only(corrupt):
+    return lambda text: corrupt(text) if " kind=sin " in text else text
+
+
+# READ: reading the cos file fails; SIN: reading the sin file fails; STAGE: reconstruct fails on
+# both files' values.  A header's basis and d are checked as the file is read
+READ, SIN, STAGE = ("cos",), ("sin",), ("cos", "sin")
 
 # series-file corruption -> reconstruct must exit 3, naming the files to blame, without a traceback
 MALFORMED_SERIES = [
@@ -518,15 +523,19 @@ MALFORMED_SERIES = [
     pytest.param(_replace("\n1,", "\n1,x"), READ, id="row-bad-number"),
     pytest.param(_replace(" kind=", " kind "), READ, id="header-token-without-equals"),
     pytest.param(_replace("seed=none", "seed=abc"), READ, id="header-bad-seed"),
-    pytest.param(_replace("hadamard:natural", "hadamard:bogus"), STAGE, id="hadamard-bogus"),
+    pytest.param(_replace("hadamard:natural", "hadamard:bogus"), READ, id="hadamard-bogus"),
     # the random family's descriptor is permuted:<seed>; random:<seed> named an older mask set
-    pytest.param(_replace("hadamard:natural", "permuted:abc"), STAGE, id="random-abc"),
-    pytest.param(_replace("hadamard:natural", "permuted:-1"), STAGE, id="random-negative"),
-    pytest.param(_replace("hadamard:natural", f"permuted:{2 ** 64}"), STAGE, id="random-2**64"),
-    pytest.param(_replace("hadamard:natural", "random:3"), STAGE, id="retired-random-descriptor"),
-    pytest.param(_resize(3), STAGE, id="hadamard-d3"),
+    pytest.param(_replace("hadamard:natural", "permuted:abc"), READ, id="random-abc"),
+    pytest.param(_replace("hadamard:natural", "permuted:-1"), READ, id="random-negative"),
+    pytest.param(_replace("hadamard:natural", f"permuted:{2 ** 64}"), READ, id="random-2**64"),
+    pytest.param(_replace("hadamard:natural", "random:3"), READ, id="retired-random-descriptor"),
+    pytest.param(_resize(3), READ, id="hadamard-d3"),
     pytest.param(_resize(1), READ, id="d-1"),
     pytest.param(lambda text: text.splitlines(True)[0], READ, id="header-only"),
+    pytest.param(_sin_only(_replace("hadamard:natural", "hadamard:bogus")), SIN, id="sin-hadamard-bogus"),
+    # each header is well formed, but the two name different bases
+    pytest.param(_sin_only(_replace("hadamard:natural", "hadamard:sequency")), STAGE,
+                 id="sin-other-ordering"),
 ]
 
 
@@ -717,11 +726,20 @@ def test_pipeline_builds_random_basis_once(tmp_path):
 
 @pytest.mark.parametrize("descriptor, attr", [("permuted:3", "perm")])
 def test_cached_basis_arrays_are_read_only(descriptor, attr):
-    basis = cli._basis_from_descriptor(descriptor, 8)
-    again = cli._basis_from_descriptor(descriptor, 8)
+    basis = wht.OrthoMatrix.from_descriptor(descriptor, 8)
+    again = wht.OrthoMatrix.from_descriptor(descriptor, 8)
     assert again == basis == projections.random_basis(8, 3)
     assert getattr(again, attr) is getattr(basis, attr)
     assert not getattr(basis, attr).flags.writeable
+
+
+@pytest.mark.parametrize("basis", [wht.OrthoMatrix(8), wht.OrthoMatrix(8, "sequency"),
+                                   wht.OrthoMatrix(8, seed=5)], ids=["natural", "sequency", "permuted"])
+def test_config_records_and_rebuilds_a_basis(basis):
+    # a Hadamard basis names no seed, so the configured one stays; d is the config's own
+    cfg = RunConfig(d=32, basis_seed=9).with_basis(basis)
+    assert cfg.validate().d == 32 and cfg.basis_seed == (9 if basis.seed is None else 5)
+    assert dataclasses.replace(cfg, d=8).scan_basis() == basis
 
 
 @pytest.mark.parametrize("series_flags, flags, recorded", [
@@ -743,6 +761,18 @@ def test_reconstruct_records_the_basis_its_series_name(tmp_path, series_flags, f
     assert (out / "phase.gcf").read_bytes() == (series / "phase.gcf").read_bytes()
     resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
     assert {key: resolved[key] for key in recorded} == recorded
+
+
+@pytest.mark.parametrize("flags", [(), ("--d", "64"), ("--d", "16")], ids=["default-d", "same-d", "other-d"])
+def test_analyze_records_the_d_of_its_phase_map(tmp_path, flags):
+    # the map's size is what gets analysed, so resolved_config.yaml records it, as acquire does
+    series = tmp_path / "series"
+    assert run("pipeline", "--d", "64", "--out", str(series)) == 0
+    out = tmp_path / "out"
+    assert run("analyze", *flags, "--phase", str(series / "phase.gcf"), "--support",
+               str(series / "support.gcf"), "--truth", str(series / "object.gcf"), "--out", str(out)) == 0
+    assert (out / "report.txt").read_bytes() == (series / "report.txt").read_bytes()
+    assert yaml.safe_load((out / "resolved_config.yaml").read_text())["d"] == 64
 
 
 @pytest.mark.parametrize("d, seed", [(2, 1), (4, 12)], ids=["d2-seed1", "d4-seed12"])

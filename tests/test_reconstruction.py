@@ -30,7 +30,7 @@ def _object(kind, d):
 
 def test_flat_cos_series_structure():
     H = hadamard_matrix(8)
-    gi = ghost_image(measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[0], H)
+    gi = ghost_image(measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[0])
     body = gi.ravel()[1:]
     assert body.max() - body.min() < 1e-13
     assert abs(gi[0, 0] - body[0]) > 1e-6
@@ -40,7 +40,7 @@ def test_constant_series_gives_zero_image():
     H = hadamard_matrix(8)
     series = measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[0]
     series = replace(series, values=np.full(64, 0.37))
-    np.testing.assert_allclose(ghost_image(series, H), 0, atol=1e-15)
+    np.testing.assert_allclose(ghost_image(series), 0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["cos", "sin"])
@@ -53,7 +53,7 @@ def test_closed_form_equivalence(kind, object_kind, d, ordering):
     H = hadamard_matrix(d, ordering)
     obj = _object(object_kind, d)
     channel = ("cos", "sin").index(kind)
-    gi = ghost_image(measure_exact(obj, H)[channel], H)
+    gi = ghost_image(measure_exact(obj, H)[channel])
     cf = closed_form_gi(obj, H)[channel].total
     assert np.max(np.abs(gi - cf)) <= 1e-10
 
@@ -62,14 +62,14 @@ def test_reference_mode_independence():
     H = hadamard_matrix(8)
     series = measure_exact(_object("pi-slit-phase", 8), H)[0]
     shifted = replace(series, values=series.values + 0.7)
-    np.testing.assert_allclose(ghost_image(series, H),
-                               ghost_image(shifted, H), atol=1e-12)
+    np.testing.assert_allclose(ghost_image(series),
+                               ghost_image(shifted), atol=1e-12)
 
 
 def test_reconstruction_spectrum_is_mean_free():
     from ghostphase import fwht2
     H = hadamard_matrix(8)
-    gi = ghost_image(measure_exact(_object("azimuthal-ring-phase", 8), H)[1], H)
+    gi = ghost_image(measure_exact(_object("azimuthal-ring-phase", 8), H)[1])
     coeffs = fwht2(gi, H)
     assert abs(coeffs.sum()) < 1e-12
 
@@ -78,7 +78,7 @@ def test_series_length_mismatch():
     H = hadamard_matrix(8)
     series = measure_exact(_object("flat", 8), H)[0]
     with pytest.raises(ValueError):
-        ghost_image(replace(series, values=series.values[:10]), hadamard_matrix(8))
+        ghost_image(replace(series, values=series.values[:10]))
 
 
 def test_sin_term1_vanishes_for_real_objects():
@@ -93,7 +93,7 @@ def test_analytic_removal_proportional_to_object():
     H = hadamard_matrix(d)
     obj = _object("pi-slit-phase", d)
     c0 = fwht2(obj, H)[0, 0]
-    gic, gis = (ghost_image(s, H) for s in measure_exact(obj, H))
+    gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
     re, im = remove_artifact_analytic(gic, gis, obj, H)
     scale = abs(c0) / (d * d)
     rotated = np.exp(-1j * np.angle(c0)) * obj
@@ -106,7 +106,7 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
     from ghostphase import reconstruction
     H = hadamard_matrix(8)
     obj = _object("pi-slit-phase", 8)
-    gic, gis = (ghost_image(s, H) for s in measure_exact(obj, H))
+    gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
     calls = []
 
     def counted(*args):
@@ -122,7 +122,7 @@ def test_analytic_requires_ground_truth():
     # the closed form is derived for the Hadamard basis only
     basis = random_basis(4, seed=5)
     obj = _object("flat", 4)
-    gic, gis = (ghost_image(s, basis) for s in measure_exact(obj, basis))
+    gic, gis = (ghost_image(s) for s in measure_exact(obj, basis))
     with pytest.raises(ValueError):
         remove_artifact_analytic(gic, gis, obj, basis)
 
@@ -154,8 +154,8 @@ def test_heuristic_equals_analytic_for_exact_hadamard_series():
     H = hadamard_matrix(d)
     obj = _object("azimuthal-ring-phase", d)
     sc, ss = measure_exact(obj, H)
-    re_a, im_a = remove_artifact_analytic(ghost_image(sc, H), ghost_image(ss, H), obj, H)
-    re_h, im_h = remove_artifact(sc, ss, H)
+    re_a, im_a = remove_artifact_analytic(ghost_image(sc), ghost_image(ss), obj, H)
+    re_h, im_h = remove_artifact(sc, ss)
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
     np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
@@ -197,8 +197,8 @@ def test_heuristic_equals_analytic_for_any_reference_dominated_object(obj):
     H = hadamard_matrix(d)
     _dominant_spectrum(obj, H)
     sc, ss = measure_exact(obj, H)
-    re_a, im_a = remove_artifact_analytic(ghost_image(sc, H), ghost_image(ss, H), obj, H)
-    re_h, im_h = remove_artifact(sc, ss, H)
+    re_a, im_a = remove_artifact_analytic(ghost_image(sc), ghost_image(ss), obj, H)
+    re_h, im_h = remove_artifact(sc, ss)
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
     np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
@@ -242,10 +242,10 @@ def test_reconstruction_leaves_the_series_values_alone(basis, flux):
     # an exact series' values are the caller's array, and a pipeline writes them after reconstructing
     pair = _series_pair(_object("spiral-flower-phase", 16), basis, flux)
     before = [s.values.tobytes() for s in pair]
-    ghost_image(pair[0], basis)
-    ghost_image(pair[1], basis)
+    ghost_image(pair[0])
+    ghost_image(pair[1])
     estimate_spectrum(*pair)
-    remove_artifact(*pair, basis)
+    remove_artifact(*pair)
     cli.reconstruct(RunConfig(d=16), *pair)
     assert [s.values.tobytes() for s in pair] == before
 
@@ -270,7 +270,7 @@ def test_ring_phase_recovered_exactly_analytic():
     H = hadamard_matrix(d)
     obj = _object("azimuthal-ring-phase", d)
     alpha0 = np.angle(fwht2(obj, H)[0, 0])
-    gic, gis = (ghost_image(s, H) for s in measure_exact(obj, H))
+    gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
     re, im = remove_artifact_analytic(gic, gis, obj, H)
     phase = combine_phase(re, im, np.abs(obj) > 0)
     expected = wrap(np.angle(obj) - alpha0)
@@ -284,7 +284,7 @@ def test_global_phase_invariance_of_recovered_phase():
     obj = _object("pi-slit-phase", d)
 
     def recover(o):
-        gic, gis = (ghost_image(s, H) for s in measure_exact(o, H))
+        gic, gis = (ghost_image(s) for s in measure_exact(o, H))
         re, im = remove_artifact_analytic(gic, gis, o, H)
         return combine_phase(re, im, np.abs(o) > 0)
 
@@ -298,7 +298,7 @@ def test_amplitude_object_phase_is_zero():
     H = hadamard_matrix(d)
     obj = _object("double-slit-amplitude", d)
     sc, ss = measure_exact(obj, H)
-    re, im = remove_artifact(sc, ss, H)
+    re, im = remove_artifact(sc, ss)
     phase = combine_phase(re, im, np.abs(obj) > 0)
     assert np.abs(phase.entries[phase.support]).max() < 1e-6
 
@@ -312,7 +312,7 @@ def test_random_vs_hadamard_reconstruction_agreement():
 
     def recover(b):
         sc, ss = measure_exact(obj, b)
-        re, im = remove_artifact(sc, ss, b)
+        re, im = remove_artifact(sc, ss)
         return denoise(combine_phase(re, im, support), 3)
 
     ph_h = recover(H)
@@ -323,7 +323,7 @@ def test_random_vs_hadamard_reconstruction_agreement():
 
 def _random_heuristic(obj, basis):
     sc, ss = measure_exact(obj, basis)
-    re, im = remove_artifact(sc, ss, basis)
+    re, im = remove_artifact(sc, ss)
     return re, im, estimate_spectrum(sc, ss)
 
 
@@ -358,8 +358,8 @@ def test_counts_normalization_preserves_structure():
     obj = _object("pi-slit-phase", d)
     series = measure_exact(obj, H)[0]
     noisy = sample_counts(series, 1e9, seed=3)
-    exact_gi = ghost_image(series, H)
-    noisy_gi = ghost_image(noisy, H)
+    exact_gi = ghost_image(series)
+    noisy_gi = ghost_image(noisy)
     scale = np.linalg.norm(exact_gi) / np.linalg.norm(noisy_gi)
     assert np.corrcoef(exact_gi.ravel(), noisy_gi.ravel())[0, 1] > 0.999
     assert scale == pytest.approx(series.values.sum(), rel=1e-3)
@@ -483,7 +483,7 @@ def test_artifact_removal_working_set(flux):
             tracemalloc.stop()
 
     assert peak(lambda: estimate_spectrum(*pair)) < 6
-    assert peak(lambda: remove_artifact(*pair, H)) < 7
+    assert peak(lambda: remove_artifact(*pair)) < 7
 
 
 def test_denoise_window_wider_than_the_grid_gives_the_whole_grid_window(monkeypatch):

@@ -2,10 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghostphase import DimensionError, fwht2, hadamard_matrix
+from ghostphase import NATURAL, SEQUENCY, DimensionError, OrthoMatrix, fwht2, hadamard_matrix
 
 from conftest import naive_transform, random_complex_object, sylvester
 
@@ -52,9 +52,46 @@ def test_orthogonality_and_column_zero(d, ordering):
 
 
 def test_non_power_of_two_rejected():
-    for bad in (3, 6, 0, -4):
-        with pytest.raises(DimensionError):
-            hadamard_matrix(bad)
+    # OrthoMatrix(6) used to build and fail later inside a reshape
+    for bad in (3, 6, 0, -4, 2.0):
+        for make in (hadamard_matrix, OrthoMatrix):
+            with pytest.raises(DimensionError):
+                make(bad)
+
+
+@pytest.mark.parametrize("ordering", ["bogus", "Natural"])
+def test_an_unknown_ordering_is_rejected_when_the_basis_is_built(ordering):
+    # OrthoMatrix(8, "bogus") used to measure and write a basis=hadamard:bogus series
+    with pytest.raises(ValueError, match="unknown ordering"):
+        OrthoMatrix(8, ordering)
+
+
+def test_a_numpy_integer_dim_is_stored_as_an_int():
+    basis = OrthoMatrix(np.int64(8), SEQUENCY)
+    assert type(basis.dim) is int and basis == hadamard_matrix(8, SEQUENCY)
+    assert hash(basis) == hash(hadamard_matrix(8, SEQUENCY))
+
+
+_BASES = st.integers(0, 8).map(lambda k: 2 ** k).flatmap(lambda d: st.one_of(
+    st.builds(OrthoMatrix, st.just(d), st.sampled_from([NATURAL, SEQUENCY])),
+    st.builds(OrthoMatrix, st.just(d), st.just(NATURAL), st.integers(0, 2 ** 64 - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis=_BASES)
+@example(basis=OrthoMatrix(256, seed=2 ** 64 - 1))
+@example(basis=OrthoMatrix(1, seed=0))
+def test_descriptor_round_trip(basis):
+    assert OrthoMatrix.from_descriptor(basis.descriptor, basis.dim) == basis
+
+
+@pytest.mark.parametrize("text", ["permuted:05", "permuted:+1", "permuted: 1", "permuted:\u0661",
+                                  "hadamard:", "hadamard:Natural", "random:3", "", "permuted:",
+                                  "hadamard:natural:", "permuted:3 "])
+def test_only_the_descriptors_a_basis_writes_parse(text):
+    # a seed has one spelling, so two headers name the same basis only if they are equal
+    with pytest.raises(ValueError, match="unknown basis descriptor"):
+        OrthoMatrix.from_descriptor(text, 8)
 
 
 def test_mask_j0_is_uniform():
