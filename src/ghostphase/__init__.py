@@ -1,7 +1,7 @@
 """Single-pixel ghost imaging simulator with paired cos/sin phase projections."""
 
-from .wht import NATURAL, SEQUENCY, DimensionError, OrthoMatrix, fwht2, hadamard_matrix
-from .scene import (KINDS, ObjectSpec, SpecError, apply_illumination, default_radius, disc_mask,
+from .wht import NATURAL, SEQUENCY, OrthoMatrix, fwht2
+from .scene import (KINDS, ObjectSpec, apply_illumination, default_radius, disc_mask,
                     make_object, normalize)
 from .projections import random_basis
 from .acquisition import MeasurementSeries, measure_exact, sample_counts

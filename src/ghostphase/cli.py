@@ -163,6 +163,9 @@ def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
     two channels.  A support is a real field, true where it exceeds 0.5."""
     entries = _read_role(path, "phase map", ("phase", "complex"))
     support = _read_role(support_path, "support", ("real",)) > 0.5 if support_path else None
+    if support is not None and support.shape != entries.shape:
+        raise DataError(f"{support_path}: support is {support.shape[0]}x{support.shape[1]},"
+                        f" its phase map {path} is {entries.shape[0]}x{entries.shape[1]}")
     if np.iscomplexobj(entries):
         return reconstruction.combine_phase(entries.real, entries.imag, support)
     if support is None:
@@ -226,15 +229,18 @@ def cmd_gen_masks(args, cfg: RunConfig) -> None:
     print(f"wrote {3 * len(indices)} mask files to {out}")
 
 
+def _sized_by(cfg: RunConfig, d: int, path) -> RunConfig:
+    """The config with the d of the input at ``path``, the size that runs and is recorded.
+    A size the basis cannot scan is the file's fault, not the config's."""
+    try:
+        return dataclasses.replace(cfg, d=d).validate()
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def cmd_acquire(args, cfg: RunConfig) -> None:
     obj = _read_role(args.object, "acquisition object")
-    if obj.shape[0] != cfg.d:
-        # the object's size is what gets measured; record it in place of cfg.d.
-        # A size the basis cannot scan is the file's fault, not the config's
-        try:
-            cfg = dataclasses.replace(cfg, d=obj.shape[0]).validate()
-        except ConfigError as exc:
-            raise DataError(f"{args.object}: {exc}") from None
+    cfg = _sized_by(cfg, obj.shape[0], args.object)
     with _blame_files([args.object]):
         series = acquire(cfg, obj)
     write_series_pair(_outdir(cfg), *series)
@@ -258,9 +264,9 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
     with _blame_files(inputs):
         recovered = _read_phase_image(args.phase, args.support)
+        cfg = _sized_by(cfg, recovered.entries.shape[0], args.phase)
         result = analyze(cfg, recovered, _read_phase_image(args.truth, args.truth_support))
-    # the map's size is what was analysed; record it in place of cfg.d, as acquire does
-    write_analysis(_outdir(dataclasses.replace(cfg, d=recovered.entries.shape[0])), result)
+    write_analysis(_outdir(cfg), result)
 
 
 def _run_pipeline(cfg: RunConfig) -> str:
@@ -366,7 +372,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, IndexError) as exc:   # ConfigError and SpecError among them
+    except (ValueError, IndexError) as exc:   # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -81,20 +81,22 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
 
     Term 1 is the real (cos) or minus-imaginary (sin) part of the object
     rephased by the reference phase; term 2, the same in both channels, is
-    the transform of the elementwise-squared spectrum; term 3 weights the
-    corner pixel by the ensemble average of the cross terms, for an unshuffled basis only.
+    the coefficient image of the squared spectrum; term 3 weights the corner
+    pixel by the ensemble average of the cross terms.  Any basis whose mask 0
+    is the uniform reference serves: a pixel shuffle fixes pixel 0.
     """
-    if obj is None or H.seed is not None:
-        raise ValueError("analytic artifact removal needs the ground-truth object and its Hadamard basis")
+    if obj is None:
+        raise ValueError("analytic artifact removal needs the ground-truth object")
     d = H.dim
     N = d * d
-    coeffs = fwht2(obj, H)
+    # <M_j|O> on fwht2's (d, d) grid; mask_overlaps's ravel would reorder the sum in the mean below
+    coeffs = fwht2(H.unshuffle(obj), H)
     c0 = coeffs[0, 0]
     p0 = np.abs(c0) ** 2
     a0 = np.angle(c0)
     rephased = np.exp(-1j * a0) * obj
     rotated = np.exp(-1j * a0) * coeffs
-    spectral = 0.5 * fwht2(np.abs(coeffs) ** 2, H) / N
+    spectral = 0.5 * _coefficient_image(np.abs(coeffs) ** 2, H)
     terms = []
     for sign, part in ((1.0, np.real), (SINE_CHANNEL_SIGN, np.imag)):
         g = np.sqrt(N) * (1.0 / (2 * N) + sign * np.sqrt(p0) * part(rotated).mean())
@@ -181,7 +183,7 @@ def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.nda
     """Fields proportional to Re(O) and Im(O) from the ghost images and the ground truth.
 
     Subtracts the closed-form spectral and DC terms of ``obj`` from each
-    channel; ``closed_form_gi`` rejects a missing object and a shuffled basis.
+    channel; ``closed_form_gi`` rejects a missing object.
     """
     tc, ts = closed_form_gi(obj, basis)
     re = gi_cos - tc.spectral_part + tc.dc_part

@@ -17,10 +17,6 @@ KINDS = (
 )
 
 
-class SpecError(ValueError):
-    """Invalid object geometry."""
-
-
 @dataclass(frozen=True)
 class ObjectSpec:
     """Geometry of a generated test object.
@@ -41,7 +37,7 @@ class ObjectSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise SpecError(f"unknown object kind {self.kind!r}")
+            raise ValueError(f"unknown object kind {self.kind!r}")
 
 
 def grid_center(d: int) -> float:
@@ -87,14 +83,14 @@ def apply_illumination(obj: np.ndarray, radius: float) -> np.ndarray:
 def normalize(obj: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(obj)
     if norm == 0:
-        raise SpecError("cannot normalize a field whose norm is zero or underflows to zero")
+        raise ValueError("cannot normalize a field whose norm is zero or underflows to zero")
     return obj / norm
 
 
 def _annulus_radii(spec: ObjectSpec, d: int, default: Tuple[float, float]) -> Tuple[float, float]:
     r0, r1 = spec.annulus_radii if spec.annulus_radii is not None else default
     if not 0 <= r0 < r1 or r1 > d:
-        raise SpecError(f"bad annulus radii ({r0}, {r1})")
+        raise ValueError(f"bad annulus radii ({r0}, {r1})")
     return r0, r1
 
 
@@ -106,7 +102,7 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
     """
     radius = spec.illumination_radius if spec.illumination_radius is not None else default_radius(d)
     if radius < 0:
-        raise SpecError("illumination radius must be nonnegative")
+        raise ValueError("illumination radius must be nonnegative")
     radius = min(radius, d)
 
     cols = _columns(d)
@@ -124,7 +120,7 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
         left0 = d // 2 - gap // 2 - w
         right0 = d // 2 + gap // 2
         if left0 < 0 or right0 + w > d:
-            raise SpecError("double slit does not fit inside the grid")
+            raise ValueError("double slit does not fit inside the grid")
         left = (cols >= left0) & (cols < left0 + w)
         right = (cols >= right0) & (cols < right0 + w)
         obj[left | right] = 1.0
@@ -135,7 +131,7 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
         w = spec.slit_width if spec.slit_width is not None else max(1, d // 8)
         c0 = d // 2 - w // 2
         if c0 < 0 or c0 + w > d:
-            raise SpecError("slit does not fit inside the grid")
+            raise ValueError("slit does not fit inside the grid")
         obj[:] = 1.0
         slit = (cols >= c0) & (cols < c0 + w)
         obj[slit] = np.exp(1j * spec.phase_depth)

@@ -17,10 +17,6 @@ NATURAL = "natural"
 SEQUENCY = "sequency"
 
 
-class DimensionError(ValueError):
-    """Raised for non power-of-two sizes or mismatched shapes."""
-
-
 @lru_cache(maxsize=None)
 def _sequency_permutation(d: int) -> tuple:
     """perm[s] = natural (Sylvester) row index with sequency rank s."""
@@ -83,7 +79,7 @@ class OrthoMatrix:
         """Every check of a scan basis.  A numpy integer dim is stored as an int."""
         dim, seed = self.dim, self.seed
         if not isinstance(dim, (int, np.integer)) or dim < 1 or dim & (dim - 1):
-            raise DimensionError(f"dimension must be a power of two, got {dim!r}")
+            raise ValueError(f"dimension must be a power of two, got {dim!r}")
         if self.ordering not in (NATURAL, SEQUENCY):
             raise ValueError(f"unknown ordering {self.ordering!r}")
         if seed is not None and not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64):
@@ -141,7 +137,7 @@ class OrthoMatrix:
             return field
         x = np.asarray(field)
         if x.shape != (self.dim, self.dim):
-            raise DimensionError(f"field shape {x.shape} does not match d={self.dim}")
+            raise ValueError(f"field shape {x.shape} does not match d={self.dim}")
         unshuffled = np.empty(x.size, x.dtype)
         unshuffled[self.perm] = x.ravel()
         return unshuffled.reshape(x.shape)
@@ -151,17 +147,6 @@ class OrthoMatrix:
         if self.seed is None:
             return image
         return image.ravel()[self.perm].reshape(self.dim, self.dim)
-
-
-def hadamard_matrix(d: int, ordering: str = NATURAL) -> OrthoMatrix:
-    """The d x d normalized Walsh-Hadamard basis.
-
-    Rows carry the basis functions; values are +-1/sqrt(d).  In natural
-    (Sylvester) order the matrix is symmetric, so rows and columns agree;
-    the sequency reordering (rows ranked by sign-change count) preserves
-    symmetry.  Row 0 is all-positive under both orderings.
-    """
-    return OrthoMatrix(d, ordering)
 
 
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:
@@ -193,7 +178,7 @@ def fwht2(field: np.ndarray, H: OrthoMatrix) -> np.ndarray:
     X = np.asarray(field)
     d = H.dim
     if X.shape != (d, d):
-        raise DimensionError(f"field shape {X.shape} does not match d={d}")
+        raise ValueError(f"field shape {X.shape} does not match d={d}")
     out = X.astype(np.complex128 if np.iscomplexobj(X) else np.float64, copy=True)
     _fwht_axis0(out)
     out = _fwht_axis0(out.T.copy()).T

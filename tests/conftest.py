@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ghostphase import ObjectSpec, cli, hadamard_matrix, make_object
+from ghostphase import ObjectSpec, OrthoMatrix, cli, make_object
 from ghostphase.analysis import wrap
 
 
@@ -141,7 +141,7 @@ def run_cli(argv):
 
 @pytest.fixture
 def H8():
-    return hadamard_matrix(8)
+    return OrthoMatrix(8)
 
 
 @pytest.fixture

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from ghostphase import (ObjectSpec, closed_form_gi, combine_phase, denoise, disc_mask, fwht2,
-                        ghost_image, hadamard_matrix, make_object, measure_exact, phase_rmse,
-                        random_basis, remove_artifact, remove_artifact_analytic, sample_counts)
+from ghostphase import (ObjectSpec, OrthoMatrix, closed_form_gi, combine_phase, denoise, disc_mask,
+                        fwht2, ghost_image, make_object, measure_exact, phase_rmse, random_basis,
+                        remove_artifact, remove_artifact_analytic, sample_counts)
 from ghostphase.analysis import azimuthal_slope, cross_section_azimuthal, cross_section_horizontal, wrap
 from ghostphase.scene import default_radius
 from ghostphase.reconstruction import PhaseImage
@@ -55,7 +55,7 @@ def test_criterion_01_closed_form_identity():
     start = time.perf_counter()
     worst = 0.0
     for d in (4, 8, 16):
-        H = hadamard_matrix(d)
+        H = OrthoMatrix(d)
         for kind in ALL_KINDS:
             obj = _object(kind, d)
             for series, terms in zip(measure_exact(obj, H), closed_form_gi(obj, H)):
@@ -72,7 +72,7 @@ def test_criterion_02_exact_phase_recovery_analytic():
     for kind in ("pi-slit-phase", "azimuthal-ring-phase"):
         start = time.perf_counter()
         d = 32
-        H = hadamard_matrix(d)
+        H = OrthoMatrix(d)
         obj = _object(kind, d)
         gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
         re, im = remove_artifact_analytic(gic, gis, obj, H)
@@ -88,7 +88,7 @@ def test_criterion_02_exact_phase_recovery_analytic():
 def test_criterion_03_step_fidelity():
     d = 32
     obj = _object("pi-slit-phase", d)
-    phase = _recover_heuristic(obj, hadamard_matrix(d), window=3)
+    phase = _recover_heuristic(obj, OrthoMatrix(d), window=3)
     trace = cross_section_horizontal(phase, d // 2)
     values = trace.values
     hi = values[np.abs(values) > np.pi / 2]
@@ -104,7 +104,7 @@ def test_criterion_04_gradient_fidelity():
     d = 32
     radii = (8.0, 12.0)
     obj = make_object(ObjectSpec(kind="azimuthal-ring-phase", annulus_radii=radii), d)
-    phase = _recover_heuristic(obj, hadamard_matrix(d))
+    phase = _recover_heuristic(obj, OrthoMatrix(d))
     trace = cross_section_azimuthal(phase, radius=sum(radii) / 2)
     slope = azimuthal_slope(trace)
     _report(4, "azimuthal gradient", abs(slope - 1.0) <= 0.05, f"slope={slope:.4f}")
@@ -112,7 +112,7 @@ def test_criterion_04_gradient_fidelity():
 
 def test_criterion_05_amplitude_baseline():
     d = 32
-    H = hadamard_matrix(d)
+    H = OrthoMatrix(d)
     obj = _object("double-slit-amplitude", d)
     # compare across the whole illuminated disc: inside the slits and the
     # blocked regions between them (the object support alone is constant)
@@ -132,7 +132,7 @@ def test_criterion_06_random_basis_parity():
     obj = _object("pi-slit-phase", d)
     truth = _truth_phase(obj)
     ph_random = _recover_heuristic(obj, random_basis(d, seed=42))
-    ph_hadamard = _recover_heuristic(obj, hadamard_matrix(d))
+    ph_hadamard = _recover_heuristic(obj, OrthoMatrix(d))
     rmse = phase_rmse(ph_random, truth)
     r = phase_pearson(ph_hadamard, ph_random)
     ok = rmse <= 0.3 and r >= 0.9
@@ -142,7 +142,7 @@ def test_criterion_06_random_basis_parity():
 def test_criterion_07_shot_noise_robustness():
     d = 16
     obj = _object("pi-slit-phase", d)
-    H = hadamard_matrix(d)
+    H = OrthoMatrix(d)
     truth = _truth_phase(obj)
     medians = {}
     for flux in (1e5, 1e6, 1e7, 1e9):
@@ -158,7 +158,7 @@ def test_criterion_07_shot_noise_robustness():
 def test_criterion_08_measurement_count_contract():
     counts = {}
     for d in (4, 16, 128):
-        H = hadamard_matrix(d)
+        H = OrthoMatrix(d)
         obj = make_object(ObjectSpec(kind="flat"), d)
         counts[d] = tuple(series.values.size for series in measure_exact(obj, H))
     ok = all(counts[d] == (d * d, d * d) for d in counts)
@@ -170,11 +170,11 @@ def test_criterion_09_performance_and_correctness_anchor():
     d = 128
     start = time.perf_counter()
     obj = _object("azimuthal-ring-phase", d)
-    phase = _recover_heuristic(obj, hadamard_matrix(d), window=3)
+    phase = _recover_heuristic(obj, OrthoMatrix(d), window=3)
     elapsed = time.perf_counter() - start
     assert phase.entries.shape == (d, d)
 
-    H16 = hadamard_matrix(16)
+    H16 = OrthoMatrix(16)
     obj16 = _object("pi-slit-phase", 16)
     agree = max(
         float(np.max(np.abs(series.values - naive_mask_series(obj16, H16, ch))))
@@ -185,7 +185,7 @@ def test_criterion_09_performance_and_correctness_anchor():
 
 
 def test_criterion_10_convention_oracle():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     implemented_worst = 0.0
     rejected_hits = {"cos delta+": 0, "sin cross+": 0, "sin full-coeff": 0}
     trials = 50

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostphase import (MeasurementSeries, ObjectSpec, fwht2, hadamard_matrix, make_object,
+from ghostphase import (MeasurementSeries, ObjectSpec, OrthoMatrix, fwht2, make_object,
                         measure_exact, random_basis, sample_counts)
 
 from conftest import (closed_form_values, decompose_probability, naive_mask_series,
@@ -13,21 +13,21 @@ from conftest import (closed_form_values, decompose_probability, naive_mask_seri
 
 
 def test_flat_object_cos_series():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[0]
     assert series.values[0] == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(series.values[1:], 0.5, atol=1e-12)
 
 
 def test_flat_object_sin_series():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[1]
     assert series.values[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(series.values[1:], 0.5, atol=1e-12)
 
 
 def test_v0_is_twice_reference_probability():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
     p0 = abs(fwht2(obj, H)[0, 0]) ** 2
     series = measure_exact(obj, H)[0]
@@ -36,7 +36,7 @@ def test_v0_is_twice_reference_probability():
 
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 def test_slit_matches_naive_oracle(kind):
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 4)
     series = measure_exact(obj, H)[("cos", "sin").index(kind)]
     np.testing.assert_allclose(series.values, naive_mask_series(obj, H, kind), atol=1e-12)
@@ -45,14 +45,14 @@ def test_slit_matches_naive_oracle(kind):
 @pytest.mark.parametrize("d", [4, 8, 16])
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 def test_fast_path_equals_naive_path(d, kind):
-    H = hadamard_matrix(d)
+    H = OrthoMatrix(d)
     obj = random_complex_object(d, seed=d)
     series = measure_exact(obj, H)[("cos", "sin").index(kind)]
     np.testing.assert_allclose(series.values, naive_mask_series(obj, H, kind), atol=1e-12)
 
 
 def test_closed_form_residual_flat_and_global_phase():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     flat = make_object(ObjectSpec(kind="flat"), 8)
     for obj in (flat, np.exp(1j * np.pi / 2) * flat):
         coeffs = fwht2(obj, H).ravel()
@@ -61,7 +61,7 @@ def test_closed_form_residual_flat_and_global_phase():
 
 
 def test_sign_convention_oracle():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     obj = random_complex_object(8, seed=11)
     coeffs = fwht2(obj, H).ravel()
     cos_series, sin_series = measure_exact(obj, H)
@@ -74,7 +74,7 @@ def test_sign_convention_oracle():
 
 
 def test_energy_bookkeeping():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     obj = random_complex_object(8, seed=4)
     coeffs = fwht2(obj, H).ravel()
     for kind, series in zip(("cos", "sin"), measure_exact(obj, H)):
@@ -93,7 +93,7 @@ def test_random_basis_series_matches_per_mask_sums():
 
 
 def test_sampling_determinism_and_independence_of_channel():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
     cos_series = measure_exact(obj, H)[0]
     a = sample_counts(cos_series, 1e5, seed=7)
@@ -105,7 +105,7 @@ def test_sampling_determinism_and_independence_of_channel():
 
 
 def test_sampling_rejects_bad_flux():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[0]
     with pytest.raises(ValueError):
         sample_counts(series, 0, seed=0)
@@ -120,7 +120,7 @@ def test_sampling_rejects_bad_flux():
 
 
 def test_sampling_law_of_large_numbers():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     obj = make_object(ObjectSpec(kind="flat"), 4)
     series = measure_exact(obj, H)[0]
     counts = sample_counts(series, 1e8, seed=1)
@@ -132,7 +132,7 @@ def test_sampling_law_of_large_numbers():
 
 
 def test_sampling_unbiased_within_poisson_bands():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
     series = measure_exact(obj, H)[0]
     flux = 1e6
@@ -147,7 +147,7 @@ def test_sampling_unbiased_within_poisson_bands():
 
 
 def test_sampling_rejects_dark_series():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     dark = measure_exact(np.zeros((4, 4), complex), H)[0]
     with pytest.raises(ValueError, match="sums to zero"):
         sample_counts(dark, 1e6, seed=0)
@@ -155,7 +155,7 @@ def test_sampling_rejects_dark_series():
 
 @pytest.mark.parametrize("kind, kind_bit", [("cos", 0), ("sin", 1)])
 def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[kind_bit]
     means = 1e5 * series.values / series.values.sum()
     rng = np.random.Generator(np.random.Philox(key=[7, kind_bit]))
@@ -165,7 +165,7 @@ def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
 
 
 def test_sampling_cos_and_sin_streams_differ():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     cos_series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[0]
     sin_series = replace(cos_series, kind="sin")
     a = sample_counts(cos_series, 1e5, seed=7)
@@ -175,7 +175,7 @@ def test_sampling_cos_and_sin_streams_differ():
 
 def test_sampling_keys_seeds_above_2_63_exactly():
     # a float64 key would round both seeds to 2**63 and repeat one stream
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[0]
     a = sample_counts(series, 1e5, seed=2**63 + 5)
     b = sample_counts(series, 1e5, seed=2**63 + 6)
@@ -192,7 +192,7 @@ def test_sampling_keys_seeds_above_2_63_exactly():
        seed=st.integers(0, 2**63))
 def test_sampling_counts_are_nonnegative_integers(values, flux, seed):
     values = np.array(values)
-    series = MeasurementSeries(kind="cos", basis=hadamard_matrix(1), values=values)
+    series = MeasurementSeries(kind="cos", basis=OrthoMatrix(1), values=values)
     counts = sample_counts(series, flux, seed).values
     assert counts.shape == values.shape
     assert np.all(counts >= 0) and np.all(counts == np.round(counts))

@@ -158,6 +158,17 @@ def test_reconstruct_analytic_requires_truth(tmp_path):
                "--out", str(out)) == 0
 
 
+@pytest.mark.parametrize("d", [16, 64])
+def test_random_mask_pipeline_removes_the_artifact_analytically(tmp_path, d):
+    # seeded masks are the Hadamard masks with their pixels shuffled and pixel 0 fixed,
+    # so the closed form holds for them; exact data leave only rounding error
+    code, stderr = run_cli(["pipeline", "--d", str(d), "--basis", "random", "--artifact-mode", "analytic",
+                            "--out", str(tmp_path)])
+    assert code == 0 and stderr == ""
+    report = dict(line.split(": ") for line in (tmp_path / "report.txt").read_text().splitlines())
+    assert float(report["phase_rmse_rad"]) < 1e-9
+
+
 def test_reconstruct_channel_role_mismatch(tmp_path):
     out = tmp_path / "out"
     run("gen-object", "--d", "8", "--out", str(out))
@@ -565,8 +576,18 @@ def _acquire(bad):
     return "acquire", "--object", bad
 
 
-def _complex_field(d):
-    return f"GCF1\nd={d} kind=complex\n".encode() + np.ones((d, d), "<c16").tobytes()
+def _support_of(phase, flag="--support"):
+    """analyze of the 8x8 field ``phase`` beside the bad file, with the bad file as a support."""
+    def command(bad):
+        here = os.path.dirname(bad)
+        return ("analyze", "--phase", os.path.join(here, phase), "--truth",
+                os.path.join(here, "object.gcf"), flag, bad)
+    return command
+
+
+def _field(d, kind="complex"):
+    dtype = "<c16" if kind == "complex" else "<f8"
+    return f"GCF1\nd={d} kind={kind}\n".encode() + np.ones((d, d), dtype).tobytes()
 
 
 # field-file bytes -> the command reading them must exit 3 with one error line
@@ -577,9 +598,17 @@ MALFORMED_FIELDS = [
     # a well-formed real field, such as gi_cos.gcf, is not a phase map
     pytest.param(b"GCF1\nd=2 kind=real\n" + bytes(32), _analyze, id="real-kind-phase-map"),
     # acquire measures an object at its own size, which the hadamard basis cannot scan
-    pytest.param(_complex_field(6), _acquire, id="hadamard-object-6x6"),
-    pytest.param(_complex_field(1), _acquire, id="hadamard-object-1x1"),
-    pytest.param(_complex_field(12), _acquire, id="hadamard-object-12x12"),
+    pytest.param(_field(6), _acquire, id="hadamard-object-6x6"),
+    pytest.param(_field(1), _acquire, id="hadamard-object-1x1"),
+    pytest.param(_field(12), _acquire, id="hadamard-object-12x12"),
+    # analyze records its map's size as d, so it takes the same rule
+    pytest.param(_field(6), _analyze, id="phase-map-6x6"),
+    # a support must be the size of its map: a 1x1 one used to index out of bounds (phase map),
+    # broadcast over the map (complex map), or skew phase_rmse_rad (truth)
+    pytest.param(_field(1, "real"), _support_of("phase.gcf"), id="support-1x1-of-phase-map"),
+    pytest.param(_field(1, "real"), _support_of("object.gcf"), id="support-1x1-of-complex-map"),
+    pytest.param(_field(1, "real"), _support_of("object.gcf", "--truth-support"),
+                 id="truth-support-1x1"),
 ]
 
 
@@ -587,6 +616,8 @@ MALFORMED_FIELDS = [
 def test_analyze_malformed_field_is_data_error(tmp_path, capsys, raw, command):
     bad = tmp_path / "bad.gcf"
     bad.write_bytes(raw)
+    (tmp_path / "phase.gcf").write_bytes(_field(8, "phase"))
+    (tmp_path / "object.gcf").write_bytes(_field(8))
     out = tmp_path / "out"
     assert run(*command(str(bad)), "--out", str(out)) == 3
     err = capsys.readouterr().err
@@ -773,6 +804,12 @@ def test_analyze_records_the_d_of_its_phase_map(tmp_path, flags):
                str(series / "support.gcf"), "--truth", str(series / "object.gcf"), "--out", str(out)) == 0
     assert (out / "report.txt").read_bytes() == (series / "report.txt").read_bytes()
     assert yaml.safe_load((out / "resolved_config.yaml").read_text())["d"] == 64
+    # the recorded config runs the same analysis again
+    again = tmp_path / "again"
+    assert run("analyze", "--config", str(out / "resolved_config.yaml"), "--phase",
+               str(series / "phase.gcf"), "--support", str(series / "support.gcf"),
+               "--truth", str(series / "object.gcf"), "--out", str(again)) == 0
+    assert (again / "report.txt").read_bytes() == (series / "report.txt").read_bytes()
 
 
 @pytest.mark.parametrize("d, seed", [(2, 1), (4, 12)], ids=["d2-seed1", "d4-seed12"])
@@ -889,8 +926,8 @@ def _assert_clean_failure(code, stderr, out):
 
 # each fails in a late stage, after earlier stages have run
 @pytest.mark.parametrize("argv, config", [
-    pytest.param(("pipeline", "--d", "16", "--basis", "random", "--artifact-mode", "analytic"),
-                 None, id="random-analytic"),
+    # a flux this small draws no counts, so ghost_image fails after the object and series are made
+    pytest.param(("pipeline", "--d", "16", "--flux", "1e-300"), None, id="flux-draws-no-counts"),
     pytest.param(("pipeline",), "d: 16\nanalysis: {radius: 30}\n", id="radius-off-grid"),
     pytest.param(("gen-masks", "--d", "8", "--index", "64"), None, id="mask-index-off-range"),
     pytest.param(("gen-masks", "--d", "8", "--count", "0"), None, id="mask-count-zero"),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostphase import hadamard_matrix, measure_exact, random_basis
-from ghostphase.wht import DimensionError, OrthoMatrix, _philox_words
+from ghostphase import OrthoMatrix, measure_exact, random_basis
+from ghostphase.wht import _philox_words
 from ghostphase.acquisition import mask_overlaps
 from ghostphase.reconstruction import _coefficient_image
 
@@ -27,7 +27,7 @@ def _gen_masks(out, *flags):
 
 
 def test_cos_mask_j0_uniform_unnormalized(tmp_path):
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     T0, _ = paired_masks(H, 0)
     np.testing.assert_allclose(T0, np.full((4, 4), SQRT2 / 4), atol=1e-14)
     assert np.sum(np.abs(T0) ** 2) == pytest.approx(2.0, abs=1e-12)
@@ -36,7 +36,7 @@ def test_cos_mask_j0_uniform_unnormalized(tmp_path):
 
 
 def test_cos_mask_is_zero_one_structure(tmp_path):
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     N = 64
     grids = _gen_masks(tmp_path, "--d", "8", "--count", "64")
     for j in (1, 5, 17, 63):
@@ -50,7 +50,7 @@ def test_cos_mask_is_zero_one_structure(tmp_path):
 
 
 def test_cos_mask_elementwise_sum_oracle(tmp_path):
-    H = hadamard_matrix(2)
+    H = OrthoMatrix(2)
     T3, _ = paired_masks(H, 3)
     np.testing.assert_allclose(T3, np.diag([SQRT2 / 2, SQRT2 / 2]), atol=1e-14)
     grids = _gen_masks(tmp_path, "--d", "2", "--index", "3")
@@ -58,7 +58,7 @@ def test_cos_mask_elementwise_sum_oracle(tmp_path):
 
 
 def test_sin_mask_entries_and_modulus(tmp_path):
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     N = 16
     _, T0 = paired_masks(H, 0)
     np.testing.assert_allclose(T0, np.full((4, 4), (1 + 1j) / (SQRT2 * np.sqrt(N))), atol=1e-14)
@@ -73,7 +73,7 @@ def test_sin_mask_entries_and_modulus(tmp_path):
 
 
 def test_mask_index_errors(tmp_path):
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     for bad in (16, -1):
         with pytest.raises(IndexError):
             H.mask(bad)
@@ -84,7 +84,7 @@ def test_mask_index_errors(tmp_path):
 
 
 def test_projection_identities_recover_basis_mask():
-    H = hadamard_matrix(8)
+    H = OrthoMatrix(8)
     M0 = H.mask(0)
     for j in (0, 1, 13, 40, 63):
         Mj = H.mask(j)
@@ -94,7 +94,7 @@ def test_projection_identities_recover_basis_mask():
 
 
 def test_overlap_linearity():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     obj = random_complex_object(4, 7)
     series_cos, series_sin = measure_exact(obj, H)
     c0 = naive_overlap(H.mask(0), obj)
@@ -121,7 +121,7 @@ def test_mask_symbol_export(tmp_path):
 
 
 FULL_SETS = [
-    *[pytest.param(("--d", str(d), "--ordering", order), hadamard_matrix(d, order),
+    *[pytest.param(("--d", str(d), "--ordering", order), OrthoMatrix(d, order),
                    id=f"hadamard-{order}-d{d}")
       for order in ("natural", "sequency") for d in (2, 4, 8)],
     pytest.param(("--d", "8", "--basis", "random", "--basis-seed", "3"), random_basis(8, seed=3),
@@ -170,24 +170,24 @@ def test_random_masks_are_orthonormal_with_the_hadamard_reference(d, seed):
     basis = random_basis(d, seed)
     M = mask_matrix(basis)
     np.testing.assert_allclose(M @ M.T, np.eye(d * d), atol=1e-12)
-    np.testing.assert_array_equal(basis.mask(0), hadamard_matrix(d).mask(0))
+    np.testing.assert_array_equal(basis.mask(0), OrthoMatrix(d).mask(0))
     assert basis.perm[0] == 0
 
 
 def test_random_basis_is_a_hashable_value():
     a, b = random_basis(8, 3), random_basis(8, 3)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != hadamard_matrix(8) and a != random_basis(8, 4)
-    assert a.descriptor == "permuted:3" and hadamard_matrix(8).descriptor == "hadamard:natural"
+    assert a != OrthoMatrix(8) and a != random_basis(8, 4)
+    assert a.descriptor == "permuted:3" and OrthoMatrix(8).descriptor == "hadamard:natural"
 
 
 def test_unseeded_shuffles_return_their_input():
-    H = hadamard_matrix(4)
+    H = OrthoMatrix(4)
     field = np.arange(16.0).reshape(4, 4)
     assert H.shuffle(field) is field and H.unshuffle(field) is field
     basis = random_basis(4, seed=1)
     np.testing.assert_array_equal(basis.shuffle(basis.unshuffle(field)), field)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"field shape \(1, 16\) does not match d=4"):
         basis.unshuffle(np.zeros((1, 16)))
 
 
@@ -227,7 +227,7 @@ def test_a_seed_outside_one_uint64_word_is_rejected(seed):
 
 def test_an_unseeded_basis_has_no_permutation():
     with pytest.raises(ValueError, match="no pixel permutation"):
-        hadamard_matrix(8).perm
+        OrthoMatrix(8).perm
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -235,7 +235,7 @@ def test_random_mask_alone_equals_matrix_row(d):
     # row j of the Hadamard mask matrix, its columns (pixels) taken in perm order
     N = d * d
     basis = random_basis(d, seed=17)
-    shuffled = mask_matrix(hadamard_matrix(d))[:, basis.perm]
+    shuffled = mask_matrix(OrthoMatrix(d))[:, basis.perm]
     assert not basis.perm.flags.writeable
     for j in (0, 1, N // 2, N - 1):
         np.testing.assert_array_equal(basis.mask(j), shuffled[j].reshape(d, d))
@@ -244,7 +244,7 @@ def test_random_mask_alone_equals_matrix_row(d):
             basis.mask(bad)
 
 
-@pytest.mark.parametrize("basis", [hadamard_matrix(8), hadamard_matrix(8, "sequency"),
+@pytest.mark.parametrize("basis", [OrthoMatrix(8), OrthoMatrix(8, "sequency"),
                                    random_basis(8, seed=4), random_basis(2, seed=1)],
                          ids=["hadamard-natural", "hadamard-sequency", "random-d8", "random-d2"])
 def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
@@ -257,5 +257,5 @@ def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
     w = np.random.default_rng(2).standard_normal(N)
     expected = sum(wj * M for wj, M in zip(w, masks)) / N
     np.testing.assert_allclose(_coefficient_image(w, basis), expected, rtol=1e-12)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="does not match d="):
         mask_overlaps(np.zeros((d + 1, d + 1)), basis)
