@@ -1,8 +1,7 @@
 """Single-pixel ghost imaging simulator with paired cos/sin phase projections."""
 
 from .wht import NATURAL, SEQUENCY, OrthoMatrix, fwht2
-from .scene import (KINDS, ObjectSpec, apply_illumination, default_radius, disc_mask,
-                    make_object, normalize)
+from .scene import KINDS, apply_illumination, default_radius, disc_mask, make_object, normalize
 from .projections import random_basis
 from .acquisition import MeasurementSeries, measure_exact, sample_counts
 from .reconstruction import (ClosedFormTerms, PhaseImage, SINE_CHANNEL_SIGN, closed_form_gi,

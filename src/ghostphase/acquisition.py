@@ -40,8 +40,9 @@ class MeasurementSeries:
 
 
 def mask_overlaps(obj: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
-    """All N inner products <M_j|O>: the fast transform of the object with the pixel shuffle undone."""
-    return fwht2(basis.unshuffle(obj), basis).ravel()
+    """All N inner products <M_j|O> on fwht2's (d, d) grid: the fast transform of the object
+    with the pixel shuffle undone."""
+    return fwht2(basis.unshuffle(obj), basis)
 
 
 def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSeries, MeasurementSeries]:
@@ -51,7 +52,7 @@ def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSerie
     the cos mask and (c_j - i c_0)/sqrt(2) for the sin mask, c_0 being the
     reference overlap.
     """
-    overlaps = mask_overlaps(obj, basis)
+    overlaps = mask_overlaps(obj, basis).ravel()
     c0 = overlaps[0]
     t_cos = (overlaps + c0) / SQRT2
     t_sin = (overlaps - 1j * c0) / SQRT2

@@ -194,7 +194,7 @@ def _make_object(cfg: RunConfig) -> np.ndarray:
     """The configured object.  A from-file object is a complex d x d field, normalized here;
     one that cannot be normalized is malformed data."""
     if cfg.object_kind != "from-file":
-        return scene.make_object(cfg.object_spec(), cfg.d)
+        return scene.make_object(d=cfg.d, **cfg.object_spec())
     if cfg.object_path is None:
         raise ConfigError("object.path: a from-file object needs a path")
     obj = _read_role(cfg.object_path, "from-file object")

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .scene import KINDS, ObjectSpec
+from .scene import KINDS
 from .wht import OrthoMatrix
 
 
@@ -104,13 +104,11 @@ class RunConfig:
             return replace(self, basis="hadamard", ordering=basis.ordering)
         return replace(self, basis="random", ordering=basis.ordering, basis_seed=basis.seed)
 
-    def object_spec(self) -> ObjectSpec:
-        """The generated object's geometry; a from-file object has none."""
+    def object_spec(self) -> dict:
+        """``scene.make_object``'s kind and geometry arguments; a from-file object has none."""
         spec = _section(self, _OBJECT_FIELDS)
         del spec["path"]
-        if spec["annulus_radii"] is not None:
-            spec["annulus_radii"] = tuple(spec["annulus_radii"])
-        return ObjectSpec(**spec, illumination_radius=self.illumination_radius)
+        return {**spec, "illumination_radius": self.illumination_radius}
 
     def to_document(self) -> dict:
         doc = _section(self, _TOP_FIELDS)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import MeasurementSeries
+from .acquisition import MeasurementSeries, mask_overlaps
 from .wht import OrthoMatrix, fwht2
 
 # Measured sine-channel cross term is -sin(a_j - a_0).
@@ -89,8 +89,7 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
         raise ValueError("analytic artifact removal needs the ground-truth object")
     d = H.dim
     N = d * d
-    # <M_j|O> on fwht2's (d, d) grid; mask_overlaps's ravel would reorder the sum in the mean below
-    coeffs = fwht2(H.unshuffle(obj), H)
+    coeffs = mask_overlaps(obj, H)
     c0 = coeffs[0, 0]
     p0 = np.abs(c0) ** 2
     a0 = np.angle(c0)
@@ -130,10 +129,12 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
     textbook expressions, so the results keep their bits and the series
     their values.
     """
+    if series_cos.basis != series_sin.basis:
+        raise ValueError("cos and sin series headers do not match")
+    if series_cos.kind != "cos" or series_sin.kind != "sin":
+        raise ValueError("series channel kinds do not match their roles")
     vc = np.asarray(series_cos.values, dtype=float)
     vs = np.asarray(series_sin.values, dtype=float)
-    if vc.size != vs.size:
-        raise ValueError("cos and sin series have different lengths")
     p0 = vc[0] / 2.0
     if p0 <= 0 or vs[0] <= 0:
         raise ValueError("reference-mode samples are empty; cannot estimate the spectrum")

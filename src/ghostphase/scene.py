@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,29 +14,6 @@ KINDS = (
     "azimuthal-ring-phase",
     "spiral-flower-phase",
 )
-
-
-@dataclass(frozen=True)
-class ObjectSpec:
-    """Geometry of a generated test object.
-
-    Lengths are in pixels; ``None`` picks a default that scales with the
-    grid size.  ``phase_depth`` is the step height in radians for the
-    slit object.
-    """
-
-    kind: str = "flat"
-    slit_width: Optional[int] = None
-    slit_gap: Optional[int] = None
-    annulus_radii: Optional[Tuple[float, float]] = None
-    petals: int = 6
-    bands: int = 3
-    phase_depth: float = np.pi
-    illumination_radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown object kind {self.kind!r}")
 
 
 def grid_center(d: int) -> float:
@@ -87,20 +63,30 @@ def normalize(obj: np.ndarray) -> np.ndarray:
     return obj / norm
 
 
-def _annulus_radii(spec: ObjectSpec, d: int, default: Tuple[float, float]) -> Tuple[float, float]:
-    r0, r1 = spec.annulus_radii if spec.annulus_radii is not None else default
+def _annulus_radii(radii: Optional[Sequence[float]], d: int,
+                   default: Tuple[float, float]) -> Tuple[float, float]:
+    r0, r1 = radii if radii is not None else default
     if not 0 <= r0 < r1 or r1 > d:
         raise ValueError(f"bad annulus radii ({r0}, {r1})")
     return r0, r1
 
 
-def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
-    """Generate a normalized d x d complex object field.
+def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
+                slit_gap: Optional[int] = None, annulus_radii: Optional[Sequence[float]] = None,
+                petals: int = 6, bands: int = 3, phase_depth: float = np.pi,
+                illumination_radius: Optional[float] = None) -> np.ndarray:
+    """Generate a normalized d x d complex object field of one of ``KINDS``.
 
-    Amplitude kinds have unit amplitude on the feature and zero outside;
-    phase kinds have unit amplitude across the whole illumination disc.
+    The geometry arguments are named by their ``object.`` config keys.
+    Lengths are in pixels; ``None`` picks a default that scales with the
+    grid size.  ``phase_depth`` is the step height in radians for the
+    slit object.  Amplitude kinds have unit amplitude on the feature and
+    zero outside; phase kinds have unit amplitude across the whole
+    illumination disc.
     """
-    radius = spec.illumination_radius if spec.illumination_radius is not None else default_radius(d)
+    if kind not in KINDS:
+        raise ValueError(f"unknown object kind {kind!r}")
+    radius = illumination_radius if illumination_radius is not None else default_radius(d)
     if radius < 0:
         raise ValueError("illumination radius must be nonnegative")
     radius = min(radius, d)
@@ -109,14 +95,16 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
     r, theta = _polar(d)
     obj = np.zeros((d, d), dtype=np.complex128)
 
-    if spec.kind == "flat":
+    if kind == "flat":
         obj[:] = 1.0
         # uniform reference field covers the whole grid unless a disc is asked for
-        if spec.illumination_radius is None:
+        if illumination_radius is None:
             radius = d
-    elif spec.kind == "double-slit-amplitude":
-        w = spec.slit_width if spec.slit_width is not None else max(1, d // 10)
-        gap = spec.slit_gap if spec.slit_gap is not None else max(2, d // 5)
+    elif kind == "double-slit-amplitude":
+        w = slit_width if slit_width is not None else max(1, d // 10)
+        gap = slit_gap if slit_gap is not None else max(2, d // 5)
+        if w < 1:
+            raise ValueError(f"slit width must be at least 1, got {w}")
         left0 = d // 2 - gap // 2 - w
         right0 = d // 2 + gap // 2
         if left0 < 0 or right0 + w > d:
@@ -124,28 +112,30 @@ def make_object(spec: ObjectSpec, d: int) -> np.ndarray:
         left = (cols >= left0) & (cols < left0 + w)
         right = (cols >= right0) & (cols < right0 + w)
         obj[left | right] = 1.0
-    elif spec.kind == "annulus-amplitude":
-        r0, r1 = _annulus_radii(spec, d, (d / 4, 3 * d / 8))
+    elif kind == "annulus-amplitude":
+        r0, r1 = _annulus_radii(annulus_radii, d, (d / 4, 3 * d / 8))
         obj[(r >= r0) & (r <= r1)] = 1.0
-    elif spec.kind == "pi-slit-phase":
-        w = spec.slit_width if spec.slit_width is not None else max(1, d // 8)
+    elif kind == "pi-slit-phase":
+        w = slit_width if slit_width is not None else max(1, d // 8)
+        if w < 1:
+            raise ValueError(f"slit width must be at least 1, got {w}")
         c0 = d // 2 - w // 2
         if c0 < 0 or c0 + w > d:
             raise ValueError("slit does not fit inside the grid")
         obj[:] = 1.0
         slit = (cols >= c0) & (cols < c0 + w)
-        obj[slit] = np.exp(1j * spec.phase_depth)
-    elif spec.kind == "azimuthal-ring-phase":
-        r0, r1 = _annulus_radii(spec, d, (d / 4, 3 * d / 8))
+        obj[slit] = np.exp(1j * phase_depth)
+    elif kind == "azimuthal-ring-phase":
+        r0, r1 = _annulus_radii(annulus_radii, d, (d / 4, 3 * d / 8))
         obj[:] = 1.0
         ann = (r >= r0) & (r <= r1)
         obj[ann] = np.exp(1j * theta[ann])
-    elif spec.kind == "spiral-flower-phase":
-        r0, r1 = _annulus_radii(spec, d, (d / 8, 3 * d / 8))
+    elif kind == "spiral-flower-phase":
+        r0, r1 = _annulus_radii(annulus_radii, d, (d / 8, 3 * d / 8))
         obj[:] = 1.0
-        edges = np.linspace(r0, r1, spec.bands + 1)
-        for b in range(spec.bands):
+        edges = np.linspace(r0, r1, bands + 1)
+        for b in range(bands):
             band = (r >= edges[b]) & (r < edges[b + 1])
-            phase = spec.petals * theta[band] + b * np.pi / max(spec.bands - 1, 1)
+            phase = petals * theta[band] + b * np.pi / max(bands - 1, 1)
             obj[band] = np.exp(1j * phase)
     return normalize(apply_illumination(obj, radius))

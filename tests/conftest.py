@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ghostphase import ObjectSpec, OrthoMatrix, cli, make_object
+from ghostphase import OrthoMatrix, cli, make_object
 from ghostphase.analysis import wrap
 
 
@@ -146,4 +146,4 @@ def H8():
 
 @pytest.fixture
 def slit16():
-    return make_object(ObjectSpec(kind="pi-slit-phase"), 16)
+    return make_object("pi-slit-phase", 16)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ghostphase import (ObjectSpec, OrthoMatrix, closed_form_gi, combine_phase, denoise, disc_mask,
+from ghostphase import (OrthoMatrix, closed_form_gi, combine_phase, denoise, disc_mask,
                         fwht2, ghost_image, make_object, measure_exact, phase_rmse, random_basis,
                         remove_artifact, remove_artifact_analytic, sample_counts)
 from ghostphase.analysis import azimuthal_slope, cross_section_azimuthal, cross_section_horizontal, wrap
@@ -31,7 +31,7 @@ def _report(num, name, ok, detail=""):
 
 def _object(kind, d):
     radii = (d / 4, 3 * d / 8) if d >= 8 else (1.0, 2.2)
-    return make_object(ObjectSpec(kind=kind, annulus_radii=radii), d)
+    return make_object(kind, d, annulus_radii=radii)
 
 
 def _truth_phase(obj):
@@ -103,7 +103,7 @@ def test_criterion_03_step_fidelity():
 def test_criterion_04_gradient_fidelity():
     d = 32
     radii = (8.0, 12.0)
-    obj = make_object(ObjectSpec(kind="azimuthal-ring-phase", annulus_radii=radii), d)
+    obj = make_object("azimuthal-ring-phase", d, annulus_radii=radii)
     phase = _recover_heuristic(obj, OrthoMatrix(d))
     trace = cross_section_azimuthal(phase, radius=sum(radii) / 2)
     slope = azimuthal_slope(trace)
@@ -159,7 +159,7 @@ def test_criterion_08_measurement_count_contract():
     counts = {}
     for d in (4, 16, 128):
         H = OrthoMatrix(d)
-        obj = make_object(ObjectSpec(kind="flat"), d)
+        obj = make_object("flat", d)
         counts[d] = tuple(series.values.size for series in measure_exact(obj, H))
     ok = all(counts[d] == (d * d, d * d) for d in counts)
     _report(8, "d^2 records per channel", ok,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostphase import (MeasurementSeries, ObjectSpec, OrthoMatrix, fwht2, make_object,
+from ghostphase import (MeasurementSeries, OrthoMatrix, fwht2, make_object,
                         measure_exact, random_basis, sample_counts)
 
 from conftest import (closed_form_values, decompose_probability, naive_mask_series,
@@ -14,21 +14,21 @@ from conftest import (closed_form_values, decompose_probability, naive_mask_seri
 
 def test_flat_object_cos_series():
     H = OrthoMatrix(4)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[0]
+    series = measure_exact(make_object("flat", 4), H)[0]
     assert series.values[0] == pytest.approx(2.0, abs=1e-12)
     np.testing.assert_allclose(series.values[1:], 0.5, atol=1e-12)
 
 
 def test_flat_object_sin_series():
     H = OrthoMatrix(4)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[1]
+    series = measure_exact(make_object("flat", 4), H)[1]
     assert series.values[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(series.values[1:], 0.5, atol=1e-12)
 
 
 def test_v0_is_twice_reference_probability():
     H = OrthoMatrix(8)
-    obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
+    obj = make_object("pi-slit-phase", 8)
     p0 = abs(fwht2(obj, H)[0, 0]) ** 2
     series = measure_exact(obj, H)[0]
     assert series.values[0] == pytest.approx(2 * p0, abs=1e-12)
@@ -37,7 +37,7 @@ def test_v0_is_twice_reference_probability():
 @pytest.mark.parametrize("kind", ["cos", "sin"])
 def test_slit_matches_naive_oracle(kind):
     H = OrthoMatrix(4)
-    obj = make_object(ObjectSpec(kind="pi-slit-phase"), 4)
+    obj = make_object("pi-slit-phase", 4)
     series = measure_exact(obj, H)[("cos", "sin").index(kind)]
     np.testing.assert_allclose(series.values, naive_mask_series(obj, H, kind), atol=1e-12)
 
@@ -53,7 +53,7 @@ def test_fast_path_equals_naive_path(d, kind):
 
 def test_closed_form_residual_flat_and_global_phase():
     H = OrthoMatrix(8)
-    flat = make_object(ObjectSpec(kind="flat"), 8)
+    flat = make_object("flat", 8)
     for obj in (flat, np.exp(1j * np.pi / 2) * flat):
         coeffs = fwht2(obj, H).ravel()
         for series in measure_exact(obj, H):
@@ -94,7 +94,7 @@ def test_random_basis_series_matches_per_mask_sums():
 
 def test_sampling_determinism_and_independence_of_channel():
     H = OrthoMatrix(8)
-    obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
+    obj = make_object("pi-slit-phase", 8)
     cos_series = measure_exact(obj, H)[0]
     a = sample_counts(cos_series, 1e5, seed=7)
     b = sample_counts(cos_series, 1e5, seed=7)
@@ -106,7 +106,7 @@ def test_sampling_determinism_and_independence_of_channel():
 
 def test_sampling_rejects_bad_flux():
     H = OrthoMatrix(4)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 4), H)[0]
+    series = measure_exact(make_object("flat", 4), H)[0]
     with pytest.raises(ValueError):
         sample_counts(series, 0, seed=0)
     with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ def test_sampling_rejects_bad_flux():
 
 def test_sampling_law_of_large_numbers():
     H = OrthoMatrix(4)
-    obj = make_object(ObjectSpec(kind="flat"), 4)
+    obj = make_object("flat", 4)
     series = measure_exact(obj, H)[0]
     counts = sample_counts(series, 1e8, seed=1)
     exact = series.values / series.values.sum()
@@ -133,7 +133,7 @@ def test_sampling_law_of_large_numbers():
 
 def test_sampling_unbiased_within_poisson_bands():
     H = OrthoMatrix(8)
-    obj = make_object(ObjectSpec(kind="pi-slit-phase"), 8)
+    obj = make_object("pi-slit-phase", 8)
     series = measure_exact(obj, H)[0]
     flux = 1e6
     reps = 100
@@ -156,7 +156,7 @@ def test_sampling_rejects_dark_series():
 @pytest.mark.parametrize("kind, kind_bit", [("cos", 0), ("sin", 1)])
 def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
     H = OrthoMatrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[kind_bit]
+    series = measure_exact(make_object("pi-slit-phase", 8), H)[kind_bit]
     means = 1e5 * series.values / series.values.sum()
     rng = np.random.Generator(np.random.Philox(key=[7, kind_bit]))
     counts = sample_counts(series, 1e5, seed=7)
@@ -166,7 +166,7 @@ def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
 
 def test_sampling_cos_and_sin_streams_differ():
     H = OrthoMatrix(8)
-    cos_series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[0]
+    cos_series = measure_exact(make_object("pi-slit-phase", 8), H)[0]
     sin_series = replace(cos_series, kind="sin")
     a = sample_counts(cos_series, 1e5, seed=7)
     b = sample_counts(sin_series, 1e5, seed=7)
@@ -176,7 +176,7 @@ def test_sampling_cos_and_sin_streams_differ():
 def test_sampling_keys_seeds_above_2_63_exactly():
     # a float64 key would round both seeds to 2**63 and repeat one stream
     H = OrthoMatrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 8), H)[0]
+    series = measure_exact(make_object("pi-slit-phase", 8), H)[0]
     a = sample_counts(series, 1e5, seed=2**63 + 5)
     b = sample_counts(series, 1e5, seed=2**63 + 6)
     assert not np.array_equal(a.values, b.values)

@@ -382,6 +382,10 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     ("illumination_radius: -1", "illumination_radius: must be nonnegative, got -1"),
     ("illumination_radius: .nan", "illumination_radius: must be nonnegative, got nan"),
     ("object: {kind: from-file}", "object.path: a from-file object needs a path"),
+    ("object: {kind: pi-slit-phase, slit_width: 0}", "slit width must be at least 1, got 0"),
+    ("object: {kind: pi-slit-phase, slit_width: -3}", "slit width must be at least 1, got -3"),
+    ("object: {kind: double-slit-amplitude, slit_width: 0}", "slit width must be at least 1, got 0"),
+    ("object: {kind: double-slit-amplitude, slit_width: -3}", "slit width must be at least 1, got -3"),
 ])
 def test_pipeline_rejects_config_limits_before_any_file(tmp_path, capsys, text, error):
     cfgfile = tmp_path / "run.yaml"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghostphase import (ObjectSpec, OrthoMatrix, make_object, measure_exact, random_basis,
+from ghostphase import (OrthoMatrix, make_object, measure_exact, random_basis,
                         sample_counts)
 from ghostphase.acquisition import MeasurementSeries
 from ghostphase.formats import (_ROWS, DataError, read_field, read_series,
@@ -101,7 +101,7 @@ def test_field_reads_from_a_pipe(tmp_path, tail, error):
 
 def test_series_round_trip_exact(tmp_path):
     H = OrthoMatrix(16)
-    series = measure_exact(make_object(ObjectSpec(kind="pi-slit-phase"), 16), H)[0]
+    series = measure_exact(make_object("pi-slit-phase", 16), H)[0]
     path = tmp_path / "series.csv"
     write_series(path, series)
     back = read_series(path)
@@ -118,7 +118,7 @@ def test_a_series_header_that_names_no_basis_is_rejected_as_it_is_read(tmp_path,
     # a basis=hadamard:bogus series used to be read, and only reconstruct's second parse of
     # its header rejected it, blaming both files
     path = tmp_path / "series.csv"
-    write_series(path, measure_exact(make_object(ObjectSpec(kind="flat"), 8), OrthoMatrix(8))[0])
+    write_series(path, measure_exact(make_object("flat", 8), OrthoMatrix(8))[0])
     path.write_text(path.read_text().replace("d=8 basis=hadamard:natural", header, 1))
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad series header value"):
         read_series(path)
@@ -126,7 +126,7 @@ def test_a_series_header_that_names_no_basis_is_rejected_as_it_is_read(tmp_path,
 
 def test_series_round_trip_sampled(tmp_path):
     H = OrthoMatrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[1]
+    series = measure_exact(make_object("flat", 8), H)[1]
     noisy = sample_counts(series, 1e5, seed=4)
     path = tmp_path / "noisy.csv"
     write_series(path, noisy)
@@ -138,7 +138,7 @@ def test_series_round_trip_sampled(tmp_path):
 def test_series_rejects_gaps_and_negatives(tmp_path):
     good = tmp_path / "good.csv"
     H = OrthoMatrix(2)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 2), H)[0]
+    series = measure_exact(make_object("flat", 2), H)[0]
     write_series(good, series)
     lines = good.read_text().splitlines()
 

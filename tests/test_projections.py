@@ -253,7 +253,7 @@ def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
     obj = random_complex_object(d, seed=6)
     for field in (obj, obj.real):
         expected = np.array([np.sum(M * field) for M in masks])
-        np.testing.assert_allclose(mask_overlaps(field, basis), expected, rtol=1e-12)
+        np.testing.assert_allclose(mask_overlaps(field, basis).ravel(), expected, rtol=1e-12)
     w = np.random.default_rng(2).standard_normal(N)
     expected = sum(wj * M for wj, M in zip(w, masks)) / N
     np.testing.assert_allclose(_coefficient_image(w, basis), expected, rtol=1e-12)

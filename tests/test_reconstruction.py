@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghostphase import (ObjectSpec, OrthoMatrix, closed_form_gi, combine_phase, denoise, disc_mask,
+from ghostphase import (OrthoMatrix, closed_form_gi, combine_phase, denoise, disc_mask,
                         estimate_spectrum, fwht2, ghost_image, make_object, measure_exact,
                         normalize, phase_rmse, random_basis, remove_artifact,
                         remove_artifact_analytic, sample_counts)
@@ -25,12 +25,12 @@ ALL_KINDS = ["flat", "double-slit-amplitude", "annulus-amplitude",
 
 def _object(kind, d):
     radii = (d / 4, 3 * d / 8) if d >= 8 else (1.0, 2.2)
-    return make_object(ObjectSpec(kind=kind, annulus_radii=radii), d)
+    return make_object(kind, d, annulus_radii=radii)
 
 
 def test_flat_cos_series_structure():
     H = OrthoMatrix(8)
-    gi = ghost_image(measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[0])
+    gi = ghost_image(measure_exact(make_object("flat", 8), H)[0])
     body = gi.ravel()[1:]
     assert body.max() - body.min() < 1e-13
     assert abs(gi[0, 0] - body[0]) > 1e-6
@@ -38,7 +38,7 @@ def test_flat_cos_series_structure():
 
 def test_constant_series_gives_zero_image():
     H = OrthoMatrix(8)
-    series = measure_exact(make_object(ObjectSpec(kind="flat"), 8), H)[0]
+    series = measure_exact(make_object("flat", 8), H)[0]
     series = replace(series, values=np.full(64, 0.37))
     np.testing.assert_allclose(ghost_image(series), 0, atol=1e-15)
 
@@ -152,6 +152,17 @@ def test_estimate_spectrum_matches_truth():
     cross = np.sqrt(p[0] * p)
     np.testing.assert_allclose(est.cross_cos, cross * np.cos(delta), atol=1e-9)
     np.testing.assert_allclose(est.cross_sin, cross * np.sin(delta), atol=1e-9)
+
+
+def test_remove_artifact_rejects_a_mismatched_pair():
+    # a sequency-order sin series beside a natural-order cos one put phases up to 3.1 rad off
+    obj = _object("azimuthal-ring-phase", 16)
+    sc, ss = measure_exact(obj, OrthoMatrix(16))
+    ss_sequency = measure_exact(obj, OrthoMatrix(16, "sequency"))[1]
+    with pytest.raises(ValueError, match="^cos and sin series headers do not match$"):
+        remove_artifact(sc, ss_sequency)
+    with pytest.raises(ValueError, match="^series channel kinds do not match their roles$"):
+        remove_artifact(ss, sc)
 
 
 def test_heuristic_equals_analytic_for_exact_hadamard_series():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghostphase import (ObjectSpec, OrthoMatrix, apply_illumination, disc_mask, fwht2, make_object,
+from ghostphase import (OrthoMatrix, apply_illumination, disc_mask, fwht2, make_object,
                         normalize)
 from ghostphase.analysis import wrap
 
@@ -12,12 +12,12 @@ ALL_KINDS = ["flat", "double-slit-amplitude", "annulus-amplitude"] + PHASE_KINDS
 
 
 def test_flat_object_is_uniform():
-    obj = make_object(ObjectSpec(kind="flat"), 4)
+    obj = make_object("flat", 4)
     np.testing.assert_allclose(obj, np.full((4, 4), 0.25), atol=1e-14)
 
 
 def test_pi_slit_columns():
-    obj = make_object(ObjectSpec(kind="pi-slit-phase"), 32)
+    obj = make_object("pi-slit-phase", 32)
     support = np.abs(obj) > 0
     phase = np.angle(obj)
     inside = disc_mask(32, 0.44 * 32)
@@ -29,7 +29,7 @@ def test_pi_slit_columns():
 
 def test_azimuthal_ring_phase_linear_in_azimuth():
     d = 32
-    obj = make_object(ObjectSpec(kind="azimuthal-ring-phase", annulus_radii=(8, 12)), d)
+    obj = make_object("azimuthal-ring-phase", d, annulus_radii=(8, 12))
     c = d / 2 - 0.5
     for k in range(16):
         theta = 2 * np.pi * k / 16
@@ -41,18 +41,25 @@ def test_azimuthal_ring_phase_linear_in_azimuth():
 
 def test_phase_objects_have_constant_amplitude_on_support():
     for kind in PHASE_KINDS:
-        obj = make_object(ObjectSpec(kind=kind), 32)
+        obj = make_object(kind, 32)
         mags = np.abs(obj)[np.abs(obj) > 0]
         assert mags.max() - mags.min() < 1e-12
 
 
 def test_geometry_exceeding_grid_rejected():
     with pytest.raises(ValueError, match=r"bad annulus radii \(4, 40\)"):
-        make_object(ObjectSpec(kind="annulus-amplitude", annulus_radii=(4, 40)), 16)
+        make_object("annulus-amplitude", 16, annulus_radii=(4, 40))
     with pytest.raises(ValueError, match="slit does not fit inside the grid"):
-        make_object(ObjectSpec(kind="pi-slit-phase", slit_width=40), 16)
+        make_object("pi-slit-phase", 16, slit_width=40)
     with pytest.raises(ValueError, match="unknown object kind 'no-such-kind'"):
-        ObjectSpec(kind="no-such-kind")
+        make_object("no-such-kind", 16)
+
+
+@pytest.mark.parametrize("kind", ["pi-slit-phase", "double-slit-amplitude"])
+@pytest.mark.parametrize("width", [0, -3])
+def test_slit_narrower_than_one_pixel_rejected(kind, width):
+    with pytest.raises(ValueError, match=f"^slit width must be at least 1, got {width}$"):
+        make_object(kind, 16, slit_width=width)
 
 
 def test_illumination_full_and_empty():
@@ -75,7 +82,7 @@ def _spectrum(obj, H):
 
 
 def test_decompose_flat_is_dc_only():
-    p, alpha = _spectrum(make_object(ObjectSpec(kind="flat"), 4), OrthoMatrix(4))
+    p, alpha = _spectrum(make_object("flat", 4), OrthoMatrix(4))
     assert p[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(p[1:] < 1e-24)
     assert alpha[0] == pytest.approx(0.0, abs=1e-12)
@@ -89,7 +96,7 @@ def test_decompose_basis_element():
 
 def test_decompose_matches_naive_overlaps():
     H = OrthoMatrix(4)
-    obj = make_object(ObjectSpec(kind="pi-slit-phase"), 4)
+    obj = make_object("pi-slit-phase", 4)
     p, _ = _spectrum(obj, H)
     for j in range(16):
         expected = abs(naive_overlap(H.mask(j), obj)) ** 2
@@ -99,7 +106,7 @@ def test_decompose_matches_naive_overlaps():
 def test_probabilities_sum_to_one():
     H = OrthoMatrix(16)
     for kind in ALL_KINDS:
-        p, _ = _spectrum(make_object(ObjectSpec(kind=kind), 16), H)
+        p, _ = _spectrum(make_object(kind, 16), H)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -107,7 +114,7 @@ def test_probabilities_sum_to_one():
 def test_compose_round_trip(kind):
     # the object is the transform of its spectrum sqrt(p) e^{i alpha}
     H = OrthoMatrix(16)
-    obj = make_object(ObjectSpec(kind=kind), 16)
+    obj = make_object(kind, 16)
     p, alpha = _spectrum(obj, H)
     composed = fwht2((np.sqrt(p) * np.exp(1j * alpha)).reshape(16, 16), H)
     np.testing.assert_allclose(composed, obj, atol=1e-10)
