@@ -2,7 +2,6 @@
 
 from .wht import NATURAL, SEQUENCY, OrthoMatrix, fwht2
 from .scene import KINDS, apply_illumination, default_radius, disc_mask, make_object, normalize
-from .projections import random_basis
 from .acquisition import MeasurementSeries, measure_exact, sample_counts
 from .reconstruction import (ClosedFormTerms, PhaseImage, SINE_CHANNEL_SIGN, closed_form_gi,
                              combine_phase, denoise, estimate_spectrum, ghost_image,

@@ -221,9 +221,9 @@ def cmd_gen_masks(args, cfg: RunConfig) -> None:
     if args.index is None and not 1 <= args.count <= N:
         raise ConfigError(f"--count: must be in [1, {N}], got {args.count}")
     indices = range(args.count) if args.index is None else [args.index]
-    out = _outdir(cfg)
-    for j in indices:
+    for n, j in enumerate(indices):
         signs = np.where(basis.mask(j) > 0, 1, -1)
+        out = out if n else _outdir(cfg)    # after one grid: a size too big for memory writes nothing
         for kind, grid in (("basis", signs), ("cos", (signs > 0).astype(int)), ("sin", signs)):
             formats.write_mask_text(os.path.join(out, f"mask_{kind}_{j:05d}.txt"), grid, kind, j)
     print(f"wrote {3 * len(indices)} mask files to {out}")
@@ -374,6 +374,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (ValueError, IndexError) as exc:   # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:                # a size the config asks for that does not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -64,7 +64,10 @@ def read_field(path) -> Tuple[np.ndarray, str]:
         # memory; a pipe is read into it, and one byte past it for trailing bytes
         size = os.fstat(fh.fileno()).st_size - fh.tell() if fh.seekable() else expected
         if size == expected:
-            field = np.empty((d, d), dtype=_dtype(kind))
+            try:
+                field = np.empty((d, d), dtype=_dtype(kind))
+            except (MemoryError, ValueError) as exc:    # a d too large to allocate
+                raise DataError(f"{path}: bad field header ({exc})") from None
             size = fh.readinto(field) + len(fh.read(1))
         if size != expected:
             raise DataError(f"{path}: payload is {size} bytes, expected {expected}")

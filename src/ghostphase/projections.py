@@ -1,10 +1,5 @@
-"""Seeded random bases: the Hadamard masks with their pixels shuffled, an alternative scan order."""
+"""Empty: a seeded random basis is ``wht.OrthoMatrix(d, seed=s)``.
 
-from __future__ import annotations
-
-from .wht import OrthoMatrix
-
-
-def random_basis(d: int, seed: int) -> OrthoMatrix:
-    """The natural-order Hadamard basis with its pixels shuffled by the permutation of ``seed``."""
-    return OrthoMatrix(d, seed=seed)
+The module stays only because the benchmark's tracer (``perfbench/traced_cli.py``)
+lists it among the package's layers; it goes once that list drops it.
+"""

@@ -56,22 +56,26 @@ def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     return image
 
 
+def _values(series: MeasurementSeries) -> np.ndarray:
+    """The series' values as float64, one per mask of its basis; float64 values are not copied."""
+    v = np.asarray(series.values, dtype=float)
+    if v.size != series.basis.size:
+        raise ValueError(f"series length {v.size} does not match basis N={series.basis.size}")
+    return v
+
+
 def ghost_image(series: MeasurementSeries) -> np.ndarray:
     """Mean-subtracted correlation reconstruction (one channel) in the series' own basis.
 
     Sampled-count series are normalized by their total first; the overall
     scale only affects contrast.  The series' values are left as they are.
     """
-    v = np.asarray(series.values, dtype=float)
-    if v.size != series.basis.size:
-        raise ValueError(f"series length {v.size} does not match basis N={series.basis.size}")
-    if series.exact:
-        v = v.copy()    # asarray keeps exact float64 values as the caller's array
-    else:
+    v = _values(series).copy()
+    if not series.exact:
         total = v.sum()
         if not total > 0:
             raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
-        v = v / total
+        v /= total
     v -= v.mean()
     return _coefficient_image(v, series.basis)
 
@@ -133,8 +137,8 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
         raise ValueError("cos and sin series headers do not match")
     if series_cos.kind != "cos" or series_sin.kind != "sin":
         raise ValueError("series channel kinds do not match their roles")
-    vc = np.asarray(series_cos.values, dtype=float)
-    vs = np.asarray(series_sin.values, dtype=float)
+    vc = _values(series_cos)
+    vs = _values(series_sin)
     p0 = vc[0] / 2.0
     if p0 <= 0 or vs[0] <= 0:
         raise ValueError("reference-mode samples are empty; cannot estimate the spectrum")
@@ -200,7 +204,7 @@ def combine_phase(re: np.ndarray, im: np.ndarray, support: Optional[np.ndarray] 
     if re.shape != im.shape:
         raise ValueError(f"channel shapes differ: {re.shape} vs {im.shape}")
     magnitude = np.hypot(re, im)
-    valid = magnitude > 1e-9 * magnitude.max() if magnitude.max() > 0 else np.zeros_like(magnitude, bool)
+    valid = magnitude > 1e-9 * magnitude.max()     # all False when every magnitude is 0
     if support is not None:
         valid &= support
     phase = np.where(valid, np.arctan2(im, re), 0.0)

@@ -33,10 +33,6 @@ def _polar(d: int) -> Tuple[np.ndarray, np.ndarray]:
     return _radius(d), np.mod(np.arctan2(y - c, x - c), 2 * np.pi)
 
 
-def _columns(d: int) -> np.ndarray:
-    return np.arange(d)[np.newaxis, :] * np.ones((d, 1), dtype=int)
-
-
 def default_radius(d: int) -> float:
     return 0.44 * d
 
@@ -91,7 +87,7 @@ def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
         raise ValueError("illumination radius must be nonnegative")
     radius = min(radius, d)
 
-    cols = _columns(d)
+    cols = np.arange(d)     # the slit kinds select whole columns
     r, theta = _polar(d)
     obj = np.zeros((d, d), dtype=np.complex128)
 
@@ -111,7 +107,7 @@ def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
             raise ValueError("double slit does not fit inside the grid")
         left = (cols >= left0) & (cols < left0 + w)
         right = (cols >= right0) & (cols < right0 + w)
-        obj[left | right] = 1.0
+        obj[:, left | right] = 1.0
     elif kind == "annulus-amplitude":
         r0, r1 = _annulus_radii(annulus_radii, d, (d / 4, 3 * d / 8))
         obj[(r >= r0) & (r <= r1)] = 1.0
@@ -124,7 +120,7 @@ def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
             raise ValueError("slit does not fit inside the grid")
         obj[:] = 1.0
         slit = (cols >= c0) & (cols < c0 + w)
-        obj[slit] = np.exp(1j * phase_depth)
+        obj[:, slit] = np.exp(1j * phase_depth)
     elif kind == "azimuthal-ring-phase":
         r0, r1 = _annulus_radii(annulus_radii, d, (d / 4, 3 * d / 8))
         obj[:] = 1.0

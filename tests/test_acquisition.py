@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostphase import (MeasurementSeries, OrthoMatrix, fwht2, make_object,
-                        measure_exact, random_basis, sample_counts)
+                        measure_exact, sample_counts)
 
 from conftest import (closed_form_values, decompose_probability, naive_mask_series,
                       random_complex_object)
@@ -83,7 +83,7 @@ def test_energy_bookkeeping():
 
 
 def test_random_basis_series_matches_per_mask_sums():
-    basis = random_basis(4, seed=5)
+    basis = OrthoMatrix(4, seed=5)
     obj = random_complex_object(4, seed=5)
     series = measure_exact(obj, basis)[1]
     for j in range(16):

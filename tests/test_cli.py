@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostphase
-from ghostphase import cli, formats, projections, wht
+from ghostphase import cli, formats, scene, wht
 from ghostphase.config import ConfigError, RunConfig, config_from_document, load_config
 from ghostphase.formats import read_field, read_series, write_field
 from ghostphase.scene import KINDS
@@ -57,7 +57,7 @@ def test_gen_masks_random_basis_exports_its_masks(tmp_path):
                "--index", "5", "--out", str(tmp_path)) == 0
     rows = (tmp_path / "mask_basis_00005.txt").read_text().splitlines()
     symbols = np.array([[int(v) for v in row.split()] for row in rows[1:]])
-    np.testing.assert_array_equal(symbols, np.sign(projections.random_basis(8, 3).mask(5)))
+    np.testing.assert_array_equal(symbols, np.sign(wht.OrthoMatrix(8, seed=3).mask(5)))
     assert run("gen-masks", "--d", "8", "--basis", "random", "--index", "64",
                "--out", str(tmp_path)) == 2
 
@@ -763,7 +763,7 @@ def test_pipeline_builds_random_basis_once(tmp_path):
 def test_cached_basis_arrays_are_read_only(descriptor, attr):
     basis = wht.OrthoMatrix.from_descriptor(descriptor, 8)
     again = wht.OrthoMatrix.from_descriptor(descriptor, 8)
-    assert again == basis == projections.random_basis(8, 3)
+    assert again == basis == wht.OrthoMatrix(8, seed=3)
     assert getattr(again, attr) is getattr(basis, attr)
     assert not getattr(basis, attr).flags.writeable
 
@@ -948,6 +948,44 @@ def test_failing_run_writes_no_output_directory(tmp_path, argv, config):
     _assert_clean_failure(code, stderr, out)
     if "--count" in argv:
         assert stderr.startswith("error: --count: must be in [1, 64], got ")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("d", [3000000, 2 ** 32])
+@pytest.mark.parametrize("command", ["analyze", "acquire"])
+def test_forged_field_header_read_through_a_pipe_is_data_error(tmp_path, command, d):
+    # a pipe cannot be sized before its array is allocated, so a d too large to allocate
+    # (65.5 TiB, or more elements than numpy can index) is the file's fault.  The message's
+    # tail is left open: where the allocation succeeds, the payload size check fails instead
+    r, w = os.pipe()
+    try:
+        os.write(w, f"GCF1\nd={d} kind=real\n".encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        inputs = ["--phase", path, "--truth", path] if command == "analyze" else ["--object", path]
+        out = tmp_path / "out"
+        code, stderr = run_cli([command, *inputs, "--out", str(out)])
+    finally:
+        os.close(r)
+    assert code == 3 and stderr.startswith(f"error: {path}: "), stderr
+    _assert_clean_failure(code, stderr, out)
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("pipeline", "--d", "16"), scene, "make_object"),
+    (("gen-masks", "--d", "16", "--count", "1"), wht.OrthoMatrix, "mask"),
+], ids=["pipeline", "gen-masks"])
+def test_a_size_too_large_for_memory_is_usage_error(tmp_path, monkeypatch, argv, module, name):
+    # the patched function stands in for a grid too large to allocate (d=1048576 asks for
+    # 8 TiB); a test never allocates one, since an overcommitting host would touch its pages
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    out = tmp_path / "out"
+    code, stderr = run_cli([*argv, "--out", str(out)])
+    assert code == 2 and stderr == "error: out of memory: Unable to allocate 8.00 TiB\n"
+    _assert_clean_failure(code, stderr, out)
 
 
 @pytest.mark.parametrize("command", ["gen-object", "pipeline"])

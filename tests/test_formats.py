@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghostphase import (OrthoMatrix, make_object, measure_exact, random_basis,
+from ghostphase import (OrthoMatrix, make_object, measure_exact,
                         sample_counts)
 from ghostphase.acquisition import MeasurementSeries
 from ghostphase.formats import (_ROWS, DataError, read_field, read_series,
@@ -253,7 +253,7 @@ def test_read_series_parity_table(tmp_path, raw, expected):
 def test_series_round_trip_is_bit_identical(tmp_path_factory, values):
     d = int(len(values) ** 0.5)
     written = np.array(values, dtype=np.float64)
-    series = MeasurementSeries(kind="sin", basis=random_basis(d, 7), values=written,
+    series = MeasurementSeries(kind="sin", basis=OrthoMatrix(d, seed=7), values=written,
                                flux=1e9, seed=3)
     path = tmp_path_factory.mktemp("series") / "series.csv"
     write_series(path, series)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostphase import OrthoMatrix, measure_exact, random_basis
+from ghostphase import OrthoMatrix, measure_exact
 from ghostphase.wht import _philox_words
 from ghostphase.acquisition import mask_overlaps
 from ghostphase.reconstruction import _coefficient_image
@@ -124,7 +124,7 @@ FULL_SETS = [
     *[pytest.param(("--d", str(d), "--ordering", order), OrthoMatrix(d, order),
                    id=f"hadamard-{order}-d{d}")
       for order in ("natural", "sequency") for d in (2, 4, 8)],
-    pytest.param(("--d", "8", "--basis", "random", "--basis-seed", "3"), random_basis(8, seed=3),
+    pytest.param(("--d", "8", "--basis", "random", "--basis-seed", "3"), OrthoMatrix(8, seed=3),
                  id="random-d8"),
 ]
 
@@ -144,22 +144,22 @@ def test_gen_masks_full_set_matches_oracle_masks(tmp_path, flags, basis):
 
 
 def test_random_basis_determinism_and_reference():
-    a = random_basis(8, seed=9)
-    b = random_basis(8, seed=9)
+    a = OrthoMatrix(8, seed=9)
+    b = OrthoMatrix(8, seed=9)
     np.testing.assert_array_equal(mask_matrix(a), mask_matrix(b))
     np.testing.assert_allclose(a.mask(0), np.full((8, 8), 1 / 8))
     assert set(np.unique(np.round(mask_matrix(a)[1:] * 8))) == {-1.0, 1.0}
 
 
 def test_random_basis_seed_sensitivity():
-    a = random_basis(16, seed=1)
-    b = random_basis(16, seed=2)
+    a = OrthoMatrix(16, seed=1)
+    b = OrthoMatrix(16, seed=2)
     differing = np.mean(mask_matrix(a)[1:] != mask_matrix(b)[1:])
     assert differing >= 0.40
 
 
 def test_random_basis_entry_mean():
-    basis = random_basis(16, seed=3)
+    basis = OrthoMatrix(16, seed=3)
     signs = np.sign(mask_matrix(basis))
     assert abs(signs.mean()) <= 4 / np.sqrt(256 * 256)
 
@@ -167,7 +167,7 @@ def test_random_basis_entry_mean():
 @settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from([2, 4, 8, 32]), seed=st.integers(0, 2 ** 64 - 1))
 def test_random_masks_are_orthonormal_with_the_hadamard_reference(d, seed):
-    basis = random_basis(d, seed)
+    basis = OrthoMatrix(d, seed=seed)
     M = mask_matrix(basis)
     np.testing.assert_allclose(M @ M.T, np.eye(d * d), atol=1e-12)
     np.testing.assert_array_equal(basis.mask(0), OrthoMatrix(d).mask(0))
@@ -175,9 +175,9 @@ def test_random_masks_are_orthonormal_with_the_hadamard_reference(d, seed):
 
 
 def test_random_basis_is_a_hashable_value():
-    a, b = random_basis(8, 3), random_basis(8, 3)
+    a, b = OrthoMatrix(8, seed=3), OrthoMatrix(8, seed=3)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != OrthoMatrix(8) and a != random_basis(8, 4)
+    assert a != OrthoMatrix(8) and a != OrthoMatrix(8, seed=4)
     assert a.descriptor == "permuted:3" and OrthoMatrix(8).descriptor == "hadamard:natural"
 
 
@@ -185,7 +185,7 @@ def test_unseeded_shuffles_return_their_input():
     H = OrthoMatrix(4)
     field = np.arange(16.0).reshape(4, 4)
     assert H.shuffle(field) is field and H.unshuffle(field) is field
-    basis = random_basis(4, seed=1)
+    basis = OrthoMatrix(4, seed=1)
     np.testing.assert_array_equal(basis.shuffle(basis.unshuffle(field)), field)
     with pytest.raises(ValueError, match=r"field shape \(1, 16\) does not match d=4"):
         basis.unshuffle(np.zeros((1, 16)))
@@ -193,7 +193,7 @@ def test_unseeded_shuffles_return_their_input():
 
 def test_random_permutation_is_pinned():
     # drawn from Philox words, not a Generator method, so every numpy release draws it alike
-    np.testing.assert_array_equal(random_basis(4, seed=1).perm,
+    np.testing.assert_array_equal(OrthoMatrix(4, seed=1).perm,
                                   [0, 4, 6, 3, 10, 8, 11, 15, 1, 9, 14, 13, 7, 12, 2, 5])
 
 
@@ -212,17 +212,14 @@ def test_a_seeded_basis_scans_natural_order():
     # permuted:<seed> names natural-order masks, so a seeded sequency basis would be misread
     with pytest.raises(ValueError, match="natural order"):
         OrthoMatrix(8, "sequency", seed=3)
-    assert OrthoMatrix(8, seed=3) == random_basis(8, 3)
 
 
 @pytest.mark.parametrize("seed", [2 ** 64, -1])
 def test_a_seed_outside_one_uint64_word_is_rejected(seed):
     # such a basis used to build, name itself permuted:<seed> and fail in perm on first use
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-        random_basis(8, seed)
-    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         OrthoMatrix(8, seed=seed)
-    assert random_basis(8, 2 ** 64 - 1).descriptor == f"permuted:{2 ** 64 - 1}"
+    assert OrthoMatrix(8, seed=2 ** 64 - 1).descriptor == f"permuted:{2 ** 64 - 1}"
 
 
 def test_an_unseeded_basis_has_no_permutation():
@@ -234,7 +231,7 @@ def test_an_unseeded_basis_has_no_permutation():
 def test_random_mask_alone_equals_matrix_row(d):
     # row j of the Hadamard mask matrix, its columns (pixels) taken in perm order
     N = d * d
-    basis = random_basis(d, seed=17)
+    basis = OrthoMatrix(d, seed=17)
     shuffled = mask_matrix(OrthoMatrix(d))[:, basis.perm]
     assert not basis.perm.flags.writeable
     for j in (0, 1, N // 2, N - 1):
@@ -245,7 +242,7 @@ def test_random_mask_alone_equals_matrix_row(d):
 
 
 @pytest.mark.parametrize("basis", [OrthoMatrix(8), OrthoMatrix(8, "sequency"),
-                                   random_basis(8, seed=4), random_basis(2, seed=1)],
+                                   OrthoMatrix(8, seed=4), OrthoMatrix(2, seed=1)],
                          ids=["hadamard-natural", "hadamard-sequency", "random-d8", "random-d2"])
 def test_overlaps_and_coefficient_image_match_per_mask_sums(basis):
     d, N = basis.dim, basis.size

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ghostphase import (OrthoMatrix, closed_form_gi, combine_phase, denoise, disc_mask,
                         estimate_spectrum, fwht2, ghost_image, make_object, measure_exact,
-                        normalize, phase_rmse, random_basis, remove_artifact,
+                        normalize, phase_rmse, remove_artifact,
                         remove_artifact_analytic, sample_counts)
 from ghostphase import cli, reconstruction
 from ghostphase.config import RunConfig
@@ -81,6 +81,16 @@ def test_series_length_mismatch():
         ghost_image(replace(series, values=series.values[:10]))
 
 
+def test_every_stage_checks_a_series_length_against_its_basis():
+    # only ghost_image used to: estimate_spectrum failed inside numpy's broadcasting
+    sc, ss = measure_exact(_object("pi-slit-phase", 4), OrthoMatrix(4))
+    short = replace(ss, values=ss.values[:1])
+    for call in (lambda: remove_artifact(sc, short), lambda: estimate_spectrum(sc, short),
+                 lambda: ghost_image(short)):
+        with pytest.raises(ValueError, match="series length 1 does not match basis N=16"):
+            call()
+
+
 def test_sin_term1_vanishes_for_real_objects():
     H = OrthoMatrix(8)
     obj = _object("double-slit-amplitude", 8)
@@ -121,7 +131,7 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
 
 
 def test_analytic_requires_ground_truth():
-    basis = random_basis(4, seed=5)
+    basis = OrthoMatrix(4, seed=5)
     obj = _object("flat", 4)
     gic, gis = (ghost_image(s) for s in measure_exact(obj, basis))
     with pytest.raises(ValueError, match="needs the ground-truth object"):
@@ -132,7 +142,7 @@ def test_closed_form_matches_the_ghost_images_of_a_seeded_basis():
     # a seeded basis shuffles the Hadamard masks' pixels and fixes pixel 0, so mask 0
     # stays the uniform reference the closed form is derived for
     for d in (8, 32):
-        basis = random_basis(d, seed=3)
+        basis = OrthoMatrix(d, seed=3)
         for object_kind in ALL_KINDS:
             obj = _object(object_kind, d)
             for series, terms in zip(measure_exact(obj, basis), closed_form_gi(obj, basis)):
@@ -171,7 +181,7 @@ def test_heuristic_equals_analytic_for_exact_hadamard_series():
     obj = _object("azimuthal-ring-phase", d)
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
-    for H in (OrthoMatrix(d), random_basis(d, seed=7)):
+    for H in (OrthoMatrix(d), OrthoMatrix(d, seed=7)):
         sc, ss = measure_exact(obj, H)
         re_a, im_a = remove_artifact_analytic(ghost_image(sc), ghost_image(ss), obj, H)
         re_h, im_h = remove_artifact(sc, ss)
@@ -254,7 +264,7 @@ def test_estimate_spectrum_is_bit_identical_to_the_textbook_expressions(kind, fl
 
 
 @pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
-@pytest.mark.parametrize("basis", [OrthoMatrix(16), random_basis(16, 3)], ids=["hadamard", "random"])
+@pytest.mark.parametrize("basis", [OrthoMatrix(16), OrthoMatrix(16, seed=3)], ids=["hadamard", "random"])
 def test_reconstruction_leaves_the_series_values_alone(basis, flux):
     # an exact series' values are the caller's array, and a pipeline writes them after reconstructing
     pair = _series_pair(_object("spiral-flower-phase", 16), basis, flux)
@@ -324,7 +334,7 @@ def test_random_vs_hadamard_reconstruction_agreement():
     d = 16
     obj = _object("pi-slit-phase", d)
     H = OrthoMatrix(d)
-    basis = random_basis(d, seed=42)
+    basis = OrthoMatrix(d, seed=42)
     support = disc_mask(d, 0.44 * d)
 
     def recover(b):
@@ -357,14 +367,14 @@ def _assert_matches_least_squares(obj, basis):
 @pytest.mark.parametrize("seed", [1, 7, 42])
 @pytest.mark.parametrize("d", [8, 16])
 def test_random_solve_matches_least_squares(d, seed):
-    _assert_matches_least_squares(_object("spiral-flower-phase", d), random_basis(d, seed))
+    _assert_matches_least_squares(_object("spiral-flower-phase", d), OrthoMatrix(d, seed=seed))
 
 
 @pytest.mark.parametrize("d, seed, kind", [(2, 1, "flat"), (4, 12, "pi-slit-phase"),
                                            (4, 12, "azimuthal-ring-phase")])
 def test_random_seeds_that_drew_singular_sets_now_solve(d, seed, kind):
     # i.i.d. sign masks were singular (seed 1 at d=2) or rank-deficient (seed 12 at d=4)
-    basis = random_basis(d, seed)
+    basis = OrthoMatrix(d, seed=seed)
     assert np.linalg.matrix_rank(mask_matrix(basis)) == d * d
     _assert_matches_least_squares(_object(kind, d), basis)
 
