@@ -60,22 +60,17 @@ def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
 
 def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruction:
     """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
-    if series_cos.basis != series_sin.basis:
-        raise ValueError("cos and sin series headers do not match")
-    if series_cos.kind != "cos" or series_sin.kind != "sin":
-        raise ValueError("series channel kinds do not match their roles")
-    d = series_cos.dim
-    gi_cos = reconstruction.ghost_image(series_cos)
-    gi_sin = reconstruction.ghost_image(series_sin)
+    gi_cos, gi_sin = reconstruction.ghost_image(series_cos, series_sin)
     if cfg.artifact_mode == "analytic":
-        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, series_cos.basis)
+        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, series_cos.basis,
+                                                         (series_cos.exact, series_sin.exact))
     else:
         re, im = reconstruction.remove_artifact(series_cos, series_sin)
     # the support radius follows cfg.d, not the series dimension
     radius = cfg.illumination_radius
     if radius is None:
         radius = scene.default_radius(cfg.d)
-    phase = reconstruction.combine_phase(re, im, scene.disc_mask(d, min(radius, d)))
+    phase = reconstruction.combine_phase(re, im, scene.disc_mask(series_cos.dim, radius))
     return Reconstruction(gi_cos, gi_sin, re, im,
                           reconstruction.denoise(phase, cfg.denoise_window))
 
@@ -229,18 +224,18 @@ def cmd_gen_masks(args, cfg: RunConfig) -> None:
     print(f"wrote {3 * len(indices)} mask files to {out}")
 
 
-def _sized_by(cfg: RunConfig, d: int, path) -> RunConfig:
-    """The config with the d of the input at ``path``, the size that runs and is recorded.
-    A size the basis cannot scan is the file's fault, not the config's."""
+def _taken_from(path, cfg: RunConfig, **facts) -> RunConfig:
+    """The config with the ``facts`` that the input at ``path`` states, which runs and is recorded.
+    A fact it cannot hold, such as a size the basis cannot scan, is the file's fault, not the config's."""
     try:
-        return dataclasses.replace(cfg, d=d).validate()
+        return dataclasses.replace(cfg, **facts).validate()
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_acquire(args, cfg: RunConfig) -> None:
     obj = _read_role(args.object, "acquisition object")
-    cfg = _sized_by(cfg, obj.shape[0], args.object)
+    cfg = _taken_from(args.object, cfg, d=obj.shape[0])
     with _blame_files([args.object]):
         series = acquire(cfg, obj)
     write_series_pair(_outdir(cfg), *series)
@@ -257,14 +252,14 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
         rec = reconstruct(cfg, series_cos, series_sin, obj)
-    write_reconstruction(_outdir(cfg.with_basis(series_cos.basis)), rec)   # record the basis that ran
+    write_reconstruction(_outdir(_taken_from(args.cos, cfg.with_series(series_cos))), rec)
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
     with _blame_files(inputs):
         recovered = _read_phase_image(args.phase, args.support)
-        cfg = _sized_by(cfg, recovered.entries.shape[0], args.phase)
+        cfg = _taken_from(args.phase, cfg, d=recovered.entries.shape[0])
         result = analyze(cfg, recovered, _read_phase_image(args.truth, args.truth_support))
     write_analysis(_outdir(cfg), result)
 

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from .acquisition import MeasurementSeries
 from .scene import KINDS
 from .wht import OrthoMatrix
 
@@ -98,11 +99,13 @@ class RunConfig:
         """The configured d x d scan basis: Hadamard in its ordering, or seeded for random masks."""
         return OrthoMatrix(self.d, self.ordering, self.basis_seed if self.basis == "random" else None)
 
-    def with_basis(self, basis: OrthoMatrix) -> "RunConfig":
-        """This config naming ``basis``; a Hadamard basis has no seed, so basis_seed stays, as d does."""
-        if basis.seed is None:
-            return replace(self, basis="hadamard", ordering=basis.ordering)
-        return replace(self, basis="random", ordering=basis.ordering, basis_seed=basis.seed)
+    def with_series(self, series: MeasurementSeries) -> "RunConfig":
+        """This config naming the basis, flux and seed that ``series`` was measured with.  A Hadamard
+        basis or an exact series names no seed, so that seed field stays, as d does."""
+        basis = series.basis
+        return replace(self, basis="hadamard" if basis.seed is None else "random", ordering=basis.ordering,
+                       basis_seed=self.basis_seed if basis.seed is None else basis.seed, flux=series.flux,
+                       acquisition_seed=self.acquisition_seed if series.seed is None else series.seed)
 
     def object_spec(self) -> dict:
         """``scene.make_object``'s kind and geometry arguments; a from-file object has none."""

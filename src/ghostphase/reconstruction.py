@@ -32,11 +32,12 @@ _MEDIAN_BUDGET = 2 ** 18
 
 @dataclass(frozen=True)
 class ClosedFormTerms:
-    """The three closed-form contributions, each on the ghost-image scale."""
+    """The three closed-form contributions, on an exact series' ghost-image scale, and its sum."""
 
     object_part: np.ndarray         # sqrt(p0) Re/Im of the rephased object, / N
     spectral_part: np.ndarray       # Hadamard transform of the probability grid / (2N)
     dc_part: np.ndarray             # ensemble-average weight on the corner pixel, / N
+    channel_sum: float              # sum_j v_j of the channel's exact series, from the same overlaps
 
     @property
     def total(self) -> np.ndarray:
@@ -56,28 +57,36 @@ def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     return image
 
 
-def _values(series: MeasurementSeries) -> np.ndarray:
-    """The series' values as float64, one per mask of its basis; float64 values are not copied."""
-    v = np.asarray(series.values, dtype=float)
-    if v.size != series.basis.size:
-        raise ValueError(f"series length {v.size} does not match basis N={series.basis.size}")
-    return v
+def _pair_values(series_cos: MeasurementSeries, series_sin: MeasurementSeries) -> Tuple[np.ndarray, ...]:
+    """One scan's cos and sin values as float64, one per mask of their basis; float64 is not copied."""
+    if series_cos.basis != series_sin.basis:
+        raise ValueError("cos and sin series headers do not match")
+    if series_cos.kind != "cos" or series_sin.kind != "sin":
+        raise ValueError("series channel kinds do not match their roles")
+    pair = tuple(np.asarray(s.values, dtype=float) for s in (series_cos, series_sin))
+    for v in pair:
+        if v.size != series_cos.basis.size:
+            raise ValueError(f"series length {v.size} does not match basis N={series_cos.basis.size}")
+    return pair
 
 
-def ghost_image(series: MeasurementSeries) -> np.ndarray:
-    """Mean-subtracted correlation reconstruction (one channel) in the series' own basis.
+def ghost_image(series_cos: MeasurementSeries, series_sin: MeasurementSeries) -> Tuple[np.ndarray, ...]:
+    """Mean-subtracted correlation reconstructions (gi_cos, gi_sin) in the series' own basis.
 
     Sampled-count series are normalized by their total first; the overall
     scale only affects contrast.  The series' values are left as they are.
     """
-    v = _values(series).copy()
-    if not series.exact:
-        total = v.sum()
-        if not total > 0:
-            raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
-        v /= total
-    v -= v.mean()
-    return _coefficient_image(v, series.basis)
+    images = []
+    for series, v in zip((series_cos, series_sin), _pair_values(series_cos, series_sin)):
+        v = v.copy()
+        if not series.exact:
+            total = v.sum()
+            if not total > 0:
+                raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
+            v /= total
+        v -= v.mean()
+        images.append(_coefficient_image(v, series.basis))
+    return tuple(images)
 
 
 def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, ClosedFormTerms]:
@@ -101,11 +110,12 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
     rotated = np.exp(-1j * a0) * coeffs
     spectral = 0.5 * _coefficient_image(np.abs(coeffs) ** 2, H)
     terms = []
-    for sign, part in ((1.0, np.real), (SINE_CHANNEL_SIGN, np.imag)):
+    for sign, part, ref in ((1.0, np.real, c0), (SINE_CHANNEL_SIGN, np.imag, -1j * c0)):
         g = np.sqrt(N) * (1.0 / (2 * N) + sign * np.sqrt(p0) * part(rotated).mean())
         dc = np.zeros((d, d))
         dc[0, 0] = g
-        terms.append(ClosedFormTerms(sign * np.sqrt(p0) * part(rephased) / N, spectral, dc / N))
+        terms.append(ClosedFormTerms(sign * np.sqrt(p0) * part(rephased) / N, spectral, dc / N,
+                                     float((np.abs(coeffs + ref) ** 2).sum() / 2)))
     return terms[0], terms[1]
 
 
@@ -133,12 +143,7 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
     textbook expressions, so the results keep their bits and the series
     their values.
     """
-    if series_cos.basis != series_sin.basis:
-        raise ValueError("cos and sin series headers do not match")
-    if series_cos.kind != "cos" or series_sin.kind != "sin":
-        raise ValueError("series channel kinds do not match their roles")
-    vc = _values(series_cos)
-    vs = _values(series_sin)
+    vc, vs = _pair_values(series_cos, series_sin)
     p0 = vc[0] / 2.0
     if p0 <= 0 or vs[0] <= 0:
         raise ValueError("reference-mode samples are empty; cannot estimate the spectrum")
@@ -183,14 +188,21 @@ def remove_artifact(series_cos: MeasurementSeries,
     return tuple(_patch_corner(_coefficient_image(w, series_cos.basis)) for w in cross)
 
 
-def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray,
-                             basis: OrthoMatrix) -> Tuple[np.ndarray, np.ndarray]:
+def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray, basis: OrthoMatrix,
+                             exact: Tuple[bool, bool] = (True, True)) -> Tuple[np.ndarray, np.ndarray]:
     """Fields proportional to Re(O) and Im(O) from the ghost images and the ground truth.
 
     Subtracts the closed-form spectral and DC terms of ``obj`` from each
-    channel; ``closed_form_gi`` rejects a missing object.
+    channel; ``closed_form_gi`` rejects a missing object.  ``exact`` says which
+    channels' series were exact.  A sampled series' ghost image is divided by
+    its count total, so it is first multiplied by its channel's exact sum, the
+    closed form's scale.
     """
     tc, ts = closed_form_gi(obj, basis)
+    if not exact[0]:
+        gi_cos = gi_cos * tc.channel_sum
+    if not exact[1]:
+        gi_sin = gi_sin * ts.channel_sum
     re = gi_cos - tc.spectral_part + tc.dc_part
     im = SINE_CHANNEL_SIGN * (gi_sin - ts.spectral_part + ts.dc_part)
     return re, im

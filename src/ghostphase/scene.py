@@ -85,7 +85,6 @@ def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
     radius = illumination_radius if illumination_radius is not None else default_radius(d)
     if radius < 0:
         raise ValueError("illumination radius must be nonnegative")
-    radius = min(radius, d)
 
     cols = np.arange(d)     # the slit kinds select whole columns
     r, theta = _polar(d)

@@ -169,12 +169,36 @@ def test_random_mask_pipeline_removes_the_artifact_analytically(tmp_path, d):
     assert float(report["phase_rmse_rad"]) < 1e-9
 
 
-def test_reconstruct_channel_role_mismatch(tmp_path):
+def test_analytic_removal_of_a_sampled_pipeline_matches_the_heuristic(tmp_path):
+    # a sampled ghost image is divided by its count total; analytic removal read 1.146 rad here
+    rmse = {}
+    for mode in ("analytic", "heuristic"):
+        assert run("pipeline", "--d", "64", "--kind", "azimuthal-ring-phase", "--flux", "1e9",
+                   "--artifact-mode", mode, "--out", str(tmp_path / mode)) == 0
+        report = dict(line.split(": ") for line in (tmp_path / mode / "report.txt").read_text().splitlines())
+        rmse[mode] = float(report["phase_rmse_rad"])
+    assert rmse["analytic"] == pytest.approx(rmse["heuristic"], rel=0.1)
+    assert rmse["heuristic"] < 0.05
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "analytic"])
+@pytest.mark.parametrize("mismatch", ["swapped-kinds", "other-ordering"])
+def test_reconstruct_channel_role_mismatch(tmp_path, mode, mismatch):
+    # both artifact modes check the pair before either removal runs
+    for ordering in ("natural", "sequency"):
+        assert run("pipeline", "--d", "8", "--ordering", ordering, "--out", str(tmp_path / ordering)) == 0
+    cos = tmp_path / "natural" / "series_cos.csv"
+    sin, message = ((tmp_path / "natural" / "series_cos.csv", "series channel kinds do not match their roles")
+                    if mismatch == "swapped-kinds" else
+                    (tmp_path / "sequency" / "series_sin.csv", "cos and sin series headers do not match"))
     out = tmp_path / "out"
-    run("gen-object", "--d", "8", "--out", str(out))
-    run("acquire", "--object", str(out / "object.gcf"), "--out", str(out))
-    assert run("reconstruct", "--cos", str(out / "series_cos.csv"),
-               "--sin", str(out / "series_cos.csv"), "--out", str(out)) == 3
+    code, stderr = run_cli(["reconstruct", "--d", "8", "--artifact-mode", mode, "--cos", str(cos),
+                            "--sin", str(sin), "--object", str(tmp_path / "natural" / "object.gcf"),
+                            "--out", str(out)])
+    assert code == 3
+    assert stderr.startswith(f"error: {cos}, {sin}") and stderr.endswith(f": {message}\n"), stderr
+    assert stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_reconstruct_even_denoise_window_rejected(tmp_path):
@@ -772,7 +796,7 @@ def test_cached_basis_arrays_are_read_only(descriptor, attr):
                                    wht.OrthoMatrix(8, seed=5)], ids=["natural", "sequency", "permuted"])
 def test_config_records_and_rebuilds_a_basis(basis):
     # a Hadamard basis names no seed, so the configured one stays; d is the config's own
-    cfg = RunConfig(d=32, basis_seed=9).with_basis(basis)
+    cfg = RunConfig(d=32, basis_seed=9).with_series(ghostphase.MeasurementSeries("cos", basis, np.ones(64)))
     assert cfg.validate().d == 32 and cfg.basis_seed == (9 if basis.seed is None else 5)
     assert dataclasses.replace(cfg, d=8).scan_basis() == basis
 
@@ -796,6 +820,54 @@ def test_reconstruct_records_the_basis_its_series_name(tmp_path, series_flags, f
     assert (out / "phase.gcf").read_bytes() == (series / "phase.gcf").read_bytes()
     resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
     assert {key: resolved[key] for key in recorded} == recorded
+
+
+@pytest.mark.parametrize("flags", [(), ("--flux", "1e9", "--seed", "2")], ids=["flagless", "other-flags"])
+def test_reconstruct_records_the_flux_and_seed_its_series_carry(tmp_path, flags):
+    # the header says how the series were sampled, so resolved_config.yaml records that, not the flags
+    series = tmp_path / "series"
+    assert run("pipeline", "--d", "16", "--flux", "1e6", "--seed", "5", "--out", str(series)) == 0
+    out = tmp_path / "out"
+    assert run("reconstruct", "--d", "16", *flags, "--cos", str(series / "series_cos.csv"),
+               "--sin", str(series / "series_sin.csv"), "--out", str(out)) == 0
+    resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    assert (resolved["flux"], resolved["acquisition_seed"]) == (1e6, 5)
+    # the record replays the stage byte for byte, its own record included
+    again = tmp_path / "again"
+    assert run("reconstruct", "--config", str(out / "resolved_config.yaml"), "--cos",
+               str(series / "series_cos.csv"), "--sin", str(series / "series_sin.csv"),
+               "--out", str(again)) == 0
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("sampling", ["flux=-5.0 seed=5", "flux=nan seed=5", "flux=1000000.0 seed=-1"])
+def test_reconstruct_rejects_a_header_its_record_cannot_hold(tmp_path, sampling):
+    # recorded as it stood, such a header gave a resolved_config.yaml that did not run again
+    series = tmp_path / "series"
+    assert run("pipeline", "--d", "8", "--flux", "1e6", "--seed", "5", "--out", str(series)) == 0
+    text = (series / "series_cos.csv").read_text()
+    assert text.startswith("# d=8 basis=hadamard:natural kind=cos flux=1000000.0 seed=5\n")
+    cos = tmp_path / "cos.csv"
+    cos.write_text(text.replace("flux=1000000.0 seed=5", sampling, 1))
+    out = tmp_path / "out"
+    code, stderr = run_cli(["reconstruct", "--d", "8", "--cos", str(cos), "--sin", str(series / "series_sin.csv"),
+                            "--out", str(out)])
+    assert code == 3 and stderr.startswith(f"error: {cos}: ") and stderr.count("\n") == 1, stderr
+    assert not out.exists()
+
+
+def test_reconstruct_records_no_flux_for_exact_series(tmp_path):
+    series = tmp_path / "series"
+    assert run("pipeline", "--d", "8", "--out", str(series)) == 0
+    out = tmp_path / "out"
+    assert run("reconstruct", "--d", "8", "--flux", "1e6", "--seed", "3", "--cos",
+               str(series / "series_cos.csv"), "--sin", str(series / "series_sin.csv"), "--out", str(out)) == 0
+    resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+    # an exact series names no sampling seed, so the configured one stays
+    assert (resolved["flux"], resolved["acquisition_seed"]) == (None, 3)
+    assert (out / "phase.gcf").read_bytes() == (series / "phase.gcf").read_bytes()
 
 
 @pytest.mark.parametrize("flags", [(), ("--d", "64"), ("--d", "16")], ids=["default-d", "same-d", "other-d"])

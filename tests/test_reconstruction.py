@@ -30,7 +30,7 @@ def _object(kind, d):
 
 def test_flat_cos_series_structure():
     H = OrthoMatrix(8)
-    gi = ghost_image(measure_exact(make_object("flat", 8), H)[0])
+    gi = ghost_image(*measure_exact(make_object("flat", 8), H))[0]
     body = gi.ravel()[1:]
     assert body.max() - body.min() < 1e-13
     assert abs(gi[0, 0] - body[0]) > 1e-6
@@ -38,9 +38,8 @@ def test_flat_cos_series_structure():
 
 def test_constant_series_gives_zero_image():
     H = OrthoMatrix(8)
-    series = measure_exact(make_object("flat", 8), H)[0]
-    series = replace(series, values=np.full(64, 0.37))
-    np.testing.assert_allclose(ghost_image(series), 0, atol=1e-15)
+    pair = [replace(s, values=np.full(64, 0.37)) for s in measure_exact(make_object("flat", 8), H)]
+    np.testing.assert_allclose(ghost_image(*pair), 0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["cos", "sin"])
@@ -53,32 +52,31 @@ def test_closed_form_equivalence(kind, object_kind, d, ordering):
     H = OrthoMatrix(d, ordering)
     obj = _object(object_kind, d)
     channel = ("cos", "sin").index(kind)
-    gi = ghost_image(measure_exact(obj, H)[channel])
+    gi = ghost_image(*measure_exact(obj, H))[channel]
     cf = closed_form_gi(obj, H)[channel].total
     assert np.max(np.abs(gi - cf)) <= 1e-10
 
 
 def test_reference_mode_independence():
     H = OrthoMatrix(8)
-    series = measure_exact(_object("pi-slit-phase", 8), H)[0]
-    shifted = replace(series, values=series.values + 0.7)
-    np.testing.assert_allclose(ghost_image(series),
-                               ghost_image(shifted), atol=1e-12)
+    pair = measure_exact(_object("pi-slit-phase", 8), H)
+    shifted = [replace(s, values=s.values + 0.7) for s in pair]
+    np.testing.assert_allclose(ghost_image(*pair), ghost_image(*shifted), atol=1e-12)
 
 
 def test_reconstruction_spectrum_is_mean_free():
     from ghostphase import fwht2
     H = OrthoMatrix(8)
-    gi = ghost_image(measure_exact(_object("azimuthal-ring-phase", 8), H)[1])
+    gi = ghost_image(*measure_exact(_object("azimuthal-ring-phase", 8), H))[1]
     coeffs = fwht2(gi, H)
     assert abs(coeffs.sum()) < 1e-12
 
 
 def test_series_length_mismatch():
     H = OrthoMatrix(8)
-    series = measure_exact(_object("flat", 8), H)[0]
+    sc, ss = measure_exact(_object("flat", 8), H)
     with pytest.raises(ValueError):
-        ghost_image(replace(series, values=series.values[:10]))
+        ghost_image(replace(sc, values=sc.values[:10]), ss)
 
 
 def test_every_stage_checks_a_series_length_against_its_basis():
@@ -86,7 +84,7 @@ def test_every_stage_checks_a_series_length_against_its_basis():
     sc, ss = measure_exact(_object("pi-slit-phase", 4), OrthoMatrix(4))
     short = replace(ss, values=ss.values[:1])
     for call in (lambda: remove_artifact(sc, short), lambda: estimate_spectrum(sc, short),
-                 lambda: ghost_image(short)):
+                 lambda: ghost_image(sc, short)):
         with pytest.raises(ValueError, match="series length 1 does not match basis N=16"):
             call()
 
@@ -103,7 +101,7 @@ def test_analytic_removal_proportional_to_object():
     H = OrthoMatrix(d)
     obj = _object("pi-slit-phase", d)
     c0 = fwht2(obj, H)[0, 0]
-    gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
+    gic, gis = ghost_image(*measure_exact(obj, H))
     re, im = remove_artifact_analytic(gic, gis, obj, H)
     scale = abs(c0) / (d * d)
     rotated = np.exp(-1j * np.angle(c0)) * obj
@@ -117,7 +115,7 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
     from ghostphase import acquisition, reconstruction
     H = OrthoMatrix(8)
     obj = _object("pi-slit-phase", 8)
-    gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
+    gic, gis = ghost_image(*measure_exact(obj, H))
     calls = []
 
     def counted(*args):
@@ -133,7 +131,7 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
 def test_analytic_requires_ground_truth():
     basis = OrthoMatrix(4, seed=5)
     obj = _object("flat", 4)
-    gic, gis = (ghost_image(s) for s in measure_exact(obj, basis))
+    gic, gis = ghost_image(*measure_exact(obj, basis))
     with pytest.raises(ValueError, match="needs the ground-truth object"):
         remove_artifact_analytic(gic, gis, None, basis)
 
@@ -145,8 +143,43 @@ def test_closed_form_matches_the_ghost_images_of_a_seeded_basis():
         basis = OrthoMatrix(d, seed=3)
         for object_kind in ALL_KINDS:
             obj = _object(object_kind, d)
-            for series, terms in zip(measure_exact(obj, basis), closed_form_gi(obj, basis)):
-                assert np.max(np.abs(ghost_image(series) - terms.total)) <= 1e-15, (d, object_kind)
+            for gi, terms in zip(ghost_image(*measure_exact(obj, basis)), closed_form_gi(obj, basis)):
+                assert np.max(np.abs(gi - terms.total)) <= 1e-15, (d, object_kind)
+
+
+@pytest.mark.parametrize("basis", [OrthoMatrix(8), OrthoMatrix(8, seed=3)], ids=["hadamard", "random"])
+def test_closed_form_channel_sums_are_the_exact_series_sums(basis):
+    for object_kind in ALL_KINDS:
+        obj = _object(object_kind, 8)
+        for series, terms in zip(measure_exact(obj, basis), closed_form_gi(obj, basis)):
+            assert terms.channel_sum == pytest.approx(series.values.sum(), rel=1e-13), object_kind
+
+
+@pytest.mark.parametrize("kind", ["pi-slit-phase", "azimuthal-ring-phase", "spiral-flower-phase"])
+def test_analytic_removal_of_sampled_series_matches_the_heuristic(kind):
+    # a sampled ghost image is the exact one divided by its channel sum; unscaled, the ring read
+    # 1.146 rad against the heuristic's 0.023
+    d = 64
+    obj = make_object(kind, d)
+    pair = _series_pair(obj, OrthoMatrix(d), 1e9)
+    truth = combine_phase(obj.real, obj.imag)
+    support = disc_mask(d, 0.44 * d)
+    analytic = combine_phase(*remove_artifact_analytic(*ghost_image(*pair), obj, pair[0].basis, (False, False)),
+                             support)
+    heuristic = combine_phase(*remove_artifact(*pair), support)
+    assert phase_rmse(analytic, truth) == pytest.approx(phase_rmse(heuristic, truth), rel=0.1)
+
+
+def test_analytic_removal_scales_only_the_sampled_channel():
+    # an exact cos series beside a sampled sin one: scaling neither channel read 0.67 rad, both 0.59
+    d = 64
+    obj = make_object("azimuthal-ring-phase", d)
+    sc, ss = measure_exact(obj, OrthoMatrix(d))
+    ss = sample_counts(ss, 1e12, seed=5)
+    truth = combine_phase(obj.real, obj.imag)
+    support = disc_mask(d, 0.44 * d)
+    analytic = combine_phase(*remove_artifact_analytic(*ghost_image(sc, ss), obj, sc.basis, (True, False)), support)
+    assert phase_rmse(analytic, truth) < 0.005
 
 
 def test_estimate_spectrum_matches_truth():
@@ -169,10 +202,11 @@ def test_remove_artifact_rejects_a_mismatched_pair():
     obj = _object("azimuthal-ring-phase", 16)
     sc, ss = measure_exact(obj, OrthoMatrix(16))
     ss_sequency = measure_exact(obj, OrthoMatrix(16, "sequency"))[1]
-    with pytest.raises(ValueError, match="^cos and sin series headers do not match$"):
-        remove_artifact(sc, ss_sequency)
-    with pytest.raises(ValueError, match="^series channel kinds do not match their roles$"):
-        remove_artifact(ss, sc)
+    for stage in (remove_artifact, estimate_spectrum, ghost_image):
+        with pytest.raises(ValueError, match="^cos and sin series headers do not match$"):
+            stage(sc, ss_sequency)
+        with pytest.raises(ValueError, match="^series channel kinds do not match their roles$"):
+            stage(ss, sc)
 
 
 def test_heuristic_equals_analytic_for_exact_hadamard_series():
@@ -183,7 +217,7 @@ def test_heuristic_equals_analytic_for_exact_hadamard_series():
     interior[0, 0] = False
     for H in (OrthoMatrix(d), OrthoMatrix(d, seed=7)):
         sc, ss = measure_exact(obj, H)
-        re_a, im_a = remove_artifact_analytic(ghost_image(sc), ghost_image(ss), obj, H)
+        re_a, im_a = remove_artifact_analytic(*ghost_image(sc, ss), obj, H)
         re_h, im_h = remove_artifact(sc, ss)
         np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
         np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
@@ -224,7 +258,7 @@ def test_heuristic_equals_analytic_for_any_reference_dominated_object(obj):
     H = OrthoMatrix(d)
     _dominant_spectrum(obj, H)
     sc, ss = measure_exact(obj, H)
-    re_a, im_a = remove_artifact_analytic(ghost_image(sc), ghost_image(ss), obj, H)
+    re_a, im_a = remove_artifact_analytic(*ghost_image(sc, ss), obj, H)
     re_h, im_h = remove_artifact(sc, ss)
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
@@ -269,8 +303,7 @@ def test_reconstruction_leaves_the_series_values_alone(basis, flux):
     # an exact series' values are the caller's array, and a pipeline writes them after reconstructing
     pair = _series_pair(_object("spiral-flower-phase", 16), basis, flux)
     before = [s.values.tobytes() for s in pair]
-    ghost_image(pair[0])
-    ghost_image(pair[1])
+    ghost_image(*pair)
     estimate_spectrum(*pair)
     remove_artifact(*pair)
     cli.reconstruct(RunConfig(d=16), *pair)
@@ -297,7 +330,7 @@ def test_ring_phase_recovered_exactly_analytic():
     H = OrthoMatrix(d)
     obj = _object("azimuthal-ring-phase", d)
     alpha0 = np.angle(fwht2(obj, H)[0, 0])
-    gic, gis = (ghost_image(s) for s in measure_exact(obj, H))
+    gic, gis = ghost_image(*measure_exact(obj, H))
     re, im = remove_artifact_analytic(gic, gis, obj, H)
     phase = combine_phase(re, im, np.abs(obj) > 0)
     expected = wrap(np.angle(obj) - alpha0)
@@ -311,7 +344,7 @@ def test_global_phase_invariance_of_recovered_phase():
     obj = _object("pi-slit-phase", d)
 
     def recover(o):
-        gic, gis = (ghost_image(s) for s in measure_exact(o, H))
+        gic, gis = ghost_image(*measure_exact(o, H))
         re, im = remove_artifact_analytic(gic, gis, o, H)
         return combine_phase(re, im, np.abs(o) > 0)
 
@@ -383,13 +416,12 @@ def test_counts_normalization_preserves_structure():
     d = 8
     H = OrthoMatrix(d)
     obj = _object("pi-slit-phase", d)
-    series = measure_exact(obj, H)[0]
-    noisy = sample_counts(series, 1e9, seed=3)
-    exact_gi = ghost_image(series)
-    noisy_gi = ghost_image(noisy)
+    pair = measure_exact(obj, H)
+    exact_gi = ghost_image(*pair)[0]
+    noisy_gi = ghost_image(*(sample_counts(s, 1e9, seed=3) for s in pair))[0]
     scale = np.linalg.norm(exact_gi) / np.linalg.norm(noisy_gi)
     assert np.corrcoef(exact_gi.ravel(), noisy_gi.ravel())[0, 1] > 0.999
-    assert scale == pytest.approx(series.values.sum(), rel=1e-3)
+    assert scale == pytest.approx(pair[0].values.sum(), rel=1e-3)
 
 
 def test_denoise_identity_and_validation():
