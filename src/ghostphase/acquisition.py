@@ -45,19 +45,17 @@ def mask_overlaps(obj: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     return fwht2(basis.unshuffle(obj), basis)
 
 
-def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSeries, MeasurementSeries]:
-    """Exact detection probabilities v_j = |<T_j|O>|^2 of the cos and sin masks.
-
-    One overlap pass serves both channels: <T_j|O> is (c_j + c_0)/sqrt(2) for
-    the cos mask and (c_j - i c_0)/sqrt(2) for the sin mask, c_0 being the
-    reference overlap.
-    """
-    overlaps = mask_overlaps(obj, basis).ravel()
+def _detection_pair(overlaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """|<T_j|O>|^2 of the cos and sin masks from the flat overlaps c_j, c_0 being the reference's:
+    <T_j|O> is (c_j + c_0)/sqrt(2) for the cos mask and (c_j - i c_0)/sqrt(2) for the sin mask."""
     c0 = overlaps[0]
-    t_cos = (overlaps + c0) / SQRT2
-    t_sin = (overlaps - 1j * c0) / SQRT2
-    return tuple(MeasurementSeries(kind=kind, basis=basis, values=np.abs(t) ** 2)
-                 for kind, t in (("cos", t_cos), ("sin", t_sin)))
+    return tuple(np.abs(t) ** 2 for t in ((overlaps + c0) / SQRT2, (overlaps - 1j * c0) / SQRT2))
+
+
+def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSeries, MeasurementSeries]:
+    """Exact detection probabilities v_j = |<T_j|O>|^2 of the cos and sin masks, from one overlap pass."""
+    return tuple(MeasurementSeries(kind=kind, basis=basis, values=v)
+                 for kind, v in zip(("cos", "sin"), _detection_pair(mask_overlaps(obj, basis).ravel())))
 
 
 def sample_counts(series: MeasurementSeries, total_flux: float, seed: int) -> MeasurementSeries:

@@ -62,8 +62,7 @@ def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruct
     """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
     gi_cos, gi_sin = reconstruction.ghost_image(series_cos, series_sin)
     if cfg.artifact_mode == "analytic":
-        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, series_cos.basis,
-                                                         (series_cos.exact, series_sin.exact))
+        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, series_cos.basis, series_cos.exact)
     else:
         re, im = reconstruction.remove_artifact(series_cos, series_sin)
     # the support radius follows cfg.d, not the series dimension
@@ -249,10 +248,12 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
         if not args.object:
             raise ConfigError("analytic artifact mode needs --object (ground truth)")
         obj = _read_role(args.object, "ground truth")
+    # the stage checks that the pair shares its header, so the cos header's values are the pair's
+    cfg = _taken_from(args.cos, cfg.with_series(series_cos))
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
         rec = reconstruct(cfg, series_cos, series_sin, obj)
-    write_reconstruction(_outdir(_taken_from(args.cos, cfg.with_series(series_cos))), rec)
+    write_reconstruction(_outdir(cfg), rec)
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:

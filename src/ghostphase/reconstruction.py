@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import MeasurementSeries, mask_overlaps
+from .acquisition import MeasurementSeries, _detection_pair, mask_overlaps
 from .wht import OrthoMatrix, fwht2
 
 # Measured sine-channel cross term is -sin(a_j - a_0).
@@ -37,7 +37,7 @@ class ClosedFormTerms:
     object_part: np.ndarray         # sqrt(p0) Re/Im of the rephased object, / N
     spectral_part: np.ndarray       # Hadamard transform of the probability grid / (2N)
     dc_part: np.ndarray             # ensemble-average weight on the corner pixel, / N
-    channel_sum: float              # sum_j v_j of the channel's exact series, from the same overlaps
+    channel_sum: float              # sum_j v_j of the channel's exact series, bit for bit
 
     @property
     def total(self) -> np.ndarray:
@@ -58,8 +58,9 @@ def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
 
 
 def _pair_values(series_cos: MeasurementSeries, series_sin: MeasurementSeries) -> Tuple[np.ndarray, ...]:
-    """One scan's cos and sin values as float64, one per mask of their basis; float64 is not copied."""
-    if series_cos.basis != series_sin.basis:
+    """One scan's cos and sin values as float64, one per mask of their basis; float64 is not copied.
+    The two series of a scan share its basis, flux and seed."""
+    if any(getattr(series_cos, key) != getattr(series_sin, key) for key in ("basis", "flux", "seed")):
         raise ValueError("cos and sin series headers do not match")
     if series_cos.kind != "cos" or series_sin.kind != "sin":
         raise ValueError("series channel kinds do not match their roles")
@@ -110,12 +111,11 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
     rotated = np.exp(-1j * a0) * coeffs
     spectral = 0.5 * _coefficient_image(np.abs(coeffs) ** 2, H)
     terms = []
-    for sign, part, ref in ((1.0, np.real, c0), (SINE_CHANNEL_SIGN, np.imag, -1j * c0)):
-        g = np.sqrt(N) * (1.0 / (2 * N) + sign * np.sqrt(p0) * part(rotated).mean())
+    for sign, part, values in zip((1.0, SINE_CHANNEL_SIGN), (np.real, np.imag), _detection_pair(coeffs.ravel())):
         dc = np.zeros((d, d))
-        dc[0, 0] = g
-        terms.append(ClosedFormTerms(sign * np.sqrt(p0) * part(rephased) / N, spectral, dc / N,
-                                     float((np.abs(coeffs + ref) ** 2).sum() / 2)))
+        dc[0, 0] = np.sqrt(N) * (1.0 / (2 * N) + sign * np.sqrt(p0) * part(rotated).mean()) / N
+        terms.append(ClosedFormTerms(sign * np.sqrt(p0) * part(rephased) / N, spectral, dc,
+                                     float(values.sum())))
     return terms[0], terms[1]
 
 
@@ -189,20 +189,18 @@ def remove_artifact(series_cos: MeasurementSeries,
 
 
 def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray, basis: OrthoMatrix,
-                             exact: Tuple[bool, bool] = (True, True)) -> Tuple[np.ndarray, np.ndarray]:
+                             exact: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """Fields proportional to Re(O) and Im(O) from the ghost images and the ground truth.
 
     Subtracts the closed-form spectral and DC terms of ``obj`` from each
-    channel; ``closed_form_gi`` rejects a missing object.  ``exact`` says which
-    channels' series were exact.  A sampled series' ghost image is divided by
-    its count total, so it is first multiplied by its channel's exact sum, the
+    channel; ``closed_form_gi`` rejects a missing object.  ``exact`` says whether
+    the pair's series were exact.  A sampled series' ghost image is divided by
+    its count total, so each is first multiplied by its channel's exact sum, the
     closed form's scale.
     """
     tc, ts = closed_form_gi(obj, basis)
-    if not exact[0]:
-        gi_cos = gi_cos * tc.channel_sum
-    if not exact[1]:
-        gi_sin = gi_sin * ts.channel_sum
+    if not exact:
+        gi_cos, gi_sin = gi_cos * tc.channel_sum, gi_sin * ts.channel_sum
     re = gi_cos - tc.spectral_part + tc.dc_part
     im = SINE_CHANNEL_SIGN * (gi_sin - ts.spectral_part + ts.dc_part)
     return re, im

@@ -181,19 +181,29 @@ def test_analytic_removal_of_a_sampled_pipeline_matches_the_heuristic(tmp_path):
     assert rmse["heuristic"] < 0.05
 
 
+# the d=8 pipeline flags of each run that a mismatched pair takes a series from
+_PAIR_RUNS = {"natural": (), "sequency": ("--ordering", "sequency"),
+              "seed7": ("--flux", "1e6", "--seed", "7"), "seed8": ("--flux", "1e6", "--seed", "8")}
+# each mismatch's cos run, sin run and the kind of the file read as the sin series
+_MISMATCHES = {"swapped-kinds": ("natural", "natural", "cos"), "other-ordering": ("natural", "sequency", "sin"),
+               "exact-beside-sampled": ("natural", "seed7", "sin"), "two-seeds": ("seed7", "seed8", "sin")}
+
+
 @pytest.mark.parametrize("mode", ["heuristic", "analytic"])
-@pytest.mark.parametrize("mismatch", ["swapped-kinds", "other-ordering"])
+@pytest.mark.parametrize("mismatch", list(_MISMATCHES))
 def test_reconstruct_channel_role_mismatch(tmp_path, mode, mismatch):
-    # both artifact modes check the pair before either removal runs
-    for ordering in ("natural", "sequency"):
-        assert run("pipeline", "--d", "8", "--ordering", ordering, "--out", str(tmp_path / ordering)) == 0
-    cos = tmp_path / "natural" / "series_cos.csv"
-    sin, message = ((tmp_path / "natural" / "series_cos.csv", "series channel kinds do not match their roles")
-                    if mismatch == "swapped-kinds" else
-                    (tmp_path / "sequency" / "series_sin.csv", "cos and sin series headers do not match"))
+    # both artifact modes check the pair before either removal runs; one scan's two series
+    # share its basis, flux and seed
+    cos_run, sin_run, sin_kind = _MISMATCHES[mismatch]
+    for name in {cos_run, sin_run}:
+        assert run("pipeline", "--d", "8", *_PAIR_RUNS[name], "--out", str(tmp_path / name)) == 0
+    cos = tmp_path / cos_run / "series_cos.csv"
+    sin = tmp_path / sin_run / f"series_{sin_kind}.csv"
+    message = ("series channel kinds do not match their roles" if mismatch == "swapped-kinds"
+               else "cos and sin series headers do not match")
     out = tmp_path / "out"
     code, stderr = run_cli(["reconstruct", "--d", "8", "--artifact-mode", mode, "--cos", str(cos),
-                            "--sin", str(sin), "--object", str(tmp_path / "natural" / "object.gcf"),
+                            "--sin", str(sin), "--object", str(tmp_path / cos_run / "object.gcf"),
                             "--out", str(out)])
     assert code == 3
     assert stderr.startswith(f"error: {cos}, {sin}") and stderr.endswith(f": {message}\n"), stderr
@@ -979,6 +989,8 @@ def _manifest_text(out):
     pytest.param(("--d", "32"), id="d32-exact"),
     pytest.param(("--d", "32", "--flux", "1e6", "--seed", "5"), id="d32-flux"),
     pytest.param(("--d", "8", "--basis", "random", "--basis-seed", "5"), id="d8-random"),
+    pytest.param(("--d", "32", "--artifact-mode", "analytic"), id="d32-analytic"),
+    pytest.param(("--d", "32", "--artifact-mode", "analytic", "--flux", "1e6", "--seed", "5"), id="d32-analytic-flux"),
 ])
 def test_pipeline_manifest_matches_stage_by_stage_run(tmp_path, flags):
     flags = (*flags, "--kind", "azimuthal-ring-phase", "--denoise-window", "3")
