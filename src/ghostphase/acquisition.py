@@ -1,4 +1,4 @@
-"""Coincidence measurement series: exact probabilities and Poisson counts."""
+"""Detection scans: exact cos/sin probabilities and Poisson counts."""
 
 from __future__ import annotations
 
@@ -13,26 +13,18 @@ SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class MeasurementSeries:
-    """Per-mask detection values for one projection channel.
+class Scan:
+    """One scan's detection values: per mask of ``basis``, its cos mask's and its sin mask's.
 
-    ``values[j]`` is |<T_j|O>|^2 in exact mode, or a Poisson count after
-    sampling.  ``flux`` is None for exact probabilities.
+    ``cos[j]`` and ``sin[j]`` are |<T_j|O>|^2 in exact mode, or Poisson counts
+    drawn at total ``flux`` with ``seed``.  ``flux`` is None for exact probabilities.
     """
 
-    kind: str                       # "cos" | "sin"
     basis: OrthoMatrix              # the masks that measured the values
-    values: np.ndarray = field(repr=False)
+    cos: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)
     flux: Optional[float] = None
     seed: Optional[int] = None
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
-    def size(self) -> int:
-        return self.values.size
 
     @property
     def exact(self) -> bool:
@@ -52,30 +44,30 @@ def _detection_pair(overlaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return tuple(np.abs(t) ** 2 for t in ((overlaps + c0) / SQRT2, (overlaps - 1j * c0) / SQRT2))
 
 
-def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Tuple[MeasurementSeries, MeasurementSeries]:
+def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Scan:
     """Exact detection probabilities v_j = |<T_j|O>|^2 of the cos and sin masks, from one overlap pass."""
-    return tuple(MeasurementSeries(kind=kind, basis=basis, values=v)
-                 for kind, v in zip(("cos", "sin"), _detection_pair(mask_overlaps(obj, basis).ravel())))
+    return Scan(basis, *_detection_pair(mask_overlaps(obj, basis).ravel()))
 
 
-def sample_counts(series: MeasurementSeries, total_flux: float, seed: int) -> MeasurementSeries:
+def sample_counts(scan: Scan, total_flux: float, seed: int) -> Scan:
     """Poisson-sampled coincidence counts at a finite photon budget.
 
-    Counts are drawn independently per mask with mean
+    Each channel's counts are drawn independently per mask with mean
     total_flux * v_j / sum(v), in one draw from a counter-based Philox
-    generator keyed by (seed, channel), so a given seed and channel
-    always reproduce the same counts and the cos and sin channels draw
-    from independent streams.
+    generator keyed by (seed, channel), channel 0 for cos and 1 for sin, so
+    a given seed always reproduces the same counts and the two channels
+    draw from independent streams.
     """
-    if not series.exact:
+    if not scan.exact:
         raise ValueError("can only sample from an exact-mode series")
     if not (np.isfinite(total_flux) and total_flux > 0):
         raise ValueError(f"total flux must be positive and finite, got {total_flux}")
-    total = series.values.sum()
-    if not total > 0:
-        raise ValueError("cannot sample counts: the exact series sums to zero "
-                         "(no light reaches the detector)")
-    kind_bit = 0 if series.kind == "cos" else 1
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, kind_bit], dtype=np.uint64)))
-    counts = rng.poisson(total_flux * series.values / total).astype(np.float64)
-    return replace(series, values=counts, flux=float(total_flux), seed=int(seed))
+    counts = []
+    for channel, values in enumerate((scan.cos, scan.sin)):
+        total = values.sum()
+        if not total > 0:
+            raise ValueError("cannot sample counts: the exact series sums to zero "
+                             "(no light reaches the detector)")
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, channel], dtype=np.uint64)))
+        counts.append(rng.poisson(total_flux * values / total).astype(np.float64))
+    return replace(scan, cos=counts[0], sin=counts[1], flux=float(total_flux), seed=int(seed))

@@ -50,26 +50,26 @@ Reconstruction = collections.namedtuple("Reconstruction", "gi_cos gi_sin re im p
 Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
 
 
-def acquire(cfg: RunConfig, obj: np.ndarray) -> tuple:
-    """The (cos, sin) detection series of an object, exact or Poisson-sampled."""
-    pair = acquisition.measure_exact(obj, cfg.scan_basis())
+def acquire(cfg: RunConfig, obj: np.ndarray) -> acquisition.Scan:
+    """The scan of an object, exact or Poisson-sampled."""
+    scan = acquisition.measure_exact(obj, cfg.scan_basis())
     if cfg.flux is not None:
-        pair = tuple(acquisition.sample_counts(s, cfg.flux, cfg.acquisition_seed) for s in pair)
-    return pair
+        scan = acquisition.sample_counts(scan, cfg.flux, cfg.acquisition_seed)
+    return scan
 
 
-def reconstruct(cfg: RunConfig, series_cos, series_sin, obj=None) -> Reconstruction:
+def reconstruct(cfg: RunConfig, scan: acquisition.Scan, obj=None) -> Reconstruction:
     """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
-    gi_cos, gi_sin = reconstruction.ghost_image(series_cos, series_sin)
+    gi_cos, gi_sin = reconstruction.ghost_image(scan)
     if cfg.artifact_mode == "analytic":
-        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, series_cos.basis, series_cos.exact)
+        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, scan.basis, scan.exact)
     else:
-        re, im = reconstruction.remove_artifact(series_cos, series_sin)
+        re, im = reconstruction.remove_artifact(scan)
     # the support radius follows cfg.d, not the series dimension
     radius = cfg.illumination_radius
     if radius is None:
         radius = scene.default_radius(cfg.d)
-    phase = reconstruction.combine_phase(re, im, scene.disc_mask(series_cos.dim, radius))
+    phase = reconstruction.combine_phase(re, im, scene.disc_mask(scan.basis.dim, radius))
     return Reconstruction(gi_cos, gi_sin, re, im,
                           reconstruction.denoise(phase, cfg.denoise_window))
 
@@ -116,10 +116,10 @@ def write_object(out, obj, kind) -> None:
     print(f"wrote {out}/object.gcf ({obj.shape[0]}x{obj.shape[0]} {kind})")
 
 
-def write_series_pair(out, series_cos, series_sin) -> None:
-    for series in (series_cos, series_sin):
-        formats.write_series(os.path.join(out, f"series_{series.kind}.csv"), series)
-    print(f"wrote {out}/series_cos.csv and {out}/series_sin.csv ({series_cos.size} rows each)")
+def write_scan(out, scan) -> None:
+    for kind in ("cos", "sin"):
+        formats.write_series(os.path.join(out, f"series_{kind}.csv"), scan, kind)
+    print(f"wrote {out}/series_cos.csv and {out}/series_sin.csv ({scan.basis.size} rows each)")
 
 
 def write_reconstruction(out, rec: Reconstruction) -> None:
@@ -236,23 +236,29 @@ def cmd_acquire(args, cfg: RunConfig) -> None:
     obj = _read_role(args.object, "acquisition object")
     cfg = _taken_from(args.object, cfg, d=obj.shape[0])
     with _blame_files([args.object]):
-        series = acquire(cfg, obj)
-    write_series_pair(_outdir(cfg), *series)
+        scan = acquire(cfg, obj)
+    write_scan(_outdir(cfg), scan)
 
 
 def cmd_reconstruct(args, cfg: RunConfig) -> None:
-    series_cos = formats.read_series(args.cos)
-    series_sin = formats.read_series(args.sin)
+    kind_cos, header, cos = formats.read_series(args.cos)
+    kind_sin, header_sin, sin = formats.read_series(args.sin)
     obj = None
     if cfg.artifact_mode == "analytic":
         if not args.object:
             raise ConfigError("analytic artifact mode needs --object (ground truth)")
         obj = _read_role(args.object, "ground truth")
-    # the stage checks that the pair shares its header, so the cos header's values are the pair's
-    cfg = _taken_from(args.cos, cfg.with_series(series_cos))
+    scan = acquisition.Scan(cos=cos, sin=sin, **header)
+    # the record is the cos header's, so a value it cannot hold is the cos file's fault;
+    # the two files are then one scan's if their headers agree and each kind is its role's
+    cfg = _taken_from(args.cos, cfg.with_scan(scan))
+    if header_sin != header:
+        raise DataError(f"{args.cos}, {args.sin}: cos and sin series headers do not match")
+    if (kind_cos, kind_sin) != ("cos", "sin"):
+        raise DataError(f"{args.cos}, {args.sin}: series channel kinds do not match their roles")
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
-        rec = reconstruct(cfg, series_cos, series_sin, obj)
+        rec = reconstruct(cfg, scan, obj)
     write_reconstruction(_outdir(cfg), rec)
 
 
@@ -268,12 +274,12 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
 def _run_pipeline(cfg: RunConfig) -> str:
     """Run every stage in memory, then write each stage's files; none is read back."""
     obj = _make_object(cfg)
-    series = acquire(cfg, obj)
-    rec = reconstruct(cfg, *series, obj)
+    scan = acquire(cfg, obj)
+    rec = reconstruct(cfg, scan, obj)
     result = analyze(cfg, rec.phase, reconstruction.combine_phase(obj.real, obj.imag))
     out = _outdir(cfg)
     write_object(out, obj, cfg.object_kind)
-    write_series_pair(out, *series)
+    write_scan(out, scan)
     write_reconstruction(out, rec)
     write_analysis(out, result)
     return out

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .acquisition import MeasurementSeries
+from .acquisition import Scan
 from .scene import KINDS
 from .wht import OrthoMatrix
 
@@ -99,13 +99,13 @@ class RunConfig:
         """The configured d x d scan basis: Hadamard in its ordering, or seeded for random masks."""
         return OrthoMatrix(self.d, self.ordering, self.basis_seed if self.basis == "random" else None)
 
-    def with_series(self, series: MeasurementSeries) -> "RunConfig":
-        """This config naming the basis, flux and seed that ``series`` was measured with.  A Hadamard
-        basis or an exact series names no seed, so that seed field stays, as d does."""
-        basis = series.basis
+    def with_scan(self, scan: Scan) -> "RunConfig":
+        """This config naming the basis, flux and seed that ``scan`` was measured with.  A Hadamard
+        basis or an exact scan names no seed, so that seed field stays, as d does."""
+        basis = scan.basis
         return replace(self, basis="hadamard" if basis.seed is None else "random", ordering=basis.ordering,
-                       basis_seed=self.basis_seed if basis.seed is None else basis.seed, flux=series.flux,
-                       acquisition_seed=self.acquisition_seed if series.seed is None else series.seed)
+                       basis_seed=self.basis_seed if basis.seed is None else basis.seed, flux=scan.flux,
+                       acquisition_seed=self.acquisition_seed if scan.seed is None else scan.seed)
 
     def object_spec(self) -> dict:
         """``scene.make_object``'s kind and geometry arguments; a from-file object has none."""

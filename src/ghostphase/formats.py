@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import MeasurementSeries
+from .acquisition import Scan
 from .wht import OrthoMatrix
 
 MAGIC = b"GCF1"
@@ -92,14 +92,15 @@ _LAST_DIGITS = (np.arange(_ROWS, dtype=np.uint16)[:, np.newaxis]
                 // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
 
 
-def write_series(path, series: MeasurementSeries) -> None:
-    """One 'j,value' row per mask, headed by '# key=value' comment lines.
+def write_series(path, scan: Scan, kind: str) -> None:
+    """One channel of a scan, ``kind`` 'cos' or 'sin': one 'j,value' row per mask, headed by a
+    '# key=value' comment line.
 
     Each row is ``f"{j},{float(v)!r}\\n"``.  `repr` runs once per distinct bit
     pattern (so -0.0 and 0.0 stay apart); the rows are assembled as
     NUL-padded byte columns and the NULs dropped before each write.
     """
-    values = np.ascontiguousarray(series.values, dtype=np.float64)
+    values = np.ascontiguousarray({"cos": scan.cos, "sin": scan.sin}[kind], dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     table = np.empty(bits.size, dtype=f"S{_REPR_WIDTH}")
     for start in range(0, bits.size, _REPR_BATCH):
@@ -108,9 +109,9 @@ def write_series(path, series: MeasurementSeries) -> None:
     n = values.size
     width = max(len(str(n - 1)), 4)     # room for the four table digits
     with open(path, "wb") as fh:
-        fh.write(f"# d={series.dim} basis={series.basis.descriptor} kind={series.kind}"
-                 f" flux={'exact' if series.exact else series.flux}"
-                 f" seed={'none' if series.seed is None else series.seed}\n".encode())
+        fh.write(f"# d={scan.basis.dim} basis={scan.basis.descriptor} kind={kind}"
+                 f" flux={'exact' if scan.exact else scan.flux}"
+                 f" seed={'none' if scan.seed is None else scan.seed}\n".encode())
         for start in range(0, n, _ROWS):
             stop = min(start + _ROWS, n)
             rows = np.zeros((stop - start, width + _REPR_WIDTH + 2), dtype=np.uint8)
@@ -128,12 +129,12 @@ def write_series(path, series: MeasurementSeries) -> None:
             fh.write(flat[flat != 0])
 
 
-def read_series(path) -> MeasurementSeries:
-    """Read a file written by `write_series`.
+def read_series(path) -> Tuple[str, dict, np.ndarray]:
+    """A file written by `write_series`: its kind, its header's `Scan` keywords and its values.
 
     Header lines come first (blank lines aside, those starting with '#');
     every line after them is a 'j,value' row.  One `np.loadtxt` call parses
-    the rows.
+    the rows.  A sampled series names its flux and seed, an exact one neither.
     """
     meta = {}
     with open(path) as fh:
@@ -158,6 +159,8 @@ def read_series(path) -> MeasurementSeries:
             kind = meta["kind"]
             flux = None if meta.get("flux", "exact") == "exact" else float(meta["flux"])
             seed = None if meta.get("seed", "none") == "none" else int(meta["seed"])
+            if (flux is None) != (seed is None):
+                raise ValueError(f"flux={meta.get('flux', 'exact')} with seed={meta.get('seed', 'none')}")
             if d < 2:
                 raise ValueError(f"d={d}, must be at least 2")
             basis = OrthoMatrix.from_descriptor(meta["basis"], d)   # the basis checks d too
@@ -181,7 +184,7 @@ def read_series(path) -> MeasurementSeries:
     values = np.ascontiguousarray(rows["v"])
     if not np.all(np.isfinite(values)) or (values < 0).any():
         raise DataError(f"{path}: series values must be finite and nonnegative")
-    return MeasurementSeries(kind=kind, basis=basis, values=values, flux=flux, seed=seed)
+    return kind, {"basis": basis, "flux": flux, "seed": seed}, values
 
 
 def write_pgm(path, data: np.ndarray, lo: Optional[float] = None, hi: Optional[float] = None,

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import MeasurementSeries, _detection_pair, mask_overlaps
+from .acquisition import Scan, _detection_pair, mask_overlaps
 from .wht import OrthoMatrix, fwht2
 
 # Measured sine-channel cross term is -sin(a_j - a_0).
@@ -57,36 +57,31 @@ def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     return image
 
 
-def _pair_values(series_cos: MeasurementSeries, series_sin: MeasurementSeries) -> Tuple[np.ndarray, ...]:
-    """One scan's cos and sin values as float64, one per mask of their basis; float64 is not copied.
-    The two series of a scan share its basis, flux and seed."""
-    if any(getattr(series_cos, key) != getattr(series_sin, key) for key in ("basis", "flux", "seed")):
-        raise ValueError("cos and sin series headers do not match")
-    if series_cos.kind != "cos" or series_sin.kind != "sin":
-        raise ValueError("series channel kinds do not match their roles")
-    pair = tuple(np.asarray(s.values, dtype=float) for s in (series_cos, series_sin))
+def _scan_values(scan: Scan) -> Tuple[np.ndarray, np.ndarray]:
+    """A scan's cos and sin values as float64, one per mask of its basis; float64 is not copied."""
+    pair = tuple(np.asarray(v, dtype=float) for v in (scan.cos, scan.sin))
     for v in pair:
-        if v.size != series_cos.basis.size:
-            raise ValueError(f"series length {v.size} does not match basis N={series_cos.basis.size}")
+        if v.size != scan.basis.size:
+            raise ValueError(f"series length {v.size} does not match basis N={scan.basis.size}")
     return pair
 
 
-def ghost_image(series_cos: MeasurementSeries, series_sin: MeasurementSeries) -> Tuple[np.ndarray, ...]:
-    """Mean-subtracted correlation reconstructions (gi_cos, gi_sin) in the series' own basis.
+def ghost_image(scan: Scan) -> Tuple[np.ndarray, ...]:
+    """Mean-subtracted correlation reconstructions (gi_cos, gi_sin) in the scan's own basis.
 
-    Sampled-count series are normalized by their total first; the overall
-    scale only affects contrast.  The series' values are left as they are.
+    Sampled counts are normalized by their channel's total first; the overall
+    scale only affects contrast.  The scan's values are left as they are.
     """
     images = []
-    for series, v in zip((series_cos, series_sin), _pair_values(series_cos, series_sin)):
+    for kind, v in zip(("cos", "sin"), _scan_values(scan)):
         v = v.copy()
-        if not series.exact:
+        if not scan.exact:
             total = v.sum()
             if not total > 0:
-                raise ValueError(f"the sampled {series.kind} series is empty: its counts sum to zero")
+                raise ValueError(f"the sampled {kind} series is empty: its counts sum to zero")
             v /= total
         v -= v.mean()
-        images.append(_coefficient_image(v, series.basis))
+        images.append(_coefficient_image(v, scan.basis))
     return tuple(images)
 
 
@@ -121,7 +116,7 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Object spectrum inferred from the paired cos/sin series alone."""
+    """Object spectrum inferred from a scan's cos/sin values alone."""
 
     p0: float
     probabilities: np.ndarray       # p_j, series scale
@@ -129,7 +124,7 @@ class SpectrumEstimate:
     cross_sin: np.ndarray           # sqrt(p0 p_j) sin(a_j - a_0)
 
 
-def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeries) -> SpectrumEstimate:
+def estimate_spectrum(scan: Scan) -> SpectrumEstimate:
     """Solve each mask's detection pair for p_j and the cross terms.
 
     Per index the two channel values give two equations in (p_j, phase);
@@ -140,10 +135,10 @@ def estimate_spectrum(series_cos: MeasurementSeries, series_sin: MeasurementSeri
     (v_cos_0 = 2 p0, v_sin_0 = p0).
 
     The arithmetic updates arrays made here in place, in the order of the
-    textbook expressions, so the results keep their bits and the series
-    their values.
+    textbook expressions, so the results keep their bits and the scan
+    its values.
     """
-    vc, vs = _pair_values(series_cos, series_sin)
+    vc, vs = _scan_values(scan)
     p0 = vc[0] / 2.0
     if p0 <= 0 or vs[0] <= 0:
         raise ValueError("reference-mode samples are empty; cannot estimate the spectrum")
@@ -171,21 +166,20 @@ def _patch_corner(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def remove_artifact(series_cos: MeasurementSeries,
-                    series_sin: MeasurementSeries) -> Tuple[np.ndarray, np.ndarray]:
-    """Fields proportional to Re(O) and Im(O) from the measured series alone.
+def remove_artifact(scan: Scan) -> Tuple[np.ndarray, np.ndarray]:
+    """Fields proportional to Re(O) and Im(O) from the measured scan alone.
 
     Solves each mask's channel pair for the per-mask probability and cross
     terms, rebuilds the two channels from the cross terms alone (which
     removes the spectral artifact) and patches the corner DC pixel.
     """
-    est = estimate_spectrum(series_cos, series_sin)
+    est = estimate_spectrum(scan)
     cross = est.cross_cos, est.cross_sin
     del est     # its probabilities are not needed; the cross terms are this call's to update
     # shuffled or not, the masks are orthonormal and sum to zero off the corner: a mean only hits it
     for w in cross:
         w -= w.mean()
-    return tuple(_patch_corner(_coefficient_image(w, series_cos.basis)) for w in cross)
+    return tuple(_patch_corner(_coefficient_image(w, scan.basis)) for w in cross)
 
 
 def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray, basis: OrthoMatrix,
@@ -194,7 +188,7 @@ def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.nda
 
     Subtracts the closed-form spectral and DC terms of ``obj`` from each
     channel; ``closed_form_gi`` rejects a missing object.  ``exact`` says whether
-    the pair's series were exact.  A sampled series' ghost image is divided by
+    the scan was exact.  A sampled series' ghost image is divided by
     its count total, so each is first multiplied by its channel's exact sum, the
     closed form's scale.
     """

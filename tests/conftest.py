@@ -84,15 +84,15 @@ def closed_form_values(coeffs, kind, delta_sign="minus", cross_sign="minus", sin
     return p[0] / 2 + coeff * p + sign * cross * np.sin(delta)
 
 
-def decompose_probability(series, coeffs, **conventions):
-    """Max absolute residual of an exact series against the closed-form expansion.
+def decompose_probability(scan, kind, coeffs, **conventions):
+    """Max absolute residual of an exact scan's ``kind`` channel against the closed-form expansion.
 
     Arbiter of the sign conventions: only the implemented convention set
     drives the residual to zero.
     """
-    assert series.exact, "closed-form check needs an exact-mode series"
-    predicted = closed_form_values(coeffs, series.kind, **conventions)
-    return float(np.max(np.abs(series.values - predicted)))
+    assert scan.exact, "closed-form check needs an exact-mode scan"
+    predicted = closed_form_values(coeffs, kind, **conventions)
+    return float(np.max(np.abs(getattr(scan, kind) - predicted)))
 
 
 def phase_pearson(a, b):

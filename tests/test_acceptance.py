@@ -41,11 +41,10 @@ def _truth_phase(obj):
 
 def _recover_heuristic(obj, basis, flux=None, seed=0, window=1, support=None):
     """Measured-data pipeline: series -> channels -> artifact removal -> phase."""
-    sc, ss = measure_exact(obj, basis)
+    scan = measure_exact(obj, basis)
     if flux is not None:
-        sc = sample_counts(sc, flux, seed)
-        ss = sample_counts(ss, flux, seed)
-    re, im = remove_artifact(sc, ss)
+        scan = sample_counts(scan, flux, seed)
+    re, im = remove_artifact(scan)
     if support is None:
         support = np.abs(obj) > 0
     return denoise(combine_phase(re, im, support), window)
@@ -58,7 +57,7 @@ def test_criterion_01_closed_form_identity():
         H = OrthoMatrix(d)
         for kind in ALL_KINDS:
             obj = _object(kind, d)
-            for gi, terms in zip(ghost_image(*measure_exact(obj, H)), closed_form_gi(obj, H)):
+            for gi, terms in zip(ghost_image(measure_exact(obj, H)), closed_form_gi(obj, H)):
                 cf = terms.total
                 worst = max(worst, float(np.max(np.abs(gi - cf))))
     elapsed = time.perf_counter() - start
@@ -73,7 +72,7 @@ def test_criterion_02_exact_phase_recovery_analytic():
         d = 32
         H = OrthoMatrix(d)
         obj = _object(kind, d)
-        gic, gis = ghost_image(*measure_exact(obj, H))
+        gic, gis = ghost_image(measure_exact(obj, H))
         re, im = remove_artifact_analytic(gic, gis, obj, H)
         phase = combine_phase(re, im, np.abs(obj) > 0)
         rmse = phase_rmse(phase, _truth_phase(obj))
@@ -116,8 +115,7 @@ def test_criterion_05_amplitude_baseline():
     # compare across the whole illuminated disc: inside the slits and the
     # blocked regions between them (the object support alone is constant)
     support = disc_mask(d, default_radius(d))
-    sc, ss = measure_exact(obj, H)
-    re, im = remove_artifact(sc, ss)
+    re, im = remove_artifact(measure_exact(obj, H))
     intensity = np.abs(obj) ** 2
     r = float(np.corrcoef(re[support], intensity[support])[0, 1])
     phase = combine_phase(re, im, support)
@@ -159,7 +157,8 @@ def test_criterion_08_measurement_count_contract():
     for d in (4, 16, 128):
         H = OrthoMatrix(d)
         obj = make_object("flat", d)
-        counts[d] = tuple(series.values.size for series in measure_exact(obj, H))
+        scan = measure_exact(obj, H)
+        counts[d] = (scan.cos.size, scan.sin.size)
     ok = all(counts[d] == (d * d, d * d) for d in counts)
     _report(8, "d^2 records per channel", ok,
             " ".join(f"d={d}:{c[0]}" for d, c in counts.items()))
@@ -175,9 +174,10 @@ def test_criterion_09_performance_and_correctness_anchor():
 
     H16 = OrthoMatrix(16)
     obj16 = _object("pi-slit-phase", 16)
+    scan16 = measure_exact(obj16, H16)
     agree = max(
-        float(np.max(np.abs(series.values - naive_mask_series(obj16, H16, ch))))
-        for ch, series in zip(("cos", "sin"), measure_exact(obj16, H16)))
+        float(np.max(np.abs(getattr(scan16, ch) - naive_mask_series(obj16, H16, ch))))
+        for ch in ("cos", "sin"))
     ok = elapsed < 10.0 and agree <= 1e-12
     _report(9, "128x128 pipeline performance", ok,
             f"elapsed={elapsed:.2f}s naive-agreement={agree:.1e}")
@@ -191,15 +191,15 @@ def test_criterion_10_convention_oracle():
     for seed in range(trials):
         obj = random_complex_object(8, seed=seed)
         coeffs = fwht2(obj, H).ravel()
-        sc, ss = measure_exact(obj, H)
+        scan = measure_exact(obj, H)
         implemented_worst = max(implemented_worst,
-                                decompose_probability(sc, coeffs),
-                                decompose_probability(ss, coeffs))
-        if decompose_probability(sc, coeffs, delta_sign="plus") > 1e-3:
+                                decompose_probability(scan, "cos", coeffs),
+                                decompose_probability(scan, "sin", coeffs))
+        if decompose_probability(scan, "cos", coeffs, delta_sign="plus") > 1e-3:
             rejected_hits["cos delta+"] += 1
-        if decompose_probability(ss, coeffs, cross_sign="plus") > 1e-3:
+        if decompose_probability(scan, "sin", coeffs, cross_sign="plus") > 1e-3:
             rejected_hits["sin cross+"] += 1
-        if decompose_probability(ss, coeffs, sin_coeff="full") > 1e-3:
+        if decompose_probability(scan, "sin", coeffs, sin_coeff="full") > 1e-3:
             rejected_hits["sin full-coeff"] += 1
     ok = implemented_worst <= 1e-10 and all(v >= 45 for v in rejected_hits.values())
     _report(10, "sign-convention oracle", ok,

@@ -99,8 +99,8 @@ def test_acquire_row_contract(tmp_path):
     assert run("gen-object", "--d", "16", "--out", str(out)) == 0
     assert run("acquire", "--object", str(out / "object.gcf"), "--out", str(out)) == 0
     for channel in ("cos", "sin"):
-        series = read_series(out / f"series_{channel}.csv")
-        assert series.kind == channel and series.values.size == 256
+        kind, _, values = read_series(out / f"series_{channel}.csv")
+        assert kind == channel and values.size == 256
 
 
 def test_acquire_records_the_object_size_it_measured(tmp_path):
@@ -110,7 +110,7 @@ def test_acquire_records_the_object_size_it_measured(tmp_path):
     assert run("acquire", "--d", "16", "--object", str(out / "object.gcf"),
                "--out", str(explicit)) == 0
     resolved = (out / "resolved_config.yaml").read_bytes()
-    assert yaml.safe_load(resolved)["d"] == read_series(out / "series_cos.csv").dim == 16
+    assert yaml.safe_load(resolved)["d"] == read_series(out / "series_cos.csv")[1]["basis"].dim == 16
     assert resolved == (explicit / "resolved_config.yaml").read_bytes()
     # a random basis scans the sizes the hadamard basis scans, and no other
     twelve = tmp_path / "twelve.gcf"
@@ -806,7 +806,7 @@ def test_cached_basis_arrays_are_read_only(descriptor, attr):
                                    wht.OrthoMatrix(8, seed=5)], ids=["natural", "sequency", "permuted"])
 def test_config_records_and_rebuilds_a_basis(basis):
     # a Hadamard basis names no seed, so the configured one stays; d is the config's own
-    cfg = RunConfig(d=32, basis_seed=9).with_series(ghostphase.MeasurementSeries("cos", basis, np.ones(64)))
+    cfg = RunConfig(d=32, basis_seed=9).with_scan(ghostphase.Scan(basis, np.ones(64), np.ones(64)))
     assert cfg.validate().d == 32 and cfg.basis_seed == (9 if basis.seed is None else 5)
     assert dataclasses.replace(cfg, d=8).scan_basis() == basis
 
@@ -852,9 +852,11 @@ def test_reconstruct_records_the_flux_and_seed_its_series_carry(tmp_path, flags)
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("sampling", ["flux=-5.0 seed=5", "flux=nan seed=5", "flux=1000000.0 seed=-1"])
+@pytest.mark.parametrize("sampling", ["flux=-5.0 seed=5", "flux=nan seed=5", "flux=1000000.0 seed=-1",
+                                      "flux=exact seed=5", "flux=1000000.0 seed=none"])
 def test_reconstruct_rejects_a_header_its_record_cannot_hold(tmp_path, sampling):
-    # recorded as it stood, such a header gave a resolved_config.yaml that did not run again
+    # recorded as it stood, such a header gave a resolved_config.yaml that did not run again;
+    # an exact header that names a seed, or a sampled one that names none, recorded a seed never drawn
     series = tmp_path / "series"
     assert run("pipeline", "--d", "8", "--flux", "1e6", "--seed", "5", "--out", str(series)) == 0
     text = (series / "series_cos.csv").read_text()

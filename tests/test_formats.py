@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ghostphase import (OrthoMatrix, make_object, measure_exact,
                         sample_counts)
-from ghostphase.acquisition import MeasurementSeries
+from ghostphase.acquisition import Scan
 from ghostphase.formats import (_ROWS, DataError, read_field, read_series,
                                 write_field, write_mask_text, write_pgm, write_series)
 
@@ -101,13 +101,13 @@ def test_field_reads_from_a_pipe(tmp_path, tail, error):
 
 def test_series_round_trip_exact(tmp_path):
     H = OrthoMatrix(16)
-    series = measure_exact(make_object("pi-slit-phase", 16), H)[0]
+    scan = measure_exact(make_object("pi-slit-phase", 16), H)
     path = tmp_path / "series.csv"
-    write_series(path, series)
-    back = read_series(path)
-    assert back.kind == "cos" and back.dim == 16 and back.basis == series.basis
-    assert back.flux is None and back.seed is None
-    assert np.array_equal(back.values, series.values)   # repr round trip is exact
+    write_series(path, scan, "cos")
+    kind, header, values = read_series(path)
+    assert kind == "cos" and header["basis"].dim == 16 and header["basis"] == scan.basis
+    assert header["flux"] is None and header["seed"] is None
+    assert np.array_equal(values, scan.cos)   # repr round trip is exact
     assert sum(1 for line in path.read_text().splitlines()
                if line and not line.startswith("#")) == 256
 
@@ -118,7 +118,7 @@ def test_a_series_header_that_names_no_basis_is_rejected_as_it_is_read(tmp_path,
     # a basis=hadamard:bogus series used to be read, and only reconstruct's second parse of
     # its header rejected it, blaming both files
     path = tmp_path / "series.csv"
-    write_series(path, measure_exact(make_object("flat", 8), OrthoMatrix(8))[0])
+    write_series(path, measure_exact(make_object("flat", 8), OrthoMatrix(8)), "cos")
     path.write_text(path.read_text().replace("d=8 basis=hadamard:natural", header, 1))
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad series header value"):
         read_series(path)
@@ -126,20 +126,19 @@ def test_a_series_header_that_names_no_basis_is_rejected_as_it_is_read(tmp_path,
 
 def test_series_round_trip_sampled(tmp_path):
     H = OrthoMatrix(8)
-    series = measure_exact(make_object("flat", 8), H)[1]
-    noisy = sample_counts(series, 1e5, seed=4)
+    noisy = sample_counts(measure_exact(make_object("flat", 8), H), 1e5, seed=4)
     path = tmp_path / "noisy.csv"
-    write_series(path, noisy)
-    back = read_series(path)
-    assert back.flux == 1e5 and back.seed == 4 and not back.exact
-    assert np.array_equal(back.values, noisy.values)
+    write_series(path, noisy, "sin")
+    kind, header, values = read_series(path)
+    assert kind == "sin" and header == {"basis": H, "flux": 1e5, "seed": 4}
+    assert not Scan(cos=values, sin=values, **header).exact
+    assert np.array_equal(values, noisy.sin)
 
 
 def test_series_rejects_gaps_and_negatives(tmp_path):
     good = tmp_path / "good.csv"
     H = OrthoMatrix(2)
-    series = measure_exact(make_object("flat", 2), H)[0]
-    write_series(good, series)
+    write_series(good, measure_exact(make_object("flat", 2), H), "cos")
     lines = good.read_text().splitlines()
 
     missing = tmp_path / "missing.csv"
@@ -224,6 +223,9 @@ SERIES_PARITY = [
     pytest.param(_row1(b"1,0_25"), STRICTER, id="value-digit-separator"),
     pytest.param(HEADER.replace(b"d=2", b"d=-2") + ROWS, STRICTER, id="d-negative"),
     pytest.param(HEADER.replace(b"d=2", b"d=1") + b"0,0.5\n", STRICTER, id="d-1"),
+    # a sampled series names its flux and its seed, an exact one neither
+    pytest.param(HEADER.replace(b"seed=none", b"seed=5") + ROWS, STRICTER, id="exact-with-seed"),
+    pytest.param(HEADER.replace(b"flux=exact", b"flux=1000000.0") + ROWS, STRICTER, id="flux-without-seed"),
 ]
 
 
@@ -237,7 +239,7 @@ def test_read_series_parity_table(tmp_path, raw, expected):
             read_series(path)
         assert (reference is not None) == (expected is STRICTER)
     else:
-        values = read_series(path).values
+        values = read_series(path)[2]
         assert values.tolist() == expected and np.array_equal(values, reference)
 
 
@@ -253,22 +255,21 @@ def test_read_series_parity_table(tmp_path, raw, expected):
 def test_series_round_trip_is_bit_identical(tmp_path_factory, values):
     d = int(len(values) ** 0.5)
     written = np.array(values, dtype=np.float64)
-    series = MeasurementSeries(kind="sin", basis=OrthoMatrix(d, seed=7), values=written,
-                               flux=1e9, seed=3)
+    scan = Scan(OrthoMatrix(d, seed=7), written, written, flux=1e9, seed=3)
     path = tmp_path_factory.mktemp("series") / "series.csv"
-    write_series(path, series)
-    back = read_series(path)
-    assert back.basis == series.basis and back.values.dtype == np.float64
-    assert np.array_equal(back.values.view(np.uint64), written.view(np.uint64))
+    write_series(path, scan, "sin")
+    _, header, values = read_series(path)
+    assert header["basis"] == scan.basis and values.dtype == np.float64
+    assert np.array_equal(values.view(np.uint64), written.view(np.uint64))
 
 
-def _write_series_rowwise(path, series):
+def _write_series_rowwise(path, scan, kind):
     """The row-by-row writer `write_series` must match byte for byte."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# d={series.dim} basis={series.basis.descriptor} kind={series.kind}"
-                 f" flux={'exact' if series.exact else series.flux}"
-                 f" seed={'none' if series.seed is None else series.seed}\n")
-        for j, v in enumerate(series.values):
+        fh.write(f"# d={scan.basis.dim} basis={scan.basis.descriptor} kind={kind}"
+                 f" flux={'exact' if scan.exact else scan.flux}"
+                 f" seed={'none' if scan.seed is None else scan.seed}\n")
+        for j, v in enumerate(getattr(scan, kind)):
             fh.write(f"{j},{float(v)!r}\n")
 
 
@@ -294,12 +295,13 @@ def test_write_series_matches_rowwise_writer(tmp_path_factory, n, pool, spread, 
         fresh = rng.random(n) < 0.9
         values[fresh] = rng.random(fresh.sum()) * 10.0 ** rng.integers(-330, 309, fresh.sum())
     # the header's basis need not match the row count: the rows' layout is under test
-    series = MeasurementSeries(kind="cos", basis=OrthoMatrix(4, "sequency"),
-                               values=values, flux=None if exact else 1e9, seed=None if exact else 7)
+    scan = Scan(OrthoMatrix(4, "sequency"), values, values[::-1],
+                flux=None if exact else 1e9, seed=None if exact else 7)
     folder = tmp_path_factory.mktemp("series")
-    write_series(folder / "fast.csv", series)
-    _write_series_rowwise(folder / "rowwise.csv", series)
-    assert (folder / "fast.csv").read_bytes() == (folder / "rowwise.csv").read_bytes()
+    for kind in ("cos", "sin"):
+        write_series(folder / f"fast_{kind}.csv", scan, kind)
+        _write_series_rowwise(folder / f"rowwise_{kind}.csv", scan, kind)
+        assert (folder / f"fast_{kind}.csv").read_bytes() == (folder / f"rowwise_{kind}.csv").read_bytes()
 
 
 def _pgm_pixels(path):

@@ -96,17 +96,17 @@ def test_projection_identities_recover_basis_mask():
 def test_overlap_linearity():
     H = OrthoMatrix(4)
     obj = random_complex_object(4, 7)
-    series_cos, series_sin = measure_exact(obj, H)
+    scan = measure_exact(obj, H)
     c0 = naive_overlap(H.mask(0), obj)
     for j in (2, 7, 11):
         lhs = naive_overlap(paired_masks(H, j)[0], obj)
         rhs = (naive_overlap(H.mask(j), obj) + c0) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert series_cos.values[j] == pytest.approx(abs(lhs) ** 2, abs=1e-12)
+        assert scan.cos[j] == pytest.approx(abs(lhs) ** 2, abs=1e-12)
         lhs = naive_overlap(paired_masks(H, 4 + j)[1], obj)
         rhs = (naive_overlap(H.mask(4 + j), obj) - 1j * c0) / SQRT2
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert series_sin.values[4 + j] == pytest.approx(abs(lhs) ** 2, abs=1e-12)
+        assert scan.sin[4 + j] == pytest.approx(abs(lhs) ** 2, abs=1e-12)
 
 
 def test_mask_symbol_export(tmp_path):

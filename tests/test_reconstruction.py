@@ -30,7 +30,7 @@ def _object(kind, d):
 
 def test_flat_cos_series_structure():
     H = OrthoMatrix(8)
-    gi = ghost_image(*measure_exact(make_object("flat", 8), H))[0]
+    gi = ghost_image(measure_exact(make_object("flat", 8), H))[0]
     body = gi.ravel()[1:]
     assert body.max() - body.min() < 1e-13
     assert abs(gi[0, 0] - body[0]) > 1e-6
@@ -38,8 +38,8 @@ def test_flat_cos_series_structure():
 
 def test_constant_series_gives_zero_image():
     H = OrthoMatrix(8)
-    pair = [replace(s, values=np.full(64, 0.37)) for s in measure_exact(make_object("flat", 8), H)]
-    np.testing.assert_allclose(ghost_image(*pair), 0, atol=1e-15)
+    scan = replace(measure_exact(make_object("flat", 8), H), cos=np.full(64, 0.37), sin=np.full(64, 0.37))
+    np.testing.assert_allclose(ghost_image(scan), 0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["cos", "sin"])
@@ -52,43 +52,42 @@ def test_closed_form_equivalence(kind, object_kind, d, ordering):
     H = OrthoMatrix(d, ordering)
     obj = _object(object_kind, d)
     channel = ("cos", "sin").index(kind)
-    pair = measure_exact(obj, H)
-    gi = ghost_image(*pair)[channel]
+    scan = measure_exact(obj, H)
+    gi = ghost_image(scan)[channel]
     terms = closed_form_gi(obj, H)[channel]
     assert np.max(np.abs(gi - terms.total)) <= 1e-10
-    assert terms.channel_sum == pair[channel].values.sum()
+    assert terms.channel_sum == getattr(scan, kind).sum()
 
 
 def test_reference_mode_independence():
     H = OrthoMatrix(8)
-    pair = measure_exact(_object("pi-slit-phase", 8), H)
-    shifted = [replace(s, values=s.values + 0.7) for s in pair]
-    np.testing.assert_allclose(ghost_image(*pair), ghost_image(*shifted), atol=1e-12)
+    scan = measure_exact(_object("pi-slit-phase", 8), H)
+    shifted = replace(scan, cos=scan.cos + 0.7, sin=scan.sin + 0.7)
+    np.testing.assert_allclose(ghost_image(scan), ghost_image(shifted), atol=1e-12)
 
 
 def test_reconstruction_spectrum_is_mean_free():
     from ghostphase import fwht2
     H = OrthoMatrix(8)
-    gi = ghost_image(*measure_exact(_object("azimuthal-ring-phase", 8), H))[1]
+    gi = ghost_image(measure_exact(_object("azimuthal-ring-phase", 8), H))[1]
     coeffs = fwht2(gi, H)
     assert abs(coeffs.sum()) < 1e-12
 
 
 def test_series_length_mismatch():
     H = OrthoMatrix(8)
-    sc, ss = measure_exact(_object("flat", 8), H)
+    scan = measure_exact(_object("flat", 8), H)
     with pytest.raises(ValueError):
-        ghost_image(replace(sc, values=sc.values[:10]), ss)
+        ghost_image(replace(scan, cos=scan.cos[:10]))
 
 
 def test_every_stage_checks_a_series_length_against_its_basis():
     # only ghost_image used to: estimate_spectrum failed inside numpy's broadcasting
-    sc, ss = measure_exact(_object("pi-slit-phase", 4), OrthoMatrix(4))
-    short = replace(ss, values=ss.values[:1])
-    for call in (lambda: remove_artifact(sc, short), lambda: estimate_spectrum(sc, short),
-                 lambda: ghost_image(sc, short)):
+    scan = measure_exact(_object("pi-slit-phase", 4), OrthoMatrix(4))
+    short = replace(scan, sin=scan.sin[:1])
+    for stage in (remove_artifact, estimate_spectrum, ghost_image):
         with pytest.raises(ValueError, match="series length 1 does not match basis N=16"):
-            call()
+            stage(short)
 
 
 def test_sin_term1_vanishes_for_real_objects():
@@ -103,7 +102,7 @@ def test_analytic_removal_proportional_to_object():
     H = OrthoMatrix(d)
     obj = _object("pi-slit-phase", d)
     c0 = fwht2(obj, H)[0, 0]
-    gic, gis = ghost_image(*measure_exact(obj, H))
+    gic, gis = ghost_image(measure_exact(obj, H))
     re, im = remove_artifact_analytic(gic, gis, obj, H)
     scale = abs(c0) / (d * d)
     rotated = np.exp(-1j * np.angle(c0)) * obj
@@ -117,7 +116,7 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
     from ghostphase import acquisition, reconstruction
     H = OrthoMatrix(8)
     obj = _object("pi-slit-phase", 8)
-    gic, gis = ghost_image(*measure_exact(obj, H))
+    gic, gis = ghost_image(measure_exact(obj, H))
     calls = []
 
     def counted(*args):
@@ -133,7 +132,7 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
 def test_analytic_requires_ground_truth():
     basis = OrthoMatrix(4, seed=5)
     obj = _object("flat", 4)
-    gic, gis = ghost_image(*measure_exact(obj, basis))
+    gic, gis = ghost_image(measure_exact(obj, basis))
     with pytest.raises(ValueError, match="needs the ground-truth object"):
         remove_artifact_analytic(gic, gis, None, basis)
 
@@ -145,7 +144,7 @@ def test_closed_form_matches_the_ghost_images_of_a_seeded_basis():
         basis = OrthoMatrix(d, seed=3)
         for object_kind in ALL_KINDS:
             obj = _object(object_kind, d)
-            for gi, terms in zip(ghost_image(*measure_exact(obj, basis)), closed_form_gi(obj, basis)):
+            for gi, terms in zip(ghost_image(measure_exact(obj, basis)), closed_form_gi(obj, basis)):
                 assert np.max(np.abs(gi - terms.total)) <= 1e-15, (d, object_kind)
 
 
@@ -155,11 +154,11 @@ def test_analytic_removal_of_sampled_series_matches_the_heuristic(kind):
     # 1.146 rad against the heuristic's 0.023
     d = 64
     obj = make_object(kind, d)
-    pair = _series_pair(obj, OrthoMatrix(d), 1e9)
+    scan = _scan(obj, OrthoMatrix(d), 1e9)
     truth = combine_phase(obj.real, obj.imag)
     support = disc_mask(d, 0.44 * d)
-    analytic = combine_phase(*remove_artifact_analytic(*ghost_image(*pair), obj, pair[0].basis, False), support)
-    heuristic = combine_phase(*remove_artifact(*pair), support)
+    analytic = combine_phase(*remove_artifact_analytic(*ghost_image(scan), obj, scan.basis, False), support)
+    heuristic = combine_phase(*remove_artifact(scan), support)
     assert phase_rmse(analytic, truth) == pytest.approx(phase_rmse(heuristic, truth), rel=0.1)
 
 
@@ -169,29 +168,13 @@ def test_estimate_spectrum_matches_truth():
     obj = normalize(1.0 + 0.25 * random_complex_object(8, seed=21))
     coeffs = fwht2(obj, H).ravel()
     p = np.abs(coeffs) ** 2
-    est = estimate_spectrum(*measure_exact(obj, H))
+    est = estimate_spectrum(measure_exact(obj, H))
     assert est.p0 == pytest.approx(p[0], abs=1e-12)
     np.testing.assert_allclose(est.probabilities, p, atol=1e-9)
     delta = np.angle(coeffs) - np.angle(coeffs[0])
     cross = np.sqrt(p[0] * p)
     np.testing.assert_allclose(est.cross_cos, cross * np.cos(delta), atol=1e-9)
     np.testing.assert_allclose(est.cross_sin, cross * np.sin(delta), atol=1e-9)
-
-
-def test_remove_artifact_rejects_a_mismatched_pair():
-    # a sequency-order sin series beside a natural-order cos one put phases up to 3.1 rad off;
-    # the two series of one scan also share its flux and seed
-    obj = _object("azimuthal-ring-phase", 16)
-    sc, ss = measure_exact(obj, OrthoMatrix(16))
-    mismatched = [(sc, measure_exact(obj, OrthoMatrix(16, "sequency"))[1]),
-                  (sc, sample_counts(ss, 1e12, seed=5)),
-                  (sample_counts(sc, 1e6, seed=7), sample_counts(ss, 1e6, seed=8))]
-    for stage in (remove_artifact, estimate_spectrum, ghost_image):
-        for pair in mismatched:
-            with pytest.raises(ValueError, match="^cos and sin series headers do not match$"):
-                stage(*pair)
-        with pytest.raises(ValueError, match="^series channel kinds do not match their roles$"):
-            stage(ss, sc)
 
 
 def test_heuristic_equals_analytic_for_exact_hadamard_series():
@@ -201,9 +184,9 @@ def test_heuristic_equals_analytic_for_exact_hadamard_series():
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
     for H in (OrthoMatrix(d), OrthoMatrix(d, seed=7)):
-        sc, ss = measure_exact(obj, H)
-        re_a, im_a = remove_artifact_analytic(*ghost_image(sc, ss), obj, H)
-        re_h, im_h = remove_artifact(sc, ss)
+        scan = measure_exact(obj, H)
+        re_a, im_a = remove_artifact_analytic(*ghost_image(scan), obj, H)
+        re_h, im_h = remove_artifact(scan)
         np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
         np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
 
@@ -227,7 +210,7 @@ def _dominant_spectrum(obj, H):
 def test_estimate_spectrum_recovers_any_reference_dominated_object(obj):
     H = OrthoMatrix(obj.shape[0])
     coeffs, p = _dominant_spectrum(obj, H)
-    est = estimate_spectrum(*measure_exact(obj, H))
+    est = estimate_spectrum(measure_exact(obj, H))
     assert est.p0 == pytest.approx(p[0], abs=1e-12)
     np.testing.assert_allclose(est.probabilities, p, atol=1e-9)
     delta = np.angle(coeffs) - np.angle(coeffs[0])
@@ -242,18 +225,18 @@ def test_heuristic_equals_analytic_for_any_reference_dominated_object(obj):
     d = obj.shape[0]
     H = OrthoMatrix(d)
     _dominant_spectrum(obj, H)
-    sc, ss = measure_exact(obj, H)
-    re_a, im_a = remove_artifact_analytic(*ghost_image(sc, ss), obj, H)
-    re_h, im_h = remove_artifact(sc, ss)
+    scan = measure_exact(obj, H)
+    re_a, im_a = remove_artifact_analytic(*ghost_image(scan), obj, H)
+    re_h, im_h = remove_artifact(scan)
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
     np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
     np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
 
 
-def _textbook_spectrum(series_cos, series_sin):
+def _textbook_spectrum(scan):
     """estimate_spectrum's arithmetic written out of place, one expression per quantity."""
-    vc, vs = series_cos.values, series_sin.values
+    vc, vs = scan.cos, scan.sin
     p0 = vc[0] / 2.0
     vs = vs * (p0 / vs[0])
     A = vc - p0 / 2
@@ -264,18 +247,18 @@ def _textbook_spectrum(series_cos, series_sin):
     return p0, np.maximum(2 * u, 0.0), A - u, SINE_CHANNEL_SIGN * (B - u)
 
 
-def _series_pair(obj, basis, flux):
-    pair = measure_exact(obj, basis)
-    return pair if flux is None else tuple(sample_counts(s, flux, seed=5) for s in pair)
+def _scan(obj, basis, flux):
+    scan = measure_exact(obj, basis)
+    return scan if flux is None else sample_counts(scan, flux, seed=5)
 
 
 @pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
 @pytest.mark.parametrize("kind", ["azimuthal-ring-phase", "spiral-flower-phase"])
 def test_estimate_spectrum_is_bit_identical_to_the_textbook_expressions(kind, flux):
     # in-place updates must keep every operation and its order, not just agree to rounding
-    pair = _series_pair(_object(kind, 64), OrthoMatrix(64), flux)
-    est = estimate_spectrum(*pair)
-    p0, p, cross_cos, cross_sin = _textbook_spectrum(*pair)
+    scan = _scan(_object(kind, 64), OrthoMatrix(64), flux)
+    est = estimate_spectrum(scan)
+    p0, p, cross_cos, cross_sin = _textbook_spectrum(scan)
     assert est.p0 == p0
     for got, want in ((est.probabilities, p), (est.cross_cos, cross_cos), (est.cross_sin, cross_sin)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -286,13 +269,13 @@ def test_estimate_spectrum_is_bit_identical_to_the_textbook_expressions(kind, fl
 @pytest.mark.parametrize("basis", [OrthoMatrix(16), OrthoMatrix(16, seed=3)], ids=["hadamard", "random"])
 def test_reconstruction_leaves_the_series_values_alone(basis, flux):
     # an exact series' values are the caller's array, and a pipeline writes them after reconstructing
-    pair = _series_pair(_object("spiral-flower-phase", 16), basis, flux)
-    before = [s.values.tobytes() for s in pair]
-    ghost_image(*pair)
-    estimate_spectrum(*pair)
-    remove_artifact(*pair)
-    cli.reconstruct(RunConfig(d=16), *pair)
-    assert [s.values.tobytes() for s in pair] == before
+    scan = _scan(_object("spiral-flower-phase", 16), basis, flux)
+    before = [scan.cos.tobytes(), scan.sin.tobytes()]
+    ghost_image(scan)
+    estimate_spectrum(scan)
+    remove_artifact(scan)
+    cli.reconstruct(RunConfig(d=16), scan)
+    assert [scan.cos.tobytes(), scan.sin.tobytes()] == before
 
 
 def test_combine_phase_basics():
@@ -315,7 +298,7 @@ def test_ring_phase_recovered_exactly_analytic():
     H = OrthoMatrix(d)
     obj = _object("azimuthal-ring-phase", d)
     alpha0 = np.angle(fwht2(obj, H)[0, 0])
-    gic, gis = ghost_image(*measure_exact(obj, H))
+    gic, gis = ghost_image(measure_exact(obj, H))
     re, im = remove_artifact_analytic(gic, gis, obj, H)
     phase = combine_phase(re, im, np.abs(obj) > 0)
     expected = wrap(np.angle(obj) - alpha0)
@@ -329,7 +312,7 @@ def test_global_phase_invariance_of_recovered_phase():
     obj = _object("pi-slit-phase", d)
 
     def recover(o):
-        gic, gis = ghost_image(*measure_exact(o, H))
+        gic, gis = ghost_image(measure_exact(o, H))
         re, im = remove_artifact_analytic(gic, gis, o, H)
         return combine_phase(re, im, np.abs(o) > 0)
 
@@ -342,8 +325,8 @@ def test_amplitude_object_phase_is_zero():
     d = 16
     H = OrthoMatrix(d)
     obj = _object("double-slit-amplitude", d)
-    sc, ss = measure_exact(obj, H)
-    re, im = remove_artifact(sc, ss)
+    scan = measure_exact(obj, H)
+    re, im = remove_artifact(scan)
     phase = combine_phase(re, im, np.abs(obj) > 0)
     assert np.abs(phase.entries[phase.support]).max() < 1e-6
 
@@ -356,8 +339,8 @@ def test_random_vs_hadamard_reconstruction_agreement():
     support = disc_mask(d, 0.44 * d)
 
     def recover(b):
-        sc, ss = measure_exact(obj, b)
-        re, im = remove_artifact(sc, ss)
+        scan = measure_exact(obj, b)
+        re, im = remove_artifact(scan)
         return denoise(combine_phase(re, im, support), 3)
 
     ph_h = recover(H)
@@ -367,9 +350,9 @@ def test_random_vs_hadamard_reconstruction_agreement():
 
 
 def _random_heuristic(obj, basis):
-    sc, ss = measure_exact(obj, basis)
-    re, im = remove_artifact(sc, ss)
-    return re, im, estimate_spectrum(sc, ss)
+    scan = measure_exact(obj, basis)
+    re, im = remove_artifact(scan)
+    return re, im, estimate_spectrum(scan)
 
 
 def _assert_matches_least_squares(obj, basis):
@@ -401,12 +384,12 @@ def test_counts_normalization_preserves_structure():
     d = 8
     H = OrthoMatrix(d)
     obj = _object("pi-slit-phase", d)
-    pair = measure_exact(obj, H)
-    exact_gi = ghost_image(*pair)[0]
-    noisy_gi = ghost_image(*(sample_counts(s, 1e9, seed=3) for s in pair))[0]
+    scan = measure_exact(obj, H)
+    exact_gi = ghost_image(scan)[0]
+    noisy_gi = ghost_image(sample_counts(scan, 1e9, seed=3))[0]
     scale = np.linalg.norm(exact_gi) / np.linalg.norm(noisy_gi)
     assert np.corrcoef(exact_gi.ravel(), noisy_gi.ravel())[0, 1] > 0.999
-    assert scale == pytest.approx(pair[0].values.sum(), rel=1e-3)
+    assert scale == pytest.approx(scan.cos.sum(), rel=1e-3)
 
 
 def test_denoise_identity_and_validation():
@@ -515,7 +498,7 @@ def test_artifact_removal_working_set(flux):
     # in N-sized float64 arrays at d=256: out-of-place arithmetic peaked at 9 in both
     d = 256
     H = OrthoMatrix(d)
-    pair = _series_pair(_object("azimuthal-ring-phase", d), H, flux)
+    scan = _scan(_object("azimuthal-ring-phase", d), H, flux)
 
     def peak(fn):
         fn()
@@ -526,8 +509,8 @@ def test_artifact_removal_working_set(flux):
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: estimate_spectrum(*pair)) < 6
-    assert peak(lambda: remove_artifact(*pair)) < 7
+    assert peak(lambda: estimate_spectrum(scan)) < 6
+    assert peak(lambda: remove_artifact(scan)) < 7
 
 
 def test_denoise_window_wider_than_the_grid_gives_the_whole_grid_window(monkeypatch):
