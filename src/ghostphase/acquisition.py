@@ -12,12 +12,12 @@ from .wht import OrthoMatrix, fwht2
 SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scan:
     """One scan's detection values: per mask of ``basis``, its cos mask's and its sin mask's.
 
     ``cos[j]`` and ``sin[j]`` are |<T_j|O>|^2 in exact mode, or Poisson counts
-    drawn at total ``flux`` with ``seed``.  ``flux`` is None for exact probabilities.
+    drawn at total ``flux`` with ``seed``; both are None for exact probabilities.
     """
 
     basis: OrthoMatrix              # the masks that measured the values
@@ -25,6 +25,10 @@ class Scan:
     sin: np.ndarray = field(repr=False)
     flux: Optional[float] = None
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if (self.flux is None) != (self.seed is None):
+            raise ValueError(f"flux={self.flux} with seed={self.seed}: a scan has both or neither")
 
     @property
     def exact(self) -> bool:

@@ -16,7 +16,7 @@ def wrap(angles: np.ndarray) -> np.ndarray:
     return np.where(w == -np.pi, np.pi, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossSection:
     kind: str                        # "horizontal" | "azimuthal"
     coordinates: np.ndarray = field(repr=False)   # pixel index or azimuth radians
@@ -28,6 +28,8 @@ class CrossSection:
 
 def cross_section_horizontal(phase: PhaseImage, row: int) -> CrossSection:
     """Phase trace along one row, restricted to valid support pixels."""
+    if not 0 <= row < phase.support.shape[0]:
+        raise ValueError(f"row {row} outside the grid")
     valid = phase.support[row]
     if not valid.any():
         raise ValueError(f"row {row} has no valid support pixels")
@@ -40,7 +42,7 @@ def cross_section_azimuthal(phase: PhaseImage, radius: float, samples: int = 64)
     """Nearest-pixel phase samples on a centered circle of the given radius."""
     d = phase.entries.shape[0]
     c = grid_center(d)
-    if radius < 0 or radius > d / 2:
+    if not 0 <= radius <= d / 2:    # NaN fails too
         raise ValueError(f"radius {radius} outside the grid")
     theta = 2 * np.pi * np.arange(samples) / samples
     xs = np.clip(np.round(c + radius * np.cos(theta)).astype(int), 0, d - 1)

@@ -62,7 +62,7 @@ def reconstruct(cfg: RunConfig, scan: acquisition.Scan, obj=None) -> Reconstruct
     """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
     gi_cos, gi_sin = reconstruction.ghost_image(scan)
     if cfg.artifact_mode == "analytic":
-        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, scan.basis, scan.exact)
+        re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, scan)
     else:
         re, im = reconstruction.remove_artifact(scan)
     # the support radius follows cfg.d, not the series dimension

@@ -30,7 +30,7 @@ SINE_CHANNEL_SIGN = -1.0
 _MEDIAN_BUDGET = 2 ** 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedFormTerms:
     """The three closed-form contributions, on an exact series' ghost-image scale, and its sum."""
 
@@ -44,7 +44,7 @@ class ClosedFormTerms:
         return self.object_part + self.spectral_part - self.dc_part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseImage:
     entries: np.ndarray = field(repr=False)   # wrapped to (-pi, pi]
     support: np.ndarray = field(repr=False)   # bool; False pixels are untrusted
@@ -114,7 +114,7 @@ def closed_form_gi(obj: np.ndarray, H: OrthoMatrix) -> Tuple[ClosedFormTerms, Cl
     return terms[0], terms[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Object spectrum inferred from a scan's cos/sin values alone."""
 
@@ -182,18 +182,17 @@ def remove_artifact(scan: Scan) -> Tuple[np.ndarray, np.ndarray]:
     return tuple(_patch_corner(_coefficient_image(w, scan.basis)) for w in cross)
 
 
-def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray, basis: OrthoMatrix,
-                             exact: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-    """Fields proportional to Re(O) and Im(O) from the ghost images and the ground truth.
+def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.ndarray,
+                             scan: Scan) -> Tuple[np.ndarray, np.ndarray]:
+    """Fields proportional to Re(O) and Im(O) from ``scan``'s ghost images and the ground truth.
 
-    Subtracts the closed-form spectral and DC terms of ``obj`` from each
-    channel; ``closed_form_gi`` rejects a missing object.  ``exact`` says whether
-    the scan was exact.  A sampled series' ghost image is divided by
-    its count total, so each is first multiplied by its channel's exact sum, the
-    closed form's scale.
+    Subtracts the closed-form spectral and DC terms of ``obj`` in the scan's
+    basis from each channel; ``closed_form_gi`` rejects a missing object.  A
+    sampled series' ghost image is divided by its count total, so each is first
+    multiplied by its channel's exact sum, the closed form's scale.
     """
-    tc, ts = closed_form_gi(obj, basis)
-    if not exact:
+    tc, ts = closed_form_gi(obj, scan.basis)
+    if not scan.exact:
         gi_cos, gi_sin = gi_cos * tc.channel_sum, gi_sin * ts.channel_sum
     re = gi_cos - tc.spectral_part + tc.dc_part
     im = SINE_CHANNEL_SIGN * (gi_sin - ts.spectral_part + ts.dc_part)
@@ -207,6 +206,8 @@ def combine_phase(re: np.ndarray, im: np.ndarray, support: Optional[np.ndarray] 
     """
     if re.shape != im.shape:
         raise ValueError(f"channel shapes differ: {re.shape} vs {im.shape}")
+    if support is not None and support.shape != re.shape:
+        raise ValueError(f"support shape {support.shape} differs from the channels' {re.shape}")
     magnitude = np.hypot(re, im)
     valid = magnitude > 1e-9 * magnitude.max()     # all False when every magnitude is 0
     if support is not None:

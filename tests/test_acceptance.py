@@ -72,8 +72,9 @@ def test_criterion_02_exact_phase_recovery_analytic():
         d = 32
         H = OrthoMatrix(d)
         obj = _object(kind, d)
-        gic, gis = ghost_image(measure_exact(obj, H))
-        re, im = remove_artifact_analytic(gic, gis, obj, H)
+        scan = measure_exact(obj, H)
+        gic, gis = ghost_image(scan)
+        re, im = remove_artifact_analytic(gic, gis, obj, scan)
         phase = combine_phase(re, im, np.abs(obj) > 0)
         rmse = phase_rmse(phase, _truth_phase(obj))
         elapsed = time.perf_counter() - start

@@ -155,6 +155,16 @@ def test_sampling_rejects_dark_series():
         sample_counts(dark, 1e6, seed=0)
 
 
+@pytest.mark.parametrize("header", [{"flux": 1e6}, {"seed": 7}], ids=["flux-only", "seed-only"])
+def test_scan_has_both_flux_and_seed_or_neither(header):
+    # write_series would head such a scan with a line that read_series rejects
+    values = np.ones(16)
+    with pytest.raises(ValueError, match="a scan has both or neither"):
+        Scan(OrthoMatrix(4), values, values, **header)
+    exact = measure_exact(make_object("flat", 4), OrthoMatrix(4))
+    assert sample_counts(exact, 1e6, 7).seed == 7
+
+
 @pytest.mark.parametrize("kind, kind_bit", [("cos", 0), ("sin", 1)])
 def test_sampling_is_one_philox_draw_per_channel(kind, kind_bit):
     H = OrthoMatrix(8)

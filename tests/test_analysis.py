@@ -35,6 +35,8 @@ def test_horizontal_cross_section_respects_support():
     np.testing.assert_allclose(trace.values, [0.2, 0.3])
     with pytest.raises(ValueError):
         cross_section_horizontal(_phase(entries, support), 0)
+    with pytest.raises(ValueError, match="outside the grid"):
+        cross_section_horizontal(_phase(entries, support), -2)
 
 
 def test_azimuthal_cross_section_on_synthetic_vortex():
@@ -54,6 +56,8 @@ def test_azimuthal_radius_validation():
         cross_section_azimuthal(_phase(np.zeros((8, 8))), radius=10)
     with pytest.raises(ValueError):
         cross_section_azimuthal(_phase(np.zeros((8, 8))), radius=-1)
+    with pytest.raises(ValueError, match="outside the grid"):
+        cross_section_azimuthal(_phase(np.zeros((8, 8))), radius=np.nan)
 
 
 def test_unwrapped_trace_is_continuous():

@@ -14,8 +14,10 @@ from ghostphase import (OrthoMatrix, closed_form_gi, combine_phase, denoise, dis
                         remove_artifact_analytic, sample_counts)
 from ghostphase import cli, reconstruction
 from ghostphase.config import RunConfig
-from ghostphase.reconstruction import SINE_CHANNEL_SIGN, PhaseImage, _masked_median
-from ghostphase.analysis import wrap
+from ghostphase.reconstruction import (SINE_CHANNEL_SIGN, ClosedFormTerms, PhaseImage,
+                                       SpectrumEstimate, _masked_median)
+from ghostphase.acquisition import Scan
+from ghostphase.analysis import CrossSection, wrap
 
 from conftest import mask_matrix, phase_pearson, random_complex_object
 
@@ -102,8 +104,9 @@ def test_analytic_removal_proportional_to_object():
     H = OrthoMatrix(d)
     obj = _object("pi-slit-phase", d)
     c0 = fwht2(obj, H)[0, 0]
-    gic, gis = ghost_image(measure_exact(obj, H))
-    re, im = remove_artifact_analytic(gic, gis, obj, H)
+    scan = measure_exact(obj, H)
+    gic, gis = ghost_image(scan)
+    re, im = remove_artifact_analytic(gic, gis, obj, scan)
     scale = abs(c0) / (d * d)
     rotated = np.exp(-1j * np.angle(c0)) * obj
     np.testing.assert_allclose(re, scale * rotated.real, atol=1e-10)
@@ -116,7 +119,8 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
     from ghostphase import acquisition, reconstruction
     H = OrthoMatrix(8)
     obj = _object("pi-slit-phase", 8)
-    gic, gis = ghost_image(measure_exact(obj, H))
+    scan = measure_exact(obj, H)
+    gic, gis = ghost_image(scan)
     calls = []
 
     def counted(*args):
@@ -125,16 +129,17 @@ def test_analytic_removal_makes_two_transform_passes(monkeypatch):
 
     for module in (acquisition, reconstruction):
         monkeypatch.setattr(module, "fwht2", counted)
-    remove_artifact_analytic(gic, gis, obj, H)
+    remove_artifact_analytic(gic, gis, obj, scan)
     assert len(calls) == 2
 
 
 def test_analytic_requires_ground_truth():
     basis = OrthoMatrix(4, seed=5)
     obj = _object("flat", 4)
-    gic, gis = ghost_image(measure_exact(obj, basis))
+    scan = measure_exact(obj, basis)
+    gic, gis = ghost_image(scan)
     with pytest.raises(ValueError, match="needs the ground-truth object"):
-        remove_artifact_analytic(gic, gis, None, basis)
+        remove_artifact_analytic(gic, gis, None, scan)
 
 
 def test_closed_form_matches_the_ghost_images_of_a_seeded_basis():
@@ -157,7 +162,7 @@ def test_analytic_removal_of_sampled_series_matches_the_heuristic(kind):
     scan = _scan(obj, OrthoMatrix(d), 1e9)
     truth = combine_phase(obj.real, obj.imag)
     support = disc_mask(d, 0.44 * d)
-    analytic = combine_phase(*remove_artifact_analytic(*ghost_image(scan), obj, scan.basis, False), support)
+    analytic = combine_phase(*remove_artifact_analytic(*ghost_image(scan), obj, scan), support)
     heuristic = combine_phase(*remove_artifact(scan), support)
     assert phase_rmse(analytic, truth) == pytest.approx(phase_rmse(heuristic, truth), rel=0.1)
 
@@ -185,7 +190,7 @@ def test_heuristic_equals_analytic_for_exact_hadamard_series():
     interior[0, 0] = False
     for H in (OrthoMatrix(d), OrthoMatrix(d, seed=7)):
         scan = measure_exact(obj, H)
-        re_a, im_a = remove_artifact_analytic(*ghost_image(scan), obj, H)
+        re_a, im_a = remove_artifact_analytic(*ghost_image(scan), obj, scan)
         re_h, im_h = remove_artifact(scan)
         np.testing.assert_allclose(re_h[interior], re_a[interior], atol=1e-10)
         np.testing.assert_allclose(im_h[interior], im_a[interior], atol=1e-10)
@@ -226,7 +231,7 @@ def test_heuristic_equals_analytic_for_any_reference_dominated_object(obj):
     H = OrthoMatrix(d)
     _dominant_spectrum(obj, H)
     scan = measure_exact(obj, H)
-    re_a, im_a = remove_artifact_analytic(*ghost_image(scan), obj, H)
+    re_a, im_a = remove_artifact_analytic(*ghost_image(scan), obj, scan)
     re_h, im_h = remove_artifact(scan)
     interior = np.ones((d, d), bool)
     interior[0, 0] = False
@@ -291,6 +296,21 @@ def test_combine_phase_basics():
 def test_combine_phase_shape_mismatch():
     with pytest.raises(ValueError):
         combine_phase(np.zeros((4, 4)), np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="support shape"):
+        combine_phase(np.zeros((4, 4)), np.zeros((4, 4)), np.ones(4, bool))
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: Scan(OrthoMatrix(2), a(), a()),
+    lambda a: PhaseImage(a(), a() > 0),
+    lambda a: CrossSection("horizontal", a(), a()),
+    lambda a: ClosedFormTerms(a(), a(), a(), 1.0),
+    lambda a: SpectrumEstimate(1.0, a(), a(), a()),
+], ids=["Scan", "PhaseImage", "CrossSection", "ClosedFormTerms", "SpectrumEstimate"])
+def test_values_that_hold_arrays_compare_by_identity(build):
+    # a generated __eq__ compares the fields as tuples, and an array's truth value raises
+    first, second = build(lambda: np.ones(4)), build(lambda: np.ones(4))
+    assert (first == second) is False and (first == first) is True
 
 
 def test_ring_phase_recovered_exactly_analytic():
@@ -298,8 +318,9 @@ def test_ring_phase_recovered_exactly_analytic():
     H = OrthoMatrix(d)
     obj = _object("azimuthal-ring-phase", d)
     alpha0 = np.angle(fwht2(obj, H)[0, 0])
-    gic, gis = ghost_image(measure_exact(obj, H))
-    re, im = remove_artifact_analytic(gic, gis, obj, H)
+    scan = measure_exact(obj, H)
+    gic, gis = ghost_image(scan)
+    re, im = remove_artifact_analytic(gic, gis, obj, scan)
     phase = combine_phase(re, im, np.abs(obj) > 0)
     expected = wrap(np.angle(obj) - alpha0)
     np.testing.assert_allclose(wrap(phase.entries[phase.support] - expected[phase.support]),
@@ -312,8 +333,9 @@ def test_global_phase_invariance_of_recovered_phase():
     obj = _object("pi-slit-phase", d)
 
     def recover(o):
-        gic, gis = ghost_image(measure_exact(o, H))
-        re, im = remove_artifact_analytic(gic, gis, o, H)
+        scan = measure_exact(o, H)
+        gic, gis = ghost_image(scan)
+        re, im = remove_artifact_analytic(gic, gis, o, scan)
         return combine_phase(re, im, np.abs(o) > 0)
 
     a = recover(obj)
