@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from typing import Optional, Tuple
@@ -78,10 +79,6 @@ def read_field(path) -> Tuple[np.ndarray, str]:
 
 # '-2.2250738585072014e-308' is the longest float64 repr
 _REPR_WIDTH = 24
-# Values per repr batch.  The memory of a batch's Python strings stays
-# resident after they are freed, so larger batches raise the process's peak
-# RSS (by ~0.8 MB at 8192 values for a d=256 pipeline).
-_REPR_BATCH = 1000
 # Rows per write: a power of ten, so the rows of one block share every index
 # digit but the last four, which come from this table ('0000' to '9999').
 # uint16 keeps each temporary under glibc's 128 KiB mmap threshold; freeing a
@@ -91,21 +88,222 @@ _ROWS = 10 ** 4
 _LAST_DIGITS = (np.arange(_ROWS, dtype=np.uint16)[:, np.newaxis]
                 // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
 
+# Values per formatter chunk: its widest temporaries, (chunk, 3) uint64
+# rows, stay under the same 128 KiB threshold.
+_CHUNK = 4096
+# The formatter's range, as bit patterns: positive floats order as their bits
+# do.  Inside it every scaled product and its error terms stay normal floats.
+_FAST_BITS = np.array([1e-280, 1e280]).view(np.uint64)
+# A scaled interval edge or tie closer than this to deciding the other way
+# goes to `repr`; the scaled product is good to ~1e-14
+_TOLERANCE = 1e-9
+# Values per `repr` batch for the values the formatter leaves: most series
+# have few, and a batch bounds the Python strings alive at once when one has
+# many (a series of negative or subnormal values)
+_REPR_BATCH = 1000
+# A formatted row is three little-endian uint64 words: byte i of the row is
+# bits 8i..8i+7 of word i // 8.  _BYTES_BELOW[w, k] sets the bytes of word w
+# before byte k of the row; _DIGIT_WORDS[g] holds the four digits of g, the
+# first in the low byte; _ZERO_FILL[z] holds z '0' bytes.  Shift counts are
+# uint64: numpy 1.24 promotes uint64 with int64 to float64, which has no
+# shift.  These tables come from Python ints and views:
+# a numpy loop first run at import maps 64-128 KB more of numpy's code into
+# every process, formatting or not.
+_U64 = np.uint64
+_POW10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
+_BYTES_BELOW = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1 for k in range(_REPR_WIDTH + 1)]
+                         for w in range(3)], dtype=np.uint64)
+_DIGIT_WORDS = _LAST_DIGITS.view("<u4")[:, 0]
+_ZERO_FILL = np.array([int("30" * z or "0", 16) for z in range(5)], dtype=np.uint64)
+_DOTS = _U64(int("2e" * 8, 16))
+_EXPONENT_BITS = _U64(0x7FF << 52)
+
+
+@functools.lru_cache(maxsize=None)
+def _ten_to(k: int) -> Tuple[float, float]:
+    """10**k as a double-double: the nearest float64 and the nearest float64 to the rest.
+
+    Python's int true division rounds correctly, so both parts are exact roundings.
+    """
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each float64 into two 26-bit halves that sum to it exactly."""
+    c = 134217729.0 * a     # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _powers_of_ten(low: int, high: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The double-doubles `_shortest` needs for values whose floor(log10) reads low..high,
+    as (first exponent, his, los).
+
+    A value's own reading may be one off its true exponent e, and so may low
+    and high: the table holds 10**e for e in low-2..high+2 and 10**(16 - e).
+    """
+    base = min(low - 2, 15 - high)
+    his, los = np.array([_ten_to(k) for k in range(base, max(high + 2, 17 - low) + 1)]).T
+    return base, his, los
+
+
+def _shortest(x: np.ndarray, tens: Tuple[int, np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """`repr` of each float64 in [1e-280, 1e280] as a (len(x), 24) NUL-padded uint8 array.
+
+    Each value is scaled by 10**k to p = x * 10**k in [1e16, 1e17) with an
+    error-free double-double product, good to ~1e-14.  Its rounding interval,
+    half an ulp each side (a quarter below a power of two), scales with it.
+    The shortest decimal is the multiple of the largest 10**j inside the
+    interval, the one nearest p when two are, laid out as `repr` spells it.
+    ``tens`` is `_powers_of_ten` over the decimal exponents of ``x``.
+    Returns the rows and a mask of those whose interval edge or tie lies
+    within `_TOLERANCE` of deciding otherwise: their rows hold no value.
+    """
+    base, tens_hi, tens_lo = tens
+    e10 = np.floor(np.log10(x)).astype(np.int64)
+    # log10 can be one off near a power of ten; a float compares with 10**e
+    # exactly through the rest of its double-double
+    th, tl = tens_hi[e10 - base], tens_lo[e10 - base]
+    e10 -= (x < th) | ((x == th) & (tl > 0))
+    th, tl = tens_hi[e10 + 1 - base], tens_lo[e10 + 1 - base]
+    e10 += (x > th) | ((x == th) & (tl <= 0))
+
+    th, tl = tens_hi[16 - e10 - base], tens_lo[16 - e10 - base]
+    ph = x * th
+    xh, xl = _split(x)
+    th_h, th_l = _split(th)
+    pl = (((xh * th_h - ph) + xh * th_l + xl * th_h) + xl * th_l) + x * tl
+    total = ph + pl
+    pl -= total - ph
+    ph = total
+    whole = np.floor(pl)
+    n_int = ph.astype(np.int64) + whole.astype(np.int64)    # p = n_int + frac
+    frac = pl - whole
+
+    # half an ulp is 2**(exponent field - 1076), a float whose field is 53 less
+    bits = x.view(np.uint64)
+    half_ulp = th * ((bits & _EXPONENT_BITS) - _U64(53 << 52)).view(np.float64)
+    hi_off = frac + half_ulp
+    lo_off = frac - np.where(bits & _U64(2 ** 52 - 1), half_ulp, half_ulp / 2)
+    hi_int = n_int + np.floor(hi_off).astype(np.int64)
+    lo_int = n_int + np.ceil(lo_off).astype(np.int64)
+    unsure = ((np.abs(hi_off - np.round(hi_off)) <= _TOLERANCE)
+              | (np.abs(lo_off - np.round(lo_off)) <= _TOLERANCE))
+
+    # the largest j with a multiple of 10**j in [lo_int, hi_int]: the width is
+    # under 100, so past j=2 it counts the zero digits of hi_int // 100
+    width = hi_int - lo_int
+    j = (hi_int % 10 <= width).astype(np.int64)
+    past = np.flatnonzero(hi_int % 100 <= width)
+    if past.size:
+        rest = hi_int[past] // 100
+        count = np.full(past.size, 2, dtype=np.int64)
+        for step in (8, 4, 2, 1):
+            hit = rest % _POW10[step] == 0
+            rest = np.where(hit, rest // _POW10[step], rest)
+            count += step * hit
+        j[past] = count
+    step = _POW10[j]
+    below = n_int % step
+    # the multiple nearest p, moved inside the interval if it is not
+    gap = (step - 2 * below).astype(np.float64) - 2 * frac
+    unsure |= np.abs(gap) <= _TOLERANCE
+    digits = n_int - below + np.where(gap < 0, step, 0)
+    digits += np.where(digits < lo_int, step, 0) - np.where(digits > hi_int, step, 0)
+    top = digits == _POW10[17]
+    digits[top] = _POW10[16]
+    e10 += top
+    unsure |= (digits < _POW10[16]) | (digits >= _POW10[17])
+    digits[unsure] = _POW10[16]     # any value that lays out: these rows are not used
+    n = np.maximum(17 - j, 1)
+
+    # the 17 digits as bytes 0..16 of three words
+    lead, rest = np.divmod(digits, _POW10[16])
+    high, low = np.divmod(rest, _POW10[8])
+    high, low = (_DIGIT_WORDS[upper] | _DIGIT_WORDS[lower].astype(np.uint64) << _U64(32)
+                 for upper, lower in (np.divmod(high, 10000), np.divmod(low, 10000)))
+    d0 = (lead + ord("0")).astype(np.uint64) | high << _U64(8)
+    d1 = high >> _U64(56) | low << _U64(8)
+    d2 = low >> _U64(56)
+
+    # repr's 'r' format: fixed notation for a decimal point position in (-4, 16],
+    # '0.' and up to three zeros before the digits of a point at or before them
+    point = e10 + 1
+    fixed = (point > -4) & (point <= 16)
+    zeros = np.where(fixed & (point <= 0), 1 - point, 0)
+    shift = (8 * zeros).astype(np.uint64)
+    back = _U64(63) - shift      # two shifts, as a uint64 shift by 64 is undefined
+    stream = (d0 << shift | _ZERO_FILL[zeros],
+              d1 << shift | d0 >> back >> _U64(1),
+              d2 << shift | d1 >> back >> _U64(1))
+    # insert '.' after `dot` characters and cut the row at `length`
+    dot = np.where(fixed, np.maximum(point, 1), 1)
+    length = np.where(fixed, zeros + np.maximum(n, point + 1) + 1, n + (n > 1))
+    words = np.empty((x.size, 3), dtype=np.uint64)
+    carry = _U64(0)
+    for w, word in enumerate(stream):
+        keep, through = _BYTES_BELOW[w, dot], _BYTES_BELOW[w, dot + 1]
+        moved = word << _U64(8) | carry
+        carry = word >> _U64(56)
+        words[:, w] = (word & keep | moved & ~through | _DOTS & through & ~keep) & _BYTES_BELOW[w, length]
+    rows = words.astype("<u8", copy=False).view(np.uint8)
+
+    # scientific notation: 'e', the sign, and two digits or three
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        at = length[sci]
+        power = point[sci] - 1
+        rows[sci, at] = ord("e")
+        rows[sci, at + 1] = np.where(power < 0, ord("-"), ord("+"))
+        power_digits = _LAST_DIGITS[np.abs(power)]
+        wide = np.abs(power) >= 100
+        rows[sci, at + 2] = np.where(wide, power_digits[:, 1], power_digits[:, 2])
+        rows[sci, at + 3] = np.where(wide, power_digits[:, 2], power_digits[:, 3])
+        rows[sci[wide], at[wide] + 4] = power_digits[wide, 3]
+    return rows, unsure
+
+
+def _repr_table(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`repr` of each float64 given by its sorted ``bits``, as an S24 array, and a mask of the
+    values `repr` itself spelled.
+
+    `_shortest` formats the values in [1e-280, 1e280]; `repr` takes the rest
+    (zeros, negatives, subnormals, non-finite values, the far ends of the
+    range) and every value `_shortest` is unsure of, so each entry is
+    ``repr(v)`` by construction.
+    """
+    table = np.zeros(bits.size, dtype=f"S{_REPR_WIDTH}")
+    chars = table.view(np.uint8).reshape(bits.size, _REPR_WIDTH)
+    slow = np.ones(bits.size, dtype=bool)
+    first, stop = np.searchsorted(bits, _FAST_BITS[0]), np.searchsorted(bits, _FAST_BITS[1], "right")
+    if first < stop:
+        tens = _powers_of_ten(*(int(np.floor(np.log10(bits[i:i + 1].view(np.float64)[0])))
+                                for i in (first, stop - 1)))
+        for start in range(first, stop, _CHUNK):
+            end = min(start + _CHUNK, stop)
+            chars[start:end], slow[start:end] = _shortest(bits[start:end].view(np.float64), tens)
+    slow_at = np.flatnonzero(slow)
+    for start in range(0, slow_at.size, _REPR_BATCH):
+        batch = slow_at[start:start + _REPR_BATCH]
+        table[batch] = list(map(repr, bits[batch].view(np.float64).tolist()))
+    return table, slow
+
 
 def write_series(path, scan: Scan, kind: str) -> None:
     """One channel of a scan, ``kind`` 'cos' or 'sin': one 'j,value' row per mask, headed by a
     '# key=value' comment line.
 
-    Each row is ``f"{j},{float(v)!r}\\n"``.  `repr` runs once per distinct bit
-    pattern (so -0.0 and 0.0 stay apart); the rows are assembled as
-    NUL-padded byte columns and the NULs dropped before each write.
+    Each row is ``f"{j},{float(v)!r}\\n"``.  Each distinct bit pattern is
+    formatted once (so -0.0 and 0.0 stay apart), by `_repr_table`, which
+    spells it as `repr` does without calling `repr` for most values; the rows
+    are assembled as NUL-padded byte columns and the NULs dropped before each write.
     """
     values = np.ascontiguousarray({"cos": scan.cos, "sin": scan.sin}[kind], dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    table = np.empty(bits.size, dtype=f"S{_REPR_WIDTH}")
-    for start in range(0, bits.size, _REPR_BATCH):
-        batch = bits[start:start + _REPR_BATCH].view(np.float64).tolist()
-        table[start:start + _REPR_BATCH] = list(map(repr, batch))
+    table = _repr_table(bits)[0]
     n = values.size
     width = max(len(str(n - 1)), 4)     # room for the four table digits
     with open(path, "wb") as fh:

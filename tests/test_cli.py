@@ -785,6 +785,40 @@ def test_pipeline_text_artifacts_match_golden_digests(tmp_path, flags):
     assert digests == GOLDEN_TEXT_ARTIFACTS[flags]
 
 
+# sha256 of the series of the benchmark's exact request, recorded from the
+# writer that called repr once per distinct value
+GOLDEN_EXACT_D256_SERIES = {
+    "series_cos.csv": "72a4a5b24b737a41749970dd6a4037222626877525619f26d691f2cc0384d296",
+    "series_sin.csv": "db28b77152fd431e648a394541ba054c76fc1a7f417cacf8fe5f19397cef41ac",
+}
+
+
+def test_exact_d256_ring_series_match_golden_digests(tmp_path):
+    assert run("pipeline", "--d", "256", "--kind", "azimuthal-ring-phase", "--denoise-window", "3",
+               "--out", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_EXACT_D256_SERIES}
+    assert digests == GOLDEN_EXACT_D256_SERIES
+
+
+def test_exact_pipeline_does_not_load_fractions_or_decimal(tmp_path):
+    # the series formatter builds its powers of ten from ints; either module costs every process
+    src = os.path.dirname(os.path.dirname(ghostphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy; names = {'fractions', 'decimal'}; print(sorted(names & set(sys.modules)))\n"
+            "from ghostphase import cli\n"
+            "assert cli.main(['pipeline', '--d', '16', '--kind', 'azimuthal-ring-phase', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(names & set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    with_numpy, after_pipeline = lines[0], lines[-1]
+    if with_numpy != "[]":
+        pytest.skip(f"this numpy release imports {with_numpy} on import")
+    assert after_pipeline == "[]"
+
+
 def test_pipeline_builds_random_basis_once(tmp_path):
     # acquire and reconstruct each name the basis; its permutation is drawn once
     wht._pixel_permutation.cache_clear()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ghostphase import (OrthoMatrix, make_object, measure_exact,
                         sample_counts)
 from ghostphase.acquisition import Scan
-from ghostphase.formats import (_ROWS, DataError, read_field, read_series,
+from ghostphase.formats import (_ROWS, DataError, _repr_table, read_field, read_series,
                                 write_field, write_mask_text, write_pgm, write_series)
 
 from conftest import random_complex_object
@@ -302,6 +302,47 @@ def test_write_series_matches_rowwise_writer(tmp_path_factory, n, pool, spread, 
         write_series(folder / f"fast_{kind}.csv", scan, kind)
         _write_series_rowwise(folder / f"rowwise_{kind}.csv", scan, kind)
         assert (folder / f"fast_{kind}.csv").read_bytes() == (folder / f"rowwise_{kind}.csv").read_bytes()
+
+
+def _powers_and_neighbours():
+    powers = np.array([2.0 ** e for e in range(-1074, 1024)] + [10.0 ** e for e in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+
+
+# seeded value sets whose formatted table must equal repr's, value for value
+REPR_ORACLE_SETS = {
+    "uniform": lambda rng: rng.random(50_000),
+    "uniform-micro": lambda rng: rng.random(50_000) * 1e-6,
+    "log-uniform": lambda rng: 10.0 ** rng.uniform(-330, 308.25, 50_000),
+    "bit-patterns": lambda rng: rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64).view(np.float64),
+    "integers": lambda rng: rng.integers(0, 2 ** 60, 50_000, endpoint=True).astype(np.float64),
+    "short-decimals": lambda rng: rng.integers(0, 10 ** 6, 50_000) / 10.0 ** rng.integers(0, 18, 50_000),
+    "powers-and-neighbours": lambda rng: _powers_and_neighbours(),
+    "specials": lambda rng: np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+         float("inf"), float("-inf"), float("nan"), 1e23, 9.999999999999999e22],
+        rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)]),    # subnormals
+}
+
+
+@pytest.mark.parametrize("name", list(REPR_ORACLE_SETS))
+def test_repr_table_matches_repr(name):
+    values = REPR_ORACLE_SETS[name](np.random.default_rng(list(REPR_ORACLE_SETS).index(name)))
+    bits = np.unique(values.view(np.uint64))
+    table, slow = _repr_table(bits)
+    assert table.dtype == np.dtype("S24")
+    assert table.tolist() == [repr(v).encode() for v in bits.view(np.float64).tolist()]
+    if name.startswith("uniform"):
+        assert slow.mean() <= 0.01
+
+
+def test_most_distinct_values_of_an_exact_series_skip_repr():
+    # a fallback that fires too often would quietly cost what the formatter saves
+    scan = measure_exact(make_object("azimuthal-ring-phase", 64), OrthoMatrix(64))
+    for values in (scan.cos, scan.sin):
+        bits = np.unique(values.view(np.uint64))
+        assert bits.size > 2000
+        assert _repr_table(bits)[1].mean() <= 0.01
 
 
 def _pgm_pixels(path):
