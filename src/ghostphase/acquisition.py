@@ -18,6 +18,8 @@ class Scan:
 
     ``cos[j]`` and ``sin[j]`` are |<T_j|O>|^2 in exact mode, or Poisson counts
     drawn at total ``flux`` with ``seed``; both are None for exact probabilities.
+    Each channel is stored as a float64 array of shape (N,), N = ``basis.size``;
+    float64 input is not copied, and any other shape is rejected.
     """
 
     basis: OrthoMatrix              # the masks that measured the values
@@ -29,6 +31,12 @@ class Scan:
     def __post_init__(self):
         if (self.flux is None) != (self.seed is None):
             raise ValueError(f"flux={self.flux} with seed={self.seed}: a scan has both or neither")
+        for kind in ("cos", "sin"):
+            values = np.asarray(getattr(self, kind), dtype=np.float64)
+            if values.shape != (self.basis.size,):
+                raise ValueError(f"{kind} values have shape {values.shape},"
+                                 f" not one per mask of basis N={self.basis.size}")
+            object.__setattr__(self, kind, values)
 
     @property
     def exact(self) -> bool:

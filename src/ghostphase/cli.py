@@ -248,14 +248,14 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
         if not args.object:
             raise ConfigError("analytic artifact mode needs --object (ground truth)")
         obj = _read_role(args.object, "ground truth")
-    scan = acquisition.Scan(cos=cos, sin=sin, **header)
     # the record is the cos header's, so a value it cannot hold is the cos file's fault;
     # the two files are then one scan's if their headers agree and each kind is its role's
-    cfg = _taken_from(args.cos, cfg.with_scan(scan))
+    cfg = _taken_from(args.cos, cfg.with_scan(**header))
     if header_sin != header:
         raise DataError(f"{args.cos}, {args.sin}: cos and sin series headers do not match")
     if (kind_cos, kind_sin) != ("cos", "sin"):
         raise DataError(f"{args.cos}, {args.sin}: series channel kinds do not match their roles")
+    scan = acquisition.Scan(cos=cos, sin=sin, **header)
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
         rec = reconstruct(cfg, scan, obj)

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .acquisition import Scan
 from .scene import KINDS
 from .wht import OrthoMatrix
 
@@ -99,13 +98,12 @@ class RunConfig:
         """The configured d x d scan basis: Hadamard in its ordering, or seeded for random masks."""
         return OrthoMatrix(self.d, self.ordering, self.basis_seed if self.basis == "random" else None)
 
-    def with_scan(self, scan: Scan) -> "RunConfig":
-        """This config naming the basis, flux and seed that ``scan`` was measured with.  A Hadamard
+    def with_scan(self, basis: OrthoMatrix, flux: Optional[float], seed: Optional[int]) -> "RunConfig":
+        """This config naming the basis, flux and seed that a series header states.  A Hadamard
         basis or an exact scan names no seed, so that seed field stays, as d does."""
-        basis = scan.basis
         return replace(self, basis="hadamard" if basis.seed is None else "random", ordering=basis.ordering,
-                       basis_seed=self.basis_seed if basis.seed is None else basis.seed, flux=scan.flux,
-                       acquisition_seed=self.acquisition_seed if scan.seed is None else scan.seed)
+                       basis_seed=self.basis_seed if basis.seed is None else basis.seed, flux=flux,
+                       acquisition_seed=self.acquisition_seed if seed is None else seed)
 
     def object_spec(self) -> dict:
         """``scene.make_object``'s kind and geometry arguments; a from-file object has none."""

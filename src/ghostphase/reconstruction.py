@@ -57,15 +57,6 @@ def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
     return image
 
 
-def _scan_values(scan: Scan) -> Tuple[np.ndarray, np.ndarray]:
-    """A scan's cos and sin values as float64, one per mask of its basis; float64 is not copied."""
-    pair = tuple(np.asarray(v, dtype=float) for v in (scan.cos, scan.sin))
-    for v in pair:
-        if v.size != scan.basis.size:
-            raise ValueError(f"series length {v.size} does not match basis N={scan.basis.size}")
-    return pair
-
-
 def ghost_image(scan: Scan) -> Tuple[np.ndarray, ...]:
     """Mean-subtracted correlation reconstructions (gi_cos, gi_sin) in the scan's own basis.
 
@@ -73,7 +64,7 @@ def ghost_image(scan: Scan) -> Tuple[np.ndarray, ...]:
     scale only affects contrast.  The scan's values are left as they are.
     """
     images = []
-    for kind, v in zip(("cos", "sin"), _scan_values(scan)):
+    for kind, v in (("cos", scan.cos), ("sin", scan.sin)):
         v = v.copy()
         if not scan.exact:
             total = v.sum()
@@ -138,7 +129,7 @@ def estimate_spectrum(scan: Scan) -> SpectrumEstimate:
     textbook expressions, so the results keep their bits and the scan
     its values.
     """
-    vc, vs = _scan_values(scan)
+    vc, vs = scan.cos, scan.sin
     p0 = vc[0] / 2.0
     if p0 <= 0 or vs[0] <= 0:
         raise ValueError("reference-mode samples are empty; cannot estimate the spectrum")

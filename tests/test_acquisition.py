@@ -197,13 +197,13 @@ def test_sampling_keys_seeds_above_2_63_exactly():
 
 
 @settings(max_examples=50, deadline=None)
-@given(values=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=64)
-       .filter(lambda v: sum(v) > 0),
+@given(d=st.sampled_from([1, 2, 4, 8]), data=st.data(),
        flux=st.floats(1.0, 1e9),
        seed=st.integers(0, 2**63))
-def test_sampling_counts_are_nonnegative_integers(values, flux, seed):
-    values = np.array(values)
-    scan = sample_counts(Scan(OrthoMatrix(1), values, values), flux, seed)
+def test_sampling_counts_are_nonnegative_integers(d, data, flux, seed):
+    values = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+                                         min_size=d * d, max_size=d * d).filter(lambda v: sum(v) > 0)))
+    scan = sample_counts(Scan(OrthoMatrix(d), values, values), flux, seed)
     for counts in (scan.cos, scan.sin):
         assert counts.shape == values.shape
         assert np.all(counts >= 0) and np.all(counts == np.round(counts))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ghostphase import (OrthoMatrix, make_object, measure_exact,
                         sample_counts)
 from ghostphase.acquisition import Scan
-from ghostphase.formats import (_ROWS, DataError, _repr_table, read_field, read_series,
+from ghostphase.formats import (DataError, _repr_table, read_field, read_series,
                                 write_field, write_mask_text, write_pgm, write_series)
 
 from conftest import random_complex_object
@@ -273,29 +273,28 @@ def _write_series_rowwise(path, scan, kind):
             fh.write(f"{j},{float(v)!r}\n")
 
 
-# d=1, every index width up to 5 digits, and a row block boundary
-SERIES_SIZES = [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
-                _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3]
+# N = d*d rows: d=1, every index width up to 5 digits, and up to 7 row blocks of `formats._ROWS`
+SERIES_DIMS = [2 ** k for k in range(9)]
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                   -2.2250738585072014e-308, -1.7976931348623157e308, float("nan"),
                   float("inf"), float("-inf"), 1e16, 1e22, 123456789012345.67]
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.sampled_from(SERIES_SIZES),
+@given(d=st.sampled_from(SERIES_DIMS),
        pool=st.lists(st.one_of(st.floats(), st.integers(-2 ** 60, 2 ** 60).map(float),
                                st.sampled_from(SPECIAL_FLOATS)), min_size=1, max_size=12),
        spread=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), exact=st.booleans())
-@example(n=2 * _ROWS + 3, pool=[-0.0], spread=True, seed=0, exact=True)
-def test_write_series_matches_rowwise_writer(tmp_path_factory, n, pool, spread, seed, exact):
+@example(d=SERIES_DIMS[-1], pool=[-0.0], spread=True, seed=0, exact=True)
+def test_write_series_matches_rowwise_writer(tmp_path_factory, d, pool, spread, seed, exact):
     rng = np.random.default_rng(seed)
+    n = d * d
     values = np.array(pool)[rng.integers(len(pool), size=n)]
     if spread:
         # mostly distinct values, so the larger sizes need several repr batches
         fresh = rng.random(n) < 0.9
         values[fresh] = rng.random(fresh.sum()) * 10.0 ** rng.integers(-330, 309, fresh.sum())
-    # the header's basis need not match the row count: the rows' layout is under test
-    scan = Scan(OrthoMatrix(4, "sequency"), values, values[::-1],
+    scan = Scan(OrthoMatrix(d, "sequency"), values, values[::-1],
                 flux=None if exact else 1e9, seed=None if exact else 7)
     folder = tmp_path_factory.mktemp("series")
     for kind in ("cos", "sin"):

@@ -76,20 +76,28 @@ def test_reconstruction_spectrum_is_mean_free():
     assert abs(coeffs.sum()) < 1e-12
 
 
+def _misfit_channels(scan):
+    """Channels that do not hold one value per mask of ``scan``'s d=4 basis (N=16)."""
+    return scan.cos[:10], np.full(20, 0.1), scan.cos.reshape(4, 4)
+
+
 def test_series_length_mismatch():
-    H = OrthoMatrix(8)
-    scan = measure_exact(_object("flat", 8), H)
-    with pytest.raises(ValueError):
-        ghost_image(replace(scan, cos=scan.cos[:10]))
+    # a scan holds one float64 value per mask: float64 channels are kept, others converted
+    scan = measure_exact(_object("flat", 4), OrthoMatrix(4))
+    assert replace(scan, cos=scan.sin).cos is scan.sin
+    assert replace(scan, sin=np.arange(16)).sin.dtype == np.float64
+    for values in _misfit_channels(scan):
+        with pytest.raises(ValueError, match=r"^cos values have shape \(.*\), not one per mask of basis N=16$"):
+            replace(scan, cos=values)
 
 
 def test_every_stage_checks_a_series_length_against_its_basis():
-    # only ghost_image used to: estimate_spectrum failed inside numpy's broadcasting
+    # building the scan is the check, so no stage sees channels that do not fit its basis:
+    # a (4, 4) channel has N values and used to pass a length check, then failed inside numpy
     scan = measure_exact(_object("pi-slit-phase", 4), OrthoMatrix(4))
-    short = replace(scan, sin=scan.sin[:1])
-    for stage in (remove_artifact, estimate_spectrum, ghost_image):
-        with pytest.raises(ValueError, match="series length 1 does not match basis N=16"):
-            stage(short)
+    for values in _misfit_channels(scan):
+        with pytest.raises(ValueError, match=fr"^sin values have shape \({values.shape[0]},"):
+            replace(scan, sin=values)
 
 
 def test_sin_term1_vanishes_for_real_objects():
