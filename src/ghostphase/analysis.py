@@ -66,8 +66,13 @@ def phase_rmse(recovered: PhaseImage, truth: PhaseImage) -> float:
 
 
 def azimuthal_slope(trace: CrossSection) -> float:
-    """Least-squares slope of the unwrapped azimuthal trace vs angle."""
-    th = trace.coordinates
+    """Least-squares slope of the unwrapped azimuthal trace vs angle.
+
+    The closed form of a line fit, from sums centred on the means, needs no
+    LAPACK solve, whose code pages would otherwise join every analyze
+    process's resident memory. ``analysis.samples`` is at least 2, so the
+    CLI's traces have distinct angles and the denominator is never 0.
+    """
+    th = trace.coordinates - trace.coordinates.mean()
     un = trace.unwrapped()
-    A = np.vstack([th, np.ones_like(th)]).T
-    return float(np.linalg.lstsq(A, un, rcond=None)[0][0])
+    return float(np.sum(th * (un - un.mean())) / np.sum(th * th))

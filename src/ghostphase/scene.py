@@ -53,7 +53,14 @@ def apply_illumination(obj: np.ndarray, radius: float) -> np.ndarray:
 
 
 def normalize(obj: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(obj)
+    """Scale a field to unit energy, the sum of its squared magnitudes.
+
+    The norm is summed with numpy's own reductions, not ``numpy.linalg.norm``:
+    that is a BLAS dot product, which splits a long sum across the BLAS
+    threads, so its last bits, and every artifact after it, would depend on
+    the thread count.
+    """
+    norm = np.sqrt(np.sum(obj.real ** 2) + np.sum(obj.imag ** 2))
     if norm == 0:
         raise ValueError("cannot normalize a field whose norm is zero or underflows to zero")
     return obj / norm

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ghostphase import (CrossSection, azimuthal_slope, cross_section_azimuthal,
-                        cross_section_horizontal, phase_rmse, wrap)
+                        cross_section_horizontal, make_object, phase_rmse, wrap)
 from ghostphase.reconstruction import PhaseImage
 
 from conftest import phase_pearson
@@ -74,6 +74,28 @@ def test_azimuthal_slope_unit_gradient():
     assert azimuthal_slope(trace) == pytest.approx(1.0, abs=1e-9)
     trace2 = CrossSection(kind="azimuthal", coordinates=theta, values=wrap(3 * theta))
     assert azimuthal_slope(trace2) == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 64, 1000])
+def test_azimuthal_slope_matches_lstsq(samples):
+    # LAPACK's least-squares solve is the oracle for the closed form
+    rng = np.random.default_rng(samples)
+    theta = 2 * np.pi * np.arange(samples) / samples
+    traces = []
+    for _ in range(5):
+        slope = rng.choice([-1, 1]) * rng.uniform(0.5, 6)
+        noise = rng.normal(0, 0.3, samples)
+        traces.append(wrap(slope * theta + rng.uniform(-np.pi, np.pi) + noise))
+    if samples == 64:
+        ring = make_object("azimuthal-ring-phase", 32)
+        truth = _phase(np.angle(ring))
+        traces.append(cross_section_azimuthal(truth, radius=10, samples=samples).values)
+    for values in traces:
+        trace = CrossSection(kind="azimuthal", coordinates=theta, values=values)
+        un = trace.unwrapped()
+        A = np.vstack([theta, np.ones_like(theta)]).T
+        expected = np.linalg.lstsq(A, un, rcond=None)[0][0]
+        assert azimuthal_slope(trace) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_phase_rmse_identical_and_offset():

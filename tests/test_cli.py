@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -794,10 +796,11 @@ def test_pipeline_text_artifacts_match_golden_digests(tmp_path, flags):
 
 
 # sha256 of the series of the benchmark's exact request, recorded from the
-# writer that called repr once per distinct value
+# writer that called repr once per distinct value. No BLAS routine runs, so
+# they hold for any BLAS library and thread count
 GOLDEN_EXACT_D256_SERIES = {
-    "series_cos.csv": "72a4a5b24b737a41749970dd6a4037222626877525619f26d691f2cc0384d296",
-    "series_sin.csv": "db28b77152fd431e648a394541ba054c76fc1a7f417cacf8fe5f19397cef41ac",
+    "series_cos.csv": "184359f3b24e98cc1b13acfe60f192fcabc833a27c9447edf7fff2e50984aca7",
+    "series_sin.csv": "c41ab91edf413e09e578d9a29468d3e8a60beb354259f49ed86f619e836a170a",
 }
 
 
@@ -807,6 +810,36 @@ def test_exact_d256_ring_series_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_EXACT_D256_SERIES}
     assert digests == GOLDEN_EXACT_D256_SERIES
+
+
+@pytest.mark.parametrize("d", ["128", "256"])
+def test_exact_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, d):
+    # BLAS splits a dot product of ~10,000 or more elements across its threads, and
+    # d=128 is the first grid above that; one BLAS thread must write the same bytes
+    src = os.path.dirname(os.path.dirname(ghostphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    one = dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    inherited, one_thread = tmp_path / "inherited", tmp_path / "one-thread"
+    for out, run_env in ((inherited, env), (one_thread, one)):
+        argv = ["pipeline", "--d", d, "--kind", "azimuthal-ring-phase", "--denoise-window", "3",
+                "--out", str(out)]
+        result = subprocess.run([sys.executable, "-m", "ghostphase.cli", *argv], env=run_env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+    names = sorted(os.listdir(inherited))
+    assert names == sorted(os.listdir(one_thread))
+    assert [n for n in names if (inherited / n).read_bytes() != (one_thread / n).read_bytes()] == []
+
+
+def test_src_calls_no_blas_or_lapack_routine():
+    # numpy's dot products and linear algebra go through BLAS and LAPACK, whose threads
+    # change the bits of a sum and whose code pages add to every process's RSS
+    pattern = re.compile(r"np\.linalg\.|\.dot\(|np\.(vdot|matmul|einsum|tensordot)| @ ")
+    calls = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(pathlib.Path(ghostphase.__file__).parent.glob("*.py"))
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if pattern.search(line)]
+    assert calls == []
 
 
 def test_exact_pipeline_does_not_load_fractions_or_decimal(tmp_path):

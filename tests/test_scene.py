@@ -131,5 +131,9 @@ def test_global_phase_covariance():
 
 
 def test_normalize_unit_energy():
-    obj = normalize(random_complex_object(8, 2) * 7.3)
-    assert np.sum(np.abs(obj) ** 2) == pytest.approx(1.0, abs=1e-12)
+    # numpy.linalg.norm is the oracle; its BLAS dot product sums in another order
+    for d in (8, 256):
+        field = random_complex_object(d, 2) * 7.3
+        obj = normalize(field)
+        assert np.sum(np.abs(obj) ** 2) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(obj, field / np.linalg.norm(field), rtol=1e-14, atol=0)
