@@ -6,16 +6,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from .acquisition import MAX_FLUX
 from .scene import KINDS
 from .wht import OrthoMatrix
 
 
 class ConfigError(ValueError):
     pass
-
-
-# numpy's Poisson sampler rejects means above ~9.2e18, and a larger flux can overflow
-MAX_FLUX = 1e18
 
 
 # YAML key -> (RunConfig attribute, expected type), per document section

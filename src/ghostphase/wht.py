@@ -25,34 +25,61 @@ def _sequency_permutation(d: int) -> tuple:
     return tuple(int(i) for i in np.argsort(changes, kind="stable"))
 
 
-_MASK64 = 2 ** 64 - 1
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# each Philox multiplier with its low and high 32-bit halves
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple:
-    """The low and high 64-bit words of a * b, the high word summed from 32-bit halves."""
-    a_lo, a_hi, b_lo, b_hi = a & _LOW32, a >> _SHIFT32, b & _LOW32, b >> _SHIFT32
-    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
-    carry = ((lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)) >> _SHIFT32
-    return a * b, a_hi * b_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + carry
+def _mulhilo(m: tuple, b: np.ndarray, scratch: tuple) -> np.ndarray:
+    """Overwrite b with the low 64-bit word of m * b and return the high word, summed from 32-bit
+    halves in the four scratch arrays; the returned array is the last of them."""
+    m, m_lo, m_hi = m
+    b_lo, t, u, hi = scratch
+    np.bitwise_and(b, _LOW32, out=b_lo)
+    np.right_shift(b, _SHIFT32, out=hi)
+    np.multiply(b, m, out=b)
+    np.multiply(b_lo, m_lo, out=t)
+    np.right_shift(t, _SHIFT32, out=t)
+    np.multiply(b_lo, m_hi, out=b_lo)
+    np.add(t, b_lo, out=t)                  # high half of m_lo * b_lo, plus m_hi * b_lo
+    np.multiply(hi, m_lo, out=u)
+    np.bitwise_and(t, _LOW32, out=b_lo)
+    np.add(u, b_lo, out=u)                  # m_lo * b_hi, plus the low half of t
+    np.multiply(hi, m_hi, out=hi)
+    np.right_shift(t, _SHIFT32, out=t)
+    np.right_shift(u, _SHIFT32, out=u)
+    np.add(hi, t, out=hi)
+    np.add(hi, u, out=hi)                   # no sum here can carry out of 64 bits
+    return hi
+
+
+def _philox_block(counter: tuple, key: tuple) -> tuple:
+    """The four output words of Philox4x64-10 (Salmon et al., SC'11) at each counter
+    (x0, x1, x2, x3) under the key (k0, k1), as numpy's ``Philox`` computes them.  The counter
+    words are uint64 arrays or scalars that broadcast to at least one dimension, and are not
+    written.  uint64 array arithmetic wraps silently, also the key schedule's, which runs on an
+    array because numpy scalar arithmetic raises on overflow under ``errstate(over="raise")``."""
+    k = np.array(key, dtype=np.uint64)
+    x0, x1, x2, x3 = (np.array(w) for w in
+                      np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in counter)))
+    scratch = tuple(np.empty_like(x0) for _ in range(4))
+    for _ in range(10):
+        x1 ^= _mulhilo(_PHILOX_M[1], x2, scratch)
+        x1 ^= k[0]
+        x3 ^= _mulhilo(_PHILOX_M[0], x0, scratch)
+        x3 ^= k[1]
+        x0, x1, x2, x3 = x1, x2, x3, x0
+        k += _PHILOX_W
+    return x0, x1, x2, x3
 
 
 def _philox_words(seed: int, n: int) -> np.ndarray:
-    """The first n words of numpy's ``Philox(key=[seed, 0]).random_raw``: Philox4x64-10
-    (Salmon et al., SC'11), whose block i is counter (i + 1, 0, 0, 0) and gives words 4i..4i+3.
-    uint64 array products wrap silently; the key schedule stays in Python ints, because numpy
-    scalar arithmetic raises on overflow under ``errstate(over="raise")``."""
-    k0, k1 = (int(k) for k in np.array([seed, 0], dtype=np.uint64))
-    x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
-    x1 = x2 = x3 = np.zeros_like(x0)
-    for _ in range(10):
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
-        lo2, hi2 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi2 ^ x1 ^ np.uint64(k0), lo2, hi0 ^ x3 ^ np.uint64(k1), lo0
-        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-    return np.stack((x0, x1, x2, x3), axis=1).ravel()[:n]
+    """The first n words of numpy's ``Philox(key=[seed, 0]).random_raw``: block i is counter
+    (i + 1, 0, 0, 0) and gives words 4i..4i+3."""
+    blocks = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
+    return np.stack(_philox_block((blocks, 0, 0, 0), (seed, 0)), axis=1).ravel()[:n]
 
 
 @lru_cache(maxsize=1)
