@@ -108,21 +108,25 @@ def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
     })
 
 
-def write_object(out, obj, kind) -> None:
+# Each writer returns the names of the files it wrote, for the pipeline's manifest.
+
+def write_object(out, obj, kind) -> tuple:
     formats.write_field(os.path.join(out, "object.gcf"), obj, "complex")
     formats.write_pgm(os.path.join(out, "object_phase.pgm"), np.angle(obj),
                       lo=-np.pi, hi=np.pi)
     formats.write_pgm(os.path.join(out, "object_amplitude.pgm"), np.abs(obj), lo=0.0)
     print(f"wrote {out}/object.gcf ({obj.shape[0]}x{obj.shape[0]} {kind})")
+    return "object.gcf", "object_phase.pgm", "object_amplitude.pgm"
 
 
-def write_scan(out, scan) -> None:
+def write_scan(out, scan) -> tuple:
     for kind in ("cos", "sin"):
         formats.write_series(os.path.join(out, f"series_{kind}.csv"), scan, kind)
     print(f"wrote {out}/series_cos.csv and {out}/series_sin.csv ({scan.basis.size} rows each)")
+    return "series_cos.csv", "series_sin.csv"
 
 
-def write_reconstruction(out, rec: Reconstruction) -> None:
+def write_reconstruction(out, rec: Reconstruction) -> tuple:
     phase = rec.phase
     formats.write_field(os.path.join(out, "gi_cos.gcf"), rec.gi_cos, "real")
     formats.write_field(os.path.join(out, "gi_sin.gcf"), rec.gi_sin, "real")
@@ -135,13 +139,16 @@ def write_reconstruction(out, rec: Reconstruction) -> None:
     formats.write_pgm(os.path.join(out, "gi_cos.pgm"), rec.gi_cos)
     formats.write_pgm(os.path.join(out, "gi_sin.pgm"), rec.gi_sin)
     print(f"wrote reconstruction outputs to {out}")
+    return ("gi_cos.gcf", "gi_sin.gcf", "re.gcf", "im.gcf", "phase.gcf", "support.gcf",
+            "phase.pgm", "gi_cos.pgm", "gi_sin.pgm")
 
 
-def write_analysis(out, result: Analysis) -> None:
+def write_analysis(out, result: Analysis) -> tuple:
     formats.write_cross_section_csv(os.path.join(out, "cross_horizontal.csv"), result.horizontal)
     formats.write_cross_section_csv(os.path.join(out, "cross_azimuthal.csv"), result.azimuthal)
     formats.write_metrics(os.path.join(out, "report.txt"), result.report)
     print(f"phase_rmse_rad: {result.report['phase_rmse_rad']}")
+    return "cross_horizontal.csv", "cross_azimuthal.csv", "report.txt"
 
 
 def _read_role(path, role: str, kinds=("complex",)) -> np.ndarray:
@@ -271,30 +278,28 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
     write_analysis(_outdir(cfg), result)
 
 
-def _run_pipeline(cfg: RunConfig) -> str:
-    """Run every stage in memory, then write each stage's files; none is read back."""
+def _run_pipeline(cfg: RunConfig) -> tuple:
+    """Run every stage in memory, then write each stage's files; none is read back.
+    Returns the output directory and the names of the files written there."""
     obj = _make_object(cfg)
     scan = acquire(cfg, obj)
     rec = reconstruct(cfg, scan, obj)
     result = analyze(cfg, rec.phase, reconstruction.combine_phase(obj.real, obj.imag))
     out = _outdir(cfg)
-    write_object(out, obj, cfg.object_kind)
-    write_scan(out, scan)
-    write_reconstruction(out, rec)
-    write_analysis(out, result)
-    return out
+    return out, ("resolved_config.yaml", *write_object(out, obj, cfg.object_kind),
+                 *write_scan(out, scan), *write_reconstruction(out, rec),
+                 *write_analysis(out, result))
 
 
 def cmd_pipeline(args, cfg: RunConfig) -> None:
-    """Write every stage's files, then a manifest of their sha256 digests."""
-    out = _run_pipeline(cfg)    # the stage results are freed before OpenSSL loads
+    """Write every stage's files, then a manifest of their sha256 digests.  Other files in the
+    output directory stay as they are and are not listed."""
+    out, names = _run_pipeline(cfg)    # the stage results are freed before OpenSSL loads
 
     import hashlib  # loads OpenSSL (+3.2 MB RSS); only the manifest hashes, so only pipeline pays
 
     manifest = {"artifacts": []}
-    for name in sorted(os.listdir(out)):
-        if name == "manifest.json":
-            continue
+    for name in sorted(names):
         digest = hashlib.sha256()
         with open(os.path.join(out, name), "rb") as fh:
             for chunk in iter(functools.partial(fh.read, _HASH_CHUNK), b""):

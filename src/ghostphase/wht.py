@@ -1,7 +1,7 @@
 """Walsh-Hadamard bases (pixel-shuffled when seeded), their masks and the fast 2D transform.
 
-All masks are orthonormal: a d x d basis mask has values +-1/sqrt(N)
-with N = d*d, so <M_j|M_k> = delta_jk holds exactly and the transform
+All masks are orthonormal: a d x d basis mask has values +-1/d, and 1/d
+is a power of two, so <M_j|M_k> = delta_jk holds exactly.  The transform
 is self-inverse.
 """
 
@@ -94,7 +94,7 @@ def _pixel_permutation(d: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """Normalized Walsh-Hadamard basis; its rows, the 1D basis vectors h_n, are made on demand.
+    """Normalized Walsh-Hadamard basis; it holds no array, and each mask is made on demand.
     With a seed, pixel x of mask j is pixel perm[x] of Hadamard mask j (a structurally random
     basis); perm fixes pixel 0, so mask 0 stays the uniform reference."""
 
@@ -143,20 +143,17 @@ class OrthoMatrix:
         return _pixel_permutation(self.dim, self.seed)
 
     def mask(self, j: int) -> np.ndarray:
-        """Outer-product mask M_j = h_n (x) h_m with j = n*d + m, its pixels shuffled if seeded.
+        """Mask M_j, the synthesis of the unit coefficient j, its pixels shuffled if seeded.
 
-        Values are +-1/sqrt(N); M_0 is the uniform mask with every value
-        1/sqrt(N).
+        Values are exactly +-1/d; M_0 is the uniform mask with every value
+        1/d.  The transform's matrix is symmetric in both orderings, so
+        ``fwht2`` synthesizes a mask as it analyses a field.
         """
-        d = self.dim
-        if not 0 <= j < d * d:
-            raise IndexError(f"mask index {j} out of range for N={d * d}")
-        n, m = divmod(int(j), d)
-        natural = _sequency_permutation(d) if self.ordering == SEQUENCY else range(d)
-        impulses = np.zeros((d, 2))
-        impulses[[natural[n], natural[m]], [0, 1]] = 1.0
-        h = _fwht_axis0(impulses) / np.sqrt(d)
-        return self.shuffle(np.outer(h[:, 0], h[:, 1]))
+        if not 0 <= j < self.size:
+            raise IndexError(f"mask index {j} out of range for N={self.size}")
+        unit = np.zeros((self.dim, self.dim))
+        unit.flat[int(j)] = 1.0
+        return self.shuffle(fwht2(unit, self))
 
     def unshuffle(self, field: np.ndarray) -> np.ndarray:
         """The field with the pixel shuffle undone, so that <M_j|field> is ``fwht2`` of it at j."""
@@ -179,9 +176,10 @@ class OrthoMatrix:
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:
     """In-place butterfly along axis 0 (unnormalized, natural order).
 
-    X must be a fresh writable copy, as every caller passes (C-contiguous for
-    C-ordered input).  Each stage writes through a (d/2h, 2, h, ...) reshape,
-    which only splits axis 0 and so is a view whatever the strides.
+    X must be a fresh writable copy, as both callers, ``fwht2`` and
+    ``_sequency_permutation``, pass (C-contiguous for C-ordered input).
+    Each stage writes through a (d/2h, 2, h, ...) reshape, which only
+    splits axis 0 and so is a view whatever the strides.
     """
     d = X.shape[0]
     h = 1

@@ -247,6 +247,18 @@ def test_pipeline_manifest_and_determinism(tmp_path):
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
 
+def test_pipeline_into_a_used_directory_manifests_only_its_own_files(tmp_path):
+    # files the run did not write stay in place and out of the manifest
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert run("gen-masks", "--d", "8", "--count", "1", "--out", str(used)) == 0
+    for out in (used, fresh):
+        assert run("pipeline", "--d", "8", "--out", str(out)) == 0
+    assert (used / "manifest.json").read_text() == (fresh / "manifest.json").read_text()
+    assert (fresh / "manifest.json").read_text() == _manifest_text(fresh)
+    assert sorted(p.name for p in used.glob("mask_*.txt")) == [
+        "mask_basis_00000.txt", "mask_cos_00000.txt", "mask_sin_00000.txt"]
+
+
 _NUMBERS = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.floats())
 _CONFIG_FIELDS = dict(
     d=st.integers(1, 2 ** 70), object_kind=st.sampled_from((*KINDS, "from-file")),
@@ -426,6 +438,9 @@ def test_pipeline_config_value_types(tmp_path, capsys, text, code, resolved):
     ("illumination_radius: -1", "illumination_radius: must be nonnegative, got -1"),
     ("illumination_radius: .nan", "illumination_radius: must be nonnegative, got nan"),
     ("object: {kind: from-file}", "object.path: a from-file object needs a path"),
+    # argparse's choices reject these as flags first, so only a config file reaches the checks
+    ("basis: foo", "basis: must be 'hadamard' or 'random', got 'foo'"),
+    ("ordering: foo", "ordering: must be 'natural' or 'sequency', got 'foo'"),
     ("object: {kind: pi-slit-phase, slit_width: 0}", "slit width must be at least 1, got 0"),
     ("object: {kind: pi-slit-phase, slit_width: -3}", "slit width must be at least 1, got -3"),
     ("object: {kind: double-slit-amplitude, slit_width: 0}", "slit width must be at least 1, got 0"),
@@ -1188,6 +1203,36 @@ def test_from_file_object_of_the_wrong_size_names_its_key(tmp_path, capsys):
     assert run("pipeline", "--config", str(tmp_path / "run.yaml"), "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == f"error: object.path: {path} is 8x8, expected 16x16\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_field_value_is_data_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.gcf").write_bytes(b"GCF1\nd=2 kind=phase\n" + np.array([np.nan, 0, 0, 0]).tobytes())
+    code, stderr = run_cli(["analyze", "--phase", "nan.gcf", "--truth", "nan.gcf", "--out", "out"])
+    assert (code, stderr) == (3, "error: nan.gcf: field values must be finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_of_a_phase_map_and_a_truth_of_different_sizes_names_both(tmp_path):
+    phase, truth = str(tmp_path / "d8" / "object.gcf"), str(tmp_path / "d16" / "object.gcf")
+    assert run("gen-object", "--d", "8", "--out", str(tmp_path / "d8")) == 0
+    assert run("gen-object", "--d", "16", "--out", str(tmp_path / "d16")) == 0
+    code, stderr = run_cli(["analyze", "--phase", phase, "--truth", truth,
+                            "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert stderr == f"error: {phase}, {truth}: phase and truth grids have different sizes\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_phase_map_without_a_support_file_is_supported_everywhere(tmp_path):
+    # the flat truth lights every pixel, so the joint support is the phase map's
+    assert run("gen-object", "--d", "8", "--kind", "flat", "--out", str(tmp_path)) == 0
+    write_field(tmp_path / "phase.gcf", np.zeros((8, 8)), "phase")
+    out = tmp_path / "out"
+    assert run("analyze", "--phase", str(tmp_path / "phase.gcf"),
+               "--truth", str(tmp_path / "object.gcf"), "--out", str(out)) == 0
+    report = dict(line.split(": ") for line in (out / "report.txt").read_text().splitlines())
+    assert (report["support_pixels"], report["phase_rmse_rad"]) == ("64", "0.0")
 
 
 def test_analyze_complex_phase_map_honours_its_support_file(tmp_path):

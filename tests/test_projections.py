@@ -1,5 +1,7 @@
 """The paired cos/sin masks, checked as explicit arrays and as the sign grids gen-masks writes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,24 @@ def test_gen_masks_full_set_matches_oracle_masks(tmp_path, flags, basis):
         np.testing.assert_array_equal(grids["sin", j], np.sign(t_sin.real))
 
 
+# sha256 over the name and bytes of every mask_*.txt of gen-masks --d 8 --count 64, in name
+# order: only signs are written, so how a mask's values are computed must not move them
+GOLDEN_MASK_FILES = {
+    (): "68db95c66087e471db559a8a5cc1a6885f591313f23c2fa1558fcc2a0d7d8bce",
+    ("--ordering", "sequency"): "407a1d4d3d0148a096f39006e8e69a172df238716588c37070e01a58285ed3f8",
+    ("--basis", "random"): "405e45342dbed9e3173219696053f1e2c8170c67036c294f322393fd7f2e97dd",
+}
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_MASK_FILES), ids=["natural", "sequency", "random"])
+def test_gen_masks_files_match_golden_digests(tmp_path, flags):
+    assert run_cli(["gen-masks", "--d", "8", "--count", "64", *flags, "--out", str(tmp_path)]) == (0, "")
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("mask_*.txt")):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_MASK_FILES[flags]
+
+
 def test_random_basis_determinism_and_reference():
     a = OrthoMatrix(8, seed=9)
     b = OrthoMatrix(8, seed=9)
@@ -169,7 +189,7 @@ def test_random_basis_entry_mean():
 def test_random_masks_are_orthonormal_with_the_hadamard_reference(d, seed):
     basis = OrthoMatrix(d, seed=seed)
     M = mask_matrix(basis)
-    np.testing.assert_allclose(M @ M.T, np.eye(d * d), atol=1e-12)
+    np.testing.assert_array_equal(M @ M.T, np.eye(d * d))
     np.testing.assert_array_equal(basis.mask(0), OrthoMatrix(d).mask(0))
     assert basis.perm[0] == 0
 

@@ -55,6 +55,12 @@ def test_geometry_exceeding_grid_rejected():
         make_object("no-such-kind", 16)
 
 
+def test_negative_illumination_radius_rejected():
+    # the config rejects it first, so only a library call reaches this check
+    with pytest.raises(ValueError, match="^illumination radius must be nonnegative$"):
+        make_object("flat", 16, illumination_radius=-0.5)
+
+
 @pytest.mark.parametrize("kind", ["pi-slit-phase", "double-slit-amplitude"])
 @pytest.mark.parametrize("width", [0, -3])
 def test_slit_narrower_than_one_pixel_rejected(kind, width):

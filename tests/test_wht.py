@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ghostphase import NATURAL, SEQUENCY, OrthoMatrix, fwht2
 
-from conftest import naive_transform, random_complex_object, sylvester
+from conftest import mask_matrix, naive_transform, random_complex_object, sylvester
 
 
 def basis_rows(H):
@@ -118,11 +118,23 @@ def test_mask_outer_product_factorization():
 @pytest.mark.parametrize("d", [1, 2, 8, 32])
 @pytest.mark.parametrize("ordering", ["natural", "sequency"])
 def test_masks_are_exact_outer_products_of_sylvester_rows(d, ordering):
+    # the rows' signs over d: a product of two rows / sqrt(d) can be an ulp off +-1/d
     H = OrthoMatrix(d, ordering)
-    rows = sylvester(d, ordering)
+    signs = np.sign(sylvester(d, ordering))
     for j in range(d * d):
         n, m = divmod(j, d)
-        np.testing.assert_array_equal(H.mask(j), np.outer(rows[n], rows[m]))
+        np.testing.assert_array_equal(H.mask(j), np.outer(signs[n], signs[m]) / d)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+@pytest.mark.parametrize("basis", [
+    lambda d: OrthoMatrix(d), lambda d: OrthoMatrix(d, SEQUENCY), lambda d: OrthoMatrix(d, seed=5)],
+    ids=["natural", "sequency", "seeded"])
+def test_masks_are_exactly_plus_minus_one_over_d_and_orthonormal(d, basis):
+    # 1/d is a power of two, so every sum of mask products is exact in any order
+    G = mask_matrix(basis(d))
+    np.testing.assert_array_equal(np.abs(G), np.full(G.shape, 1 / d))
+    np.testing.assert_array_equal(G @ G.T, np.eye(d * d))
 
 
 def test_mask_index_out_of_range():
