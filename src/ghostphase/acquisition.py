@@ -69,15 +69,24 @@ def mask_overlaps(obj: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
 
 
 def _detection_pair(overlaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """|<T_j|O>|^2 of the cos and sin masks from the flat overlaps c_j, c_0 being the reference's:
-    <T_j|O> is (c_j + c_0)/sqrt(2) for the cos mask and (c_j - i c_0)/sqrt(2) for the sin mask."""
-    c0 = overlaps[0]
-    return tuple(np.abs(t) ** 2 for t in ((overlaps + c0) / SQRT2, (overlaps - 1j * c0) / SQRT2))
+    """|<T_j|O>|^2 of the cos and sin masks from the (d, d) overlaps c_j, c_0 being the reference's,
+    as two flat arrays in C order: <T_j|O> is (c_j + c_0)/sqrt(2) for the cos mask and
+    (c_j - i c_0)/sqrt(2) for the sin mask.  Rows go through in blocks of `_CHUNK` values, so
+    the two results are the only N-sized arrays made."""
+    d = overlaps.shape[0]
+    c0 = overlaps[0, 0]
+    pair = np.empty((d, d)), np.empty((d, d))
+    step = max(1, _CHUNK // d)
+    for start in range(0, d, step):
+        block = overlaps[start:start + step]
+        for values, t in zip(pair, ((block + c0) / SQRT2, (block - 1j * c0) / SQRT2)):
+            np.square(np.abs(t), out=values[start:start + step])
+    return tuple(values.ravel() for values in pair)
 
 
 def measure_exact(obj: np.ndarray, basis: OrthoMatrix) -> Scan:
     """Exact detection probabilities v_j = |<T_j|O>|^2 of the cos and sin masks, from one overlap pass."""
-    return Scan(basis, *_detection_pair(mask_overlaps(obj, basis).ravel()))
+    return Scan(basis, *_detection_pair(mask_overlaps(obj, basis)))
 
 
 def _unit(words: np.ndarray) -> np.ndarray:

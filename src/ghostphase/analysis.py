@@ -10,6 +10,10 @@ from .reconstruction import PhaseImage
 from .scene import grid_center
 
 
+# Pixels per row block of phase_rmse: each complex temporary is at most 128 KiB
+_CHUNK = 2 ** 13
+
+
 def wrap(angles: np.ndarray) -> np.ndarray:
     """Wrap to (-pi, pi]."""
     w = np.angle(np.exp(1j * np.asarray(angles, dtype=float)))
@@ -54,15 +58,38 @@ def phase_rmse(recovered: PhaseImage, truth: PhaseImage) -> float:
     """Circular RMSE on the support intersection, best global offset removed.
 
     The offset is the circular mean of the wrapped differences, which is
-    well defined across the branch cut (a linear mean is not).
+    well defined across the branch cut (a linear mean is not).  The
+    differences are taken, and wrapped, in row blocks of `_CHUNK` pixels;
+    each mean reduces one contiguous array of all of them, the unit
+    phasors and then the squared residuals, in pixel order, so the only
+    arrays of the intersection's size are those two.
     """
     both = recovered.support & truth.support
     if not both.any():
         raise ValueError("empty support intersection")
-    diff = recovered.entries[both] - truth.entries[both]
-    offset = np.angle(np.mean(np.exp(1j * diff)))
-    residual = wrap(diff - offset)
-    return float(np.sqrt(np.mean(residual ** 2)))
+    rows, cols = both.shape
+    step = max(1, _CHUNK // cols)
+
+    def differences():
+        at = 0
+        for start in range(0, rows, step):
+            on = both[start:start + step]
+            diff = recovered.entries[start:start + step][on]
+            diff -= truth.entries[start:start + step][on]
+            yield slice(at, at + diff.size), diff
+            at += diff.size
+
+    count = np.count_nonzero(both)
+    phasors = np.empty(count, dtype=complex)
+    for at, diff in differences():
+        np.exp(np.multiply(1j, diff, out=phasors[at]), out=phasors[at])
+    offset = np.angle(np.mean(phasors))
+    del phasors
+    squares = np.empty(count)
+    for at, diff in differences():
+        diff -= offset
+        np.square(wrap(diff), out=squares[at])
+    return float(np.sqrt(np.mean(squares)))
 
 
 def azimuthal_slope(trace: CrossSection) -> float:

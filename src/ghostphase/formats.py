@@ -29,7 +29,8 @@ def write_field(path, data: np.ndarray, kind: str) -> None:
     """Write a d x d field: magic, 'd=<int> kind=<..>' header, raw LE float64.
 
     Complex fields interleave (re, im) per pixel; round trips are
-    bit-exact, signed zeros included.
+    bit-exact, signed zeros included.  Rows are converted in blocks of 64,
+    so a Fortran-ordered field is never copied whole.
     """
     if kind not in FIELD_KINDS:
         raise DataError(f"unknown field kind {kind!r}")
@@ -41,7 +42,8 @@ def write_field(path, data: np.ndarray, kind: str) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC + b"\n")
         fh.write(f"d={data.shape[0]} kind={kind}\n".encode())
-        fh.write(np.ascontiguousarray(data, dtype=_dtype(kind)))
+        for rows in np.array_split(data, max(1, len(data) // 64)):
+            fh.write(np.ascontiguousarray(rows, dtype=_dtype(kind)))
 
 
 def read_field(path) -> Tuple[np.ndarray, str]:
@@ -296,14 +298,14 @@ def write_series(path, scan: Scan, kind: str) -> None:
     """One channel of a scan, ``kind`` 'cos' or 'sin': one 'j,value' row per mask, headed by a
     '# key=value' comment line.
 
-    Each row is ``f"{j},{float(v)!r}\\n"``.  Each distinct bit pattern is
-    formatted once (so -0.0 and 0.0 stay apart), by `_repr_table`, which
-    spells it as `repr` does without calling `repr` for most values; the rows
-    are assembled as NUL-padded byte columns and the NULs dropped before each write.
+    Each row is ``f"{j},{float(v)!r}\\n"``.  The rows go out in blocks of
+    `_ROWS`; each distinct bit pattern of a block is formatted once (so -0.0
+    and 0.0 stay apart), by `_repr_table`, which spells it as `repr` does
+    without calling `repr` for most values.  A block's rows are assembled as
+    NUL-padded byte columns and the NULs dropped before each write, so no
+    temporary grows with the series.
     """
     values = np.ascontiguousarray({"cos": scan.cos, "sin": scan.sin}[kind], dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    table = _repr_table(bits)[0]
     n = values.size
     width = max(len(str(n - 1)), 4)     # room for the four table digits
     with open(path, "wb") as fh:
@@ -321,7 +323,8 @@ def write_series(path, scan: Scan, kind: str) -> None:
                 for col, place in enumerate((1000, 100, 10)):
                     rows[:place, col] = 0
             rows[:, width] = ord(",")
-            rows[:, width + 1:-1] = table[inverse[start:stop]].view(np.uint8).reshape(stop - start, -1)
+            bits, inverse = np.unique(values[start:stop].view(np.uint64), return_inverse=True)
+            rows[:, width + 1:-1] = _repr_table(bits)[0][inverse].view(np.uint8).reshape(stop - start, -1)
             rows[:, -1] = ord("\n")
             flat = rows.ravel()
             fh.write(flat[flat != 0])
@@ -390,14 +393,17 @@ def write_pgm(path, data: np.ndarray, lo: Optional[float] = None, hi: Optional[f
     """16-bit binary PGM (P5, maxval 65535), values mapped linearly to [lo, hi].
 
     Invalid pixels are written as 0.  PGM stores 16-bit samples
-    big-endian.
+    big-endian.  The values are scaled in one buffer.
     """
     data = np.asarray(data, dtype=float)
     lo = float(np.min(data) if lo is None else lo)
     hi = float(np.max(data) if hi is None else hi)
     span = hi - lo if hi > lo else 1.0
-    scaled = np.clip((data - lo) / span, 0.0, 1.0)
-    pixels = np.round(scaled * 65535).astype(">u2")
+    scaled = np.subtract(data, lo)
+    scaled /= span
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= 65535
+    pixels = np.round(scaled, out=scaled).astype(">u2")
     if invalid is not None:
         pixels[invalid] = 0
     h, w = data.shape
@@ -410,11 +416,23 @@ def write_mask_text(path, symbols: np.ndarray, kind: str, index: int) -> None:
     """Integer-symbol mask grid for inspection or SLM playback.
 
     basis masks use -1/1, cos masks 0/1, sin masks -1/1 standing for the
-    1-i / 1+i phase states.
+    1-i / 1+i phase states.  Each row of the 2-D grid is its integers,
+    space-separated, as ``np.savetxt(fmt="%d")`` writes them.  Rows go out
+    in blocks of ~16: a block's distinct symbols are spelled once each, with
+    a leading space, and its cells are laid out as NUL-padded byte columns
+    whose NULs are dropped; each row's first space becomes the line break
+    before it.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# kind={kind} j={index} d={symbols.shape[0]}\n")
-        np.savetxt(fh, symbols, fmt="%d")
+    symbols = np.asarray(symbols)
+    with open(path, "wb") as fh:
+        fh.write(f"# kind={kind} j={index} d={symbols.shape[0]}".encode())
+        for block in np.array_split(symbols, max(1, len(symbols) // 16)):
+            values, inverse = np.unique(block.ravel(), return_inverse=True)
+            cells = np.array([b" %d" % v for v in values.tolist()])[inverse]
+            cells = cells.view(np.uint8).reshape(len(block), -1)
+            cells[:, 0] = ord("\n")
+            fh.write(cells[cells != 0])
+        fh.write(b"\n")
 
 
 def write_metrics(path, metrics: dict) -> None:

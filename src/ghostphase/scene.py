@@ -30,7 +30,8 @@ def _radius(d: int) -> np.ndarray:
 def _polar(d: int) -> Tuple[np.ndarray, np.ndarray]:
     c = grid_center(d)
     y, x = np.ogrid[0:d, 0:d]
-    return _radius(d), np.mod(np.arctan2(y - c, x - c), 2 * np.pi)
+    theta = np.arctan2(y - c, x - c)
+    return _radius(d), np.mod(theta, 2 * np.pi, out=theta)
 
 
 def default_radius(d: int) -> float:
@@ -52,10 +53,10 @@ def apply_illumination(obj: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def normalize(obj: np.ndarray) -> np.ndarray:
-    """Scale a field to unit energy, the sum of its squared magnitudes.
+def _norm(obj: np.ndarray) -> np.floating:
+    """The root of a field's energy, the sum of its squared magnitudes; never 0.
 
-    The norm is summed with numpy's own reductions, not ``numpy.linalg.norm``:
+    It is summed with numpy's own reductions, not ``numpy.linalg.norm``:
     that is a BLAS dot product, which splits a long sum across the BLAS
     threads, so its last bits, and every artifact after it, would depend on
     the thread count.
@@ -63,7 +64,12 @@ def normalize(obj: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.sum(obj.real ** 2) + np.sum(obj.imag ** 2))
     if norm == 0:
         raise ValueError("cannot normalize a field whose norm is zero or underflows to zero")
-    return obj / norm
+    return norm
+
+
+def normalize(obj: np.ndarray) -> np.ndarray:
+    """Scale a field to unit energy, the sum of its squared magnitudes."""
+    return obj / _norm(obj)
 
 
 def _annulus_radii(radii: Optional[Sequence[float]], d: int,
@@ -85,7 +91,9 @@ def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
     grid size.  ``phase_depth`` is the step height in radians for the
     slit object.  Amplitude kinds have unit amplitude on the feature and
     zero outside; phase kinds have unit amplitude across the whole
-    illumination disc.
+    illumination disc.  Beyond the field, at most two (d, d) float arrays
+    are alive at once, such as the radius and azimuth grids: the
+    illumination and the normalization are applied in place.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown object kind {kind!r}")
@@ -140,4 +148,7 @@ def make_object(kind: str, d: int, *, slit_width: Optional[int] = None,
             band = (r >= edges[b]) & (r < edges[b + 1])
             phase = petals * theta[band] + b * np.pi / max(bands - 1, 1)
             obj[band] = np.exp(1j * phase)
-    return normalize(apply_illumination(obj, radius))
+    del r, theta
+    obj[~disc_mask(d, radius)] = 0      # apply_illumination, in place
+    obj /= _norm(obj)                   # normalize, in place
+    return obj

@@ -176,8 +176,8 @@ class OrthoMatrix:
 def _fwht_axis0(X: np.ndarray) -> np.ndarray:
     """In-place butterfly along axis 0 (unnormalized, natural order).
 
-    X must be a fresh writable copy, as both callers, ``fwht2`` and
-    ``_sequency_permutation``, pass (C-contiguous for C-ordered input).
+    X must be a fresh writable array, as both callers, ``fwht2`` and
+    ``_sequency_permutation``, pass (C-contiguous in both).
     Each stage writes through a (d/2h, 2, h, ...) reshape, which only
     splits axis 0 and so is a view whatever the strides.
     """
@@ -188,7 +188,30 @@ def _fwht_axis0(X: np.ndarray) -> np.ndarray:
         a, b = pairs[:, 0].copy(), pairs[:, 1]
         pairs[:, 0] += b
         np.subtract(a, b, out=b)
+        del a       # freed before the next stage copies its own
         h *= 2
+    return X
+
+
+# Side of the square blocks that `_transpose` swaps: two float64 blocks of 64 x 64 fit in L1
+_BLOCK = 64
+
+
+def _transpose(X: np.ndarray) -> np.ndarray:
+    """Transpose a square array in its own buffer, one pair of blocks at a time, and return it.
+
+    Its memory then holds X.T in X's order, as a transposed copy would, without a
+    second (d, d) array: the blocks are its only temporaries.
+    """
+    d = X.shape[0]
+    for i in range(0, d, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        X[rows, rows] = X[rows, rows].T.copy()
+        for j in range(i + _BLOCK, d, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            upper = X[rows, cols].copy()
+            X[rows, cols] = X[cols, rows].T
+            X[cols, rows] = upper.T
     return X
 
 
@@ -198,15 +221,17 @@ def fwht2(field: np.ndarray, H: OrthoMatrix) -> np.ndarray:
     The (n, m) output entry equals the inner product <M_{j=(n,m)}|X> for an
     unseeded H: only its ordering applies, never its pixel shuffle (see
     ``H.unshuffle``).  O(d^2 log d); self-inverse because H is symmetric
-    orthogonal in both orderings.
+    orthogonal in both orderings.  The result is the one (d, d) array it
+    allocates, Fortran-ordered unless sequency-ordered; the butterflies'
+    half-size temporaries are its only others.
     """
     X = np.asarray(field)
     d = H.dim
     if X.shape != (d, d):
         raise ValueError(f"field shape {X.shape} does not match d={d}")
-    out = X.astype(np.complex128 if np.iscomplexobj(X) else np.float64, copy=True)
+    out = X.astype(np.complex128 if np.iscomplexobj(X) else np.float64, order="C", copy=True)
     _fwht_axis0(out)
-    out = _fwht_axis0(out.T.copy()).T
+    out = _fwht_axis0(_transpose(out)).T
     out /= d
     if H.ordering == SEQUENCY:
         perm = list(_sequency_permutation(d))

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ghostphase import OrthoMatrix, cli, make_object
+from ghostphase import OrthoMatrix, cli, make_object, reconstruction
 from ghostphase.analysis import wrap
+from ghostphase.reconstruction import PhaseImage
+from ghostphase.wht import _fwht_axis0, _sequency_permutation
 
 
 def sylvester(d, ordering="natural"):
@@ -147,3 +149,95 @@ def H8():
 @pytest.fixture
 def slit16():
     return make_object("pi-slit-phase", 16)
+
+
+# Parent forms of the stages that now bound their working sets.  Each is the
+# straightforward whole-array expression; the stage must match it bit for bit.
+
+def masked_median(data, valid, window):
+    """Windowed median that ignores invalid pixels; NaN windows keep ``data``.
+
+    The NaN-padded grid's window^2 shifted views are sorted in strips of
+    ``reconstruction._MEDIAN_BUDGET`` bytes, and the median averages entries
+    (n-1)//2 and n//2 of a pixel's n valid neighbours, plus +0.0.
+    """
+    pad = window // 2
+    rows, cols = data.shape
+    k = window * window
+    arr = np.pad(np.where(valid, data, np.nan), pad, constant_values=np.nan)
+    shifts = np.lib.stride_tricks.sliding_window_view(arr, (window, window)).transpose(2, 3, 0, 1)
+    step = min(rows, max(1, reconstruction._MEDIAN_BUDGET // (k * cols * arr.itemsize)))
+    buf = np.empty((window, window, step, cols), arr.dtype)
+    med = np.empty((rows, cols), arr.dtype)
+    for start in range(0, rows, step):
+        h = min(step, rows - start)
+        stack = buf[:, :, :h]
+        np.copyto(stack, shifts[:, :, start:start + h])
+        stack = stack.reshape(k, h, cols)
+        stack.sort(axis=0)
+        n = k - np.isnan(stack).sum(axis=0)
+        lo = np.take_along_axis(stack, (np.maximum(n - 1, 0) // 2)[np.newaxis], axis=0)[0]
+        hi = np.take_along_axis(stack, (n // 2)[np.newaxis], axis=0)[0]
+        med[start:start + h] = (lo + hi) / 2 + 0.0
+    return np.where(np.isnan(med), data, med)
+
+
+def denoise_oracle(phase, window):
+    """`denoise` as two `masked_median` passes over the whole cos and sin grids."""
+    if not phase.support.any():
+        return phase
+    if window == 1:
+        return PhaseImage(np.where(phase.support, phase.entries, 0.0), phase.support)
+    window = min(window, 2 * max(phase.entries.shape) - 1)
+    c = masked_median(np.cos(phase.entries), phase.support, window)
+    s = masked_median(np.sin(phase.entries), phase.support, window)
+    out = np.where(phase.support & ((c != 0) | (s != 0)), np.arctan2(s, c), 0.0)
+    return PhaseImage(out, phase.support)
+
+
+def combine_phase_oracle(re, im, support=None):
+    magnitude = np.hypot(re, im)
+    valid = magnitude > 1e-9 * magnitude.max()
+    if support is not None:
+        valid &= support
+    return PhaseImage(np.where(valid, np.arctan2(im, re), 0.0), valid)
+
+
+def pgm_oracle(data, lo=None, hi=None, invalid=None):
+    """The bytes `write_pgm` writes, scaled as one whole-grid expression."""
+    data = np.asarray(data, dtype=float)
+    lo = float(np.min(data) if lo is None else lo)
+    hi = float(np.max(data) if hi is None else hi)
+    span = hi - lo if hi > lo else 1.0
+    pixels = np.round(np.clip((data - lo) / span, 0.0, 1.0) * 65535).astype(">u2")
+    if invalid is not None:
+        pixels[invalid] = 0
+    h, w = data.shape
+    return f"P5\n{w} {h}\n65535\n".encode() + pixels.tobytes()
+
+
+def phase_rmse_oracle(recovered, truth):
+    both = recovered.support & truth.support
+    diff = recovered.entries[both] - truth.entries[both]
+    offset = np.angle(np.mean(np.exp(1j * diff)))
+    return float(np.sqrt(np.mean(wrap(diff - offset) ** 2)))
+
+
+def detection_pair_oracle(overlaps):
+    """|<T_j|O>|^2 of the cos and sin masks from the flattened overlaps, whole-array."""
+    flat = overlaps.ravel()
+    c0 = flat[0]
+    return tuple(np.abs(t) ** 2 for t in ((flat + c0) / np.sqrt(2.0), (flat - 1j * c0) / np.sqrt(2.0)))
+
+
+def fwht2_oracle(field, H):
+    """`fwht2` with a transposed copy between the two butterfly passes."""
+    X = np.asarray(field)
+    out = X.astype(np.complex128 if np.iscomplexobj(X) else np.float64, copy=True)
+    _fwht_axis0(out)
+    out = _fwht_axis0(out.T.copy()).T
+    out /= H.dim
+    if H.ordering == "sequency":
+        perm = list(_sequency_permutation(H.dim))
+        out = out[np.ix_(perm, perm)]
+    return out

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ghostphase import (OrthoMatrix, Scan, acquisition, fwht2, make_object,
                         measure_exact, sample_counts, wht)
 
-from conftest import (closed_form_values, decompose_probability, naive_mask_series,
-                      random_complex_object)
+from conftest import (closed_form_values, decompose_probability, detection_pair_oracle,
+                      naive_mask_series, random_complex_object)
 
 
 def test_flat_object_cos_series():
@@ -428,3 +428,14 @@ def test_sampling_counts_are_nonnegative_integers(d, data, flux, seed):
         assert counts.shape == values.shape
         assert np.all(counts >= 0) and np.all(counts == np.round(counts))
         assert np.all(counts[values == 0] == 0)
+
+
+@pytest.mark.parametrize("basis", [OrthoMatrix(256), OrthoMatrix(64, "sequency"), OrthoMatrix(32, seed=9)],
+                         ids=["natural", "sequency", "random"])
+def test_measure_exact_matches_the_whole_array_oracle(basis):
+    # d=256 takes the overlaps in four row blocks
+    obj = make_object("spiral-flower-phase", basis.dim)
+    scan = measure_exact(obj, basis)
+    want = detection_pair_oracle(acquisition.mask_overlaps(obj, basis))
+    for got, expected in zip((scan.cos, scan.sin), want):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

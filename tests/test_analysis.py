@@ -5,7 +5,7 @@ from ghostphase import (CrossSection, azimuthal_slope, cross_section_azimuthal,
                         cross_section_horizontal, make_object, phase_rmse, wrap)
 from ghostphase.reconstruction import PhaseImage
 
-from conftest import phase_pearson
+from conftest import phase_pearson, phase_rmse_oracle
 
 
 def _phase(entries, support=None):
@@ -142,3 +142,16 @@ def test_phase_pearson_anticorrelated():
 def test_phase_pearson_constant_maps():
     a = _phase(np.zeros((4, 4)))
     assert phase_pearson(a, a) == 1.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_phase_rmse_matches_the_whole_array_oracle(order):
+    # d=256 spans several row blocks; the supports differ, so blocks gather different counts
+    d = 256
+    rng = np.random.default_rng(7)
+    truth = PhaseImage(entries=np.asarray(rng.uniform(-np.pi, np.pi, (d, d)), order=order),
+                       support=rng.random((d, d)) < 0.9)
+    noisy = np.asarray(truth.entries + rng.normal(0, 0.3, (d, d)) + 2.5, order=order)
+    noisy[:2, :8] = truth.entries[:2, :8] + 2.5 + np.pi    # residuals at the branch cut
+    recovered = PhaseImage(entries=noisy, support=rng.random((d, d)) < 0.6)
+    assert phase_rmse(recovered, truth) == phase_rmse_oracle(recovered, truth)

@@ -1273,3 +1273,30 @@ def test_pipeline_completes_or_fails_cleanly(tmp_path_factory, cfg):
         assert stderr == "" and (out / "manifest.json").is_file()
     else:
         _assert_clean_failure(code, stderr, out)
+
+
+def test_commands_peak_within_their_working_set_bounds(tmp_path):
+    # Traced memory above what is held when main starts, in N-sized float64 arrays (8 d^2
+    # bytes), exact ring object, window 3.  At d=512 this code read 11.80 N for the pipeline,
+    # in analyze, and 8.80 N for reconstruct, as it writes its grids.  Whole-grid temporaries
+    # read 14.87 N (write_series) and 12.45 N (denoise).  At d=256 the series writer's fixed
+    # block buffers (~2.3 MB) are 4.5 N, so the bounds are read at d=512
+    d = 512
+    n_bytes = 8 * d * d
+    common = ["--d", str(d), "--kind", "azimuthal-ring-phase", "--denoise-window", "3"]
+    series = tmp_path / "pipeline"
+
+    def peak(argv):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, stderr = run_cli(argv + common)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, stderr
+        return (top - base) / n_bytes
+
+    assert peak(["pipeline", "--out", str(series)]) <= 12.0
+    assert peak(["reconstruct", "--cos", str(series / "series_cos.csv"),
+                 "--sin", str(series / "series_sin.csv"), "--out", str(tmp_path / "rec")]) <= 9.5

@@ -12,7 +12,7 @@ from ghostphase.acquisition import Scan
 from ghostphase.formats import (DataError, _repr_table, read_field, read_series,
                                 write_field, write_mask_text, write_pgm, write_series)
 
-from conftest import random_complex_object
+from conftest import pgm_oracle, random_complex_object
 
 
 def test_complex_field_round_trip_bit_exact(tmp_path):
@@ -384,3 +384,55 @@ def test_mask_text_layout(tmp_path):
     path = tmp_path / "mask.txt"
     write_mask_text(path, np.array([[1, -1], [-1, 1]]), "basis", 3)
     assert path.read_text() == "# kind=basis j=3 d=2\n1 -1\n-1 1\n"
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pgm_bytes_match_the_whole_grid_oracle(tmp_path, order):
+    # values reach past both ends of [lo, hi]
+    d = 256
+    rng = np.random.default_rng(12)
+    data = np.asarray(rng.normal(size=(d, d)), order=order)
+    data[:3] = 0.5                      # ties that round half to even
+    invalid = rng.random((d, d)) < 0.2
+    for kwargs in ({}, {"lo": -1.0, "hi": 1.0}, {"lo": -np.pi, "hi": np.pi, "invalid": invalid},
+                   {"lo": 0.0}, {"lo": 2.0, "hi": 2.0}):
+        path = tmp_path / "img.pgm"
+        write_pgm(path, data, **kwargs)
+        assert path.read_bytes() == pgm_oracle(data, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["basis", "cos", "sin"])
+def test_mask_text_matches_savetxt(tmp_path, kind):
+    # gen-masks' three grids of a d=256 mask, as cmd_gen_masks builds them
+    signs = np.where(OrthoMatrix(256, seed=3).mask(77) > 0, 1, -1)
+    grid = (signs > 0).astype(int) if kind == "cos" else signs
+    path = tmp_path / "mask.txt"
+    write_mask_text(path, grid, kind, 77)
+    with open(tmp_path / "savetxt.txt", "w", newline="\n") as fh:
+        fh.write(f"# kind={kind} j=77 d=256\n")
+        np.savetxt(fh, grid, fmt="%d")
+    assert path.read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+
+
+def test_mask_text_spells_any_integer_as_savetxt(tmp_path):
+    rng = np.random.default_rng(5)
+    for grid in (np.array([[0]]), rng.integers(-10 ** 12, 10 ** 12, (7, 3)), rng.integers(0, 2, (1, 300)),
+                 rng.integers(-1, 2, (300, 1))):
+        path = tmp_path / "mask.txt"
+        write_mask_text(path, grid, "basis", 0)
+        with open(tmp_path / "savetxt.txt", "w", newline="\n") as fh:
+            fh.write(f"# kind=basis j=0 d={grid.shape[0]}\n")
+            np.savetxt(fh, grid, fmt="%d")
+        assert path.read_bytes() == (tmp_path / "savetxt.txt").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_field_row_blocks_hold_the_bytes_of_the_whole_grid(tmp_path, kind):
+    # d=256 is written in four row blocks; a Fortran-ordered block is converted on its own
+    field = random_complex_object(256, seed=4)
+    if kind == "real":
+        field = field.real
+    for view in (field, np.asfortranarray(field)):
+        write_field(tmp_path / "f.gcf", view, kind)
+        header = f"GCF1\nd=256 kind={kind}\n".encode()
+        assert (tmp_path / "f.gcf").read_bytes() == header + np.ascontiguousarray(field).tobytes()

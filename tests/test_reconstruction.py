@@ -15,11 +15,12 @@ from ghostphase import (OrthoMatrix, closed_form_gi, combine_phase, denoise, dis
 from ghostphase import cli, reconstruction
 from ghostphase.config import RunConfig
 from ghostphase.reconstruction import (SINE_CHANNEL_SIGN, ClosedFormTerms, PhaseImage,
-                                       SpectrumEstimate, _masked_median)
+                                       SpectrumEstimate)
 from ghostphase.acquisition import Scan
 from ghostphase.analysis import CrossSection, wrap
 
-from conftest import mask_matrix, phase_pearson, random_complex_object
+from conftest import (combine_phase_oracle, denoise_oracle, fwht2_oracle, mask_matrix,
+                      masked_median, phase_pearson, random_complex_object)
 
 ALL_KINDS = ["flat", "double-slit-amplitude", "annulus-amplitude",
              "pi-slit-phase", "azimuthal-ring-phase", "spiral-flower-phase"]
@@ -470,7 +471,7 @@ def test_masked_median_matches_nanmedian(seed, d, window, density, ties):
     if ties:
         data = np.round(data)   # repeated values, including -0.0 and 0.0
     valid = rng.random((d, d)) < density
-    got = _masked_median(data, valid, window)
+    got = masked_median(data, valid, window)
     ref = _nanmedian_windows(data, valid, window)
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -500,7 +501,7 @@ def test_masked_median_strips_match_nanmedian(seed, strips, density, ties):
     # a budget below one row still filters one row per strip
     for budget in (rows * row_bytes, rows * row_bytes + row_bytes - 1, 1):
         with mock.patch.object(reconstruction, "_MEDIAN_BUDGET", budget):
-            got = _masked_median(data, valid, window)
+            got = masked_median(data, valid, window)
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -550,13 +551,129 @@ def test_denoise_window_wider_than_the_grid_gives_the_whole_grid_window(monkeypa
     rng = np.random.default_rng(4)
     phase = PhaseImage(entries=rng.uniform(-np.pi, np.pi, (d, d)), support=disc_mask(d, 3.0))
     windows = []
+    median_phase = reconstruction._median_phase
 
-    def recording(data, valid, window):
+    def recording(entries, support, window):
         windows.append(window)
-        return _masked_median(data, valid, window)
+        return median_phase(entries, support, window)
 
-    monkeypatch.setattr(reconstruction, "_masked_median", recording)
+    monkeypatch.setattr(reconstruction, "_median_phase", recording)
     wide, whole = denoise(phase, 99), denoise(phase, 15)
     assert wide.entries.tobytes() == whole.entries.tobytes()
     np.testing.assert_array_equal(wide.support, whole.support)
-    assert windows == [15] * 4
+    assert windows == [15] * 2
+
+
+def _seeded_phase(d, support, seed):
+    """Uniform phases with 0.0, -0.0, pi and -pi planted, on an empty, sparse or full support."""
+    rng = np.random.default_rng(seed)
+    entries = rng.uniform(-np.pi, np.pi, (d, d))
+    for value, at in ((0.0, 0), (-0.0, 1), (np.pi, 2), (-np.pi, 3)):
+        entries.flat[at::5] = value
+    density = {"empty": 0.0, "sparse": 0.1, "full": 1.0}[support]
+    return PhaseImage(entries=entries, support=rng.random((d, d)) < density)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# a window wider than 2d - 1 is clamped to it: at d=64 that is window 127, whose
+# 16,129-deep sort takes minutes, so the widest windows run on the small grids
+DENOISE_CASES = [(d, window) for d in (2, 16, 64, 256) for window in (1, 3, 5, 7, 15)] + \
+    [(2, 5), (16, 41)]
+
+
+@pytest.mark.parametrize("support", ["empty", "sparse", "full"])
+@pytest.mark.parametrize("d, window", DENOISE_CASES)
+def test_denoise_matches_the_whole_grid_oracle(d, window, support):
+    phase = _seeded_phase(d, support, seed=d * 100 + window)
+    got, want = denoise(phase, window), denoise_oracle(phase, window)
+    _assert_same_bits(got.entries, want.entries)
+    np.testing.assert_array_equal(got.support, want.support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), strips=st.sampled_from(STRIPS),
+       support=st.sampled_from(["empty", "sparse", "full"]))
+def test_denoise_strips_match_the_whole_grid_oracle(seed, strips, support):
+    # partial last strips, one row per strip, and strips narrower than the padding they share
+    d, window, rows = strips
+    phase = _seeded_phase(d, support, seed)
+    budget = rows * window * window * d * 8
+    with mock.patch.object(reconstruction, "_MEDIAN_BUDGET", budget):
+        _assert_same_bits(denoise(phase, window).entries, denoise_oracle(phase, window).entries)
+    with mock.patch.object(reconstruction, "_MEDIAN_BUDGET", 1):
+        _assert_same_bits(denoise(phase, window).entries, denoise_oracle(phase, window).entries)
+
+
+def test_denoise_makes_one_grid_beyond_its_strips():
+    d = 512
+    phase = _seeded_phase(d, "full", seed=9)
+    denoise(phase, 3)
+    tracemalloc.start()
+    try:
+        denoise(phase, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the filtered phase, one 256 KiB sort buffer and strip-sized temporaries
+    assert peak < 8 * d * d + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("with_support", [False, True])
+def test_combine_phase_matches_the_whole_grid_oracle(order, with_support):
+    d = 64
+    rng = np.random.default_rng(11)
+    re, im = (np.asarray(rng.normal(size=(d, d)), order=order) for _ in range(2))
+    re[:4], im[:4] = 0.0, -0.0            # zero magnitude
+    re[4:8, :8], im[4:8, :8] = -1.0, -0.0  # the branch cut, both signs of zero
+    re[8:10], im[8:10] = 1e-12, 1e-12      # below the relative floor
+    support = disc_mask(d, 20.0) if with_support else None
+    got, want = combine_phase(re, im, support), combine_phase_oracle(re, im, support)
+    _assert_same_bits(got.entries, want.entries)
+    np.testing.assert_array_equal(got.support, want.support)
+
+
+def _ghost_image_oracle(scan):
+    images = []
+    for v in (scan.cos, scan.sin):
+        v = v.copy()
+        if not scan.exact:
+            v /= v.sum()
+        v -= v.mean()
+        images.append(scan.basis.shuffle(fwht2_oracle(v.reshape(scan.basis.dim, -1), scan.basis)) / v.size)
+    return images
+
+
+def _remove_artifact_oracle(scan):
+    fields = []
+    for w in _textbook_spectrum(scan)[2:]:
+        w -= w.mean()
+        img = scan.basis.shuffle(fwht2_oracle(w.reshape(scan.basis.dim, -1), scan.basis)) / w.size
+        img[0, 0] = (img[0, 1] + img[1, 0] + img[1, 1]) / 3.0
+        fields.append(img)
+    return fields
+
+
+@pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
+@pytest.mark.parametrize("basis", [OrthoMatrix(128), OrthoMatrix(128, "sequency"), OrthoMatrix(32, seed=5)],
+                         ids=["natural", "sequency", "random"])
+def test_channel_images_match_the_whole_array_oracles(basis, flux):
+    scan = _scan(_object("spiral-flower-phase", basis.dim), basis, flux)
+    for got, want in zip(ghost_image(scan) + remove_artifact(scan),
+                         _ghost_image_oracle(scan) + _remove_artifact_oracle(scan)):
+        _assert_same_bits(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("flux", [None, 1e7], ids=["exact", "poisson"])
+def test_estimate_spectrum_chunks_keep_the_textbook_bits(flux):
+    # d=128 spans two chunks of the elementwise solve
+    scan = _scan(_object("azimuthal-ring-phase", 128), OrthoMatrix(128), flux)
+    assert scan.cos.size > reconstruction._CHUNK
+    est = estimate_spectrum(scan)
+    _, p, cross_cos, cross_sin = _textbook_spectrum(scan)
+    for got, want in ((est.probabilities, p), (est.cross_cos, cross_cos), (est.cross_sin, cross_sin)):
+        _assert_same_bits(got, want)

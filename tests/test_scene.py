@@ -5,6 +5,8 @@ from ghostphase import (OrthoMatrix, apply_illumination, disc_mask, fwht2, make_
                         normalize)
 from ghostphase.analysis import wrap
 
+import hashlib
+
 from conftest import disc_pixel_count, naive_overlap, random_complex_object
 
 PHASE_KINDS = ["pi-slit-phase", "azimuthal-ring-phase", "spiral-flower-phase"]
@@ -143,3 +145,32 @@ def test_normalize_unit_energy():
         obj = normalize(field)
         assert np.sum(np.abs(obj) ** 2) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(obj, field / np.linalg.norm(field), rtol=1e-14, atol=0)
+
+
+# sha256 of make_object(kind, 64).tobytes(), default and illumination radius 20, recorded
+# from the whole-array form normalize(apply_illumination(obj, radius)) before it became in place
+GOLDEN_OBJECTS = {
+    "flat": ("16fa466354a07191", "54b804042a6d3d39"),
+    "double-slit-amplitude": ("98f7f2967ce5a8da", "ac3681fa1e69378e"),
+    "annulus-amplitude": ("b263acfbce85a700", "7ff89d512901ba95"),
+    "pi-slit-phase": ("f2887045246d3b0d", "3cf1383f4f6ebcc9"),
+    "azimuthal-ring-phase": ("f9aa129ae93736f4", "9fbacc1adc7f18ed"),
+    "spiral-flower-phase": ("9ab01be25def2b5d", "ee15a59ea71a75a9"),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_objects_match_golden_digests(kind):
+    digests = tuple(hashlib.sha256(make_object(kind, 64, **kw).tobytes()).hexdigest()[:16]
+                    for kw in ({}, {"illumination_radius": 20.0}))
+    assert digests == GOLDEN_OBJECTS[kind]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_make_object_equals_normalize_of_apply_illumination(kind):
+    # the in-place illumination and normalization against the public whole-array pair,
+    # on a field the disc leaves alone (radius past the corners)
+    d = 32
+    wide = make_object(kind, d, illumination_radius=d)
+    np.testing.assert_allclose(normalize(apply_illumination(wide, 10.0)),
+                               make_object(kind, d, illumination_radius=10.0), rtol=0, atol=1e-15)

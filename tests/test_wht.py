@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ghostphase import NATURAL, SEQUENCY, OrthoMatrix, fwht2
 
-from conftest import mask_matrix, naive_transform, random_complex_object, sylvester
+from conftest import fwht2_oracle, mask_matrix, naive_transform, random_complex_object, sylvester
 
 
 def basis_rows(H):
@@ -204,3 +204,18 @@ def test_involution_and_parseval(seed, dlog, ordering):
     Y = fwht2(X, H)
     np.testing.assert_allclose(fwht2(Y, H), X, atol=1e-12)
     assert np.sum(np.abs(Y) ** 2) == pytest.approx(np.sum(np.abs(X) ** 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("ordering", [NATURAL, SEQUENCY])
+@pytest.mark.parametrize("d", [1, 2, 64, 128, 256])
+def test_fwht2_matches_the_transposed_copy_oracle(d, ordering):
+    # the in-place block transpose must give the oracle's bits and its memory order,
+    # also across several 64 x 64 blocks and for Fortran-ordered or complex input
+    H = OrthoMatrix(d, ordering)
+    X = random_complex_object(d, seed=d)
+    for field in (X.real.copy(), X, np.asfortranarray(X), X.real.T):
+        got, want = fwht2(field, H), fwht2_oracle(field, H)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+            (want.flags.c_contiguous, want.flags.f_contiguous)
+    assert np.array_equal(X, random_complex_object(d, seed=d))      # the input is not written
