@@ -46,7 +46,7 @@ def _outdir(cfg: RunConfig) -> str:
 # directory, so a run that fails writes nothing.  A stage raises ValueError on
 # values it cannot work with; `_blame_files` decides whose fault that is.
 
-Reconstruction = collections.namedtuple("Reconstruction", "gi_cos gi_sin re im phase")
+Reconstruction = collections.namedtuple("Reconstruction", "gi_cos gi_sin re im phase support")
 Analysis = collections.namedtuple("Analysis", "horizontal azimuthal report")
 
 
@@ -69,21 +69,23 @@ def reconstruct(cfg: RunConfig, scan: acquisition.Scan, obj=None) -> Reconstruct
     radius = cfg.illumination_radius
     if radius is None:
         radius = scene.default_radius(cfg.d)
-    phase = reconstruction.combine_phase(re, im, scene.disc_mask(scan.basis.dim, radius))
+    phase, support = reconstruction.combine_phase(re, im, scene.disc_mask(scan.basis.dim, radius))
     return Reconstruction(gi_cos, gi_sin, re, im,
-                          reconstruction.denoise(phase, cfg.denoise_window))
+                          reconstruction.denoise(phase, support, cfg.denoise_window), support)
 
 
 def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
-    """Phase error and cross-sections of a recovered phase map against the truth."""
-    if recovered.entries.shape != truth.entries.shape:
+    """Phase error and cross-sections of a recovered (phase, support) pair against the truth's."""
+    (phase, support), (truth_phase, truth_support) = recovered, truth
+    if phase.shape != truth_phase.shape:
         raise ValueError("phase and truth grids have different sizes")
-    d = recovered.entries.shape[0]
-    rmse = analysis.phase_rmse(recovered, truth)
+    d = phase.shape[0]
+    both = support & truth_support
+    rmse = analysis.phase_rmse(phase, truth_phase, both)
     row = cfg.analysis_row if cfg.analysis_row is not None else d // 2
     if not 0 <= row < d:
         raise ConfigError(f"analysis.row: must be in [0, d), got {row} for d={d}")
-    if cfg.analysis_row is not None and not recovered.support[row].any():
+    if cfg.analysis_row is not None and not support[row].any():
         raise ConfigError(f"analysis.row: row {row} has no valid support pixels")
     radius, what = cfg.analysis_radius, "analysis.radius:"
     if radius is None:
@@ -91,20 +93,18 @@ def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
         radius, what = (radii[0] + radii[1]) / 2, "object.annulus_radii: their mean (the azimuthal radius)"
     if not 0 <= radius <= d / 2:
         raise ConfigError(f"{what} must be in [0, d/2], got {radius} for d={d}")
-    horizontal = analysis.cross_section_horizontal(recovered, row)
-    azimuthal = analysis.cross_section_azimuthal(recovered, radius, cfg.analysis_samples)
+    horizontal = analysis.cross_section_horizontal(phase, support, row)
+    azimuthal = analysis.cross_section_azimuthal(phase, radius, cfg.analysis_samples)
     if cfg.analysis_radius is not None:
         # the support, sampled at the same pixels as the phase
-        on_support = analysis.cross_section_azimuthal(
-            dataclasses.replace(recovered, entries=recovered.support), radius, cfg.analysis_samples)
-        if not on_support.values.all():
+        if not analysis.cross_section_azimuthal(support, radius, cfg.analysis_samples)[1].all():
             raise ConfigError(f"analysis.radius: the circle of radius {radius} leaves the support")
     return Analysis(horizontal, azimuthal, {
         "phase_rmse_rad": repr(rmse),
         "cross_section_row": row,
         "azimuthal_radius": repr(float(radius)),
-        "azimuthal_slope": repr(analysis.azimuthal_slope(azimuthal)),
-        "support_pixels": int((recovered.support & truth.support).sum()),
+        "azimuthal_slope": repr(analysis.azimuthal_slope(*azimuthal)),
+        "support_pixels": int(both.sum()),
     })
 
 
@@ -127,15 +127,14 @@ def write_scan(out, scan) -> tuple:
 
 
 def write_reconstruction(out, rec: Reconstruction) -> tuple:
-    phase = rec.phase
     formats.write_field(os.path.join(out, "gi_cos.gcf"), rec.gi_cos, "real")
     formats.write_field(os.path.join(out, "gi_sin.gcf"), rec.gi_sin, "real")
     formats.write_field(os.path.join(out, "re.gcf"), rec.re, "real")
     formats.write_field(os.path.join(out, "im.gcf"), rec.im, "real")
-    formats.write_field(os.path.join(out, "phase.gcf"), phase.entries, "phase")
-    formats.write_field(os.path.join(out, "support.gcf"), phase.support.astype(float), "real")
-    formats.write_pgm(os.path.join(out, "phase.pgm"), phase.entries,
-                      lo=-np.pi, hi=np.pi, invalid=~phase.support)
+    formats.write_field(os.path.join(out, "phase.gcf"), rec.phase, "phase")
+    formats.write_field(os.path.join(out, "support.gcf"), rec.support.astype(float), "real")
+    formats.write_pgm(os.path.join(out, "phase.pgm"), rec.phase,
+                      lo=-np.pi, hi=np.pi, invalid=~rec.support)
     formats.write_pgm(os.path.join(out, "gi_cos.pgm"), rec.gi_cos)
     formats.write_pgm(os.path.join(out, "gi_sin.pgm"), rec.gi_sin)
     print(f"wrote reconstruction outputs to {out}")
@@ -144,8 +143,8 @@ def write_reconstruction(out, rec: Reconstruction) -> tuple:
 
 
 def write_analysis(out, result: Analysis) -> tuple:
-    formats.write_cross_section_csv(os.path.join(out, "cross_horizontal.csv"), result.horizontal)
-    formats.write_cross_section_csv(os.path.join(out, "cross_azimuthal.csv"), result.azimuthal)
+    for kind in ("horizontal", "azimuthal"):
+        formats.write_cross_section_csv(os.path.join(out, f"cross_{kind}.csv"), kind, *getattr(result, kind))
     formats.write_metrics(os.path.join(out, "report.txt"), result.report)
     print(f"phase_rmse_rad: {result.report['phase_rmse_rad']}")
     return "cross_horizontal.csv", "cross_azimuthal.csv", "report.txt"
@@ -159,9 +158,9 @@ def _read_role(path, role: str, kinds=("complex",)) -> np.ndarray:
     return entries
 
 
-def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
-    """A phase or complex field as a phase map; a complex field is `combine_phase` of its
-    two channels.  A support is a real field, true where it exceeds 0.5."""
+def _read_phase_image(path, support_path=None) -> tuple:
+    """A phase or complex field as a (phase, support) pair; a complex field is `combine_phase`
+    of its two channels.  A support is a real field, true where it exceeds 0.5."""
     entries = _read_role(path, "phase map", ("phase", "complex"))
     support = _read_role(support_path, "support", ("real",)) > 0.5 if support_path else None
     if support is not None and support.shape != entries.shape:
@@ -171,7 +170,7 @@ def _read_phase_image(path, support_path=None) -> reconstruction.PhaseImage:
         return reconstruction.combine_phase(entries.real, entries.imag, support)
     if support is None:
         support = np.ones(entries.shape, bool)
-    return reconstruction.PhaseImage(entries=entries, support=support)
+    return entries, support
 
 
 @contextlib.contextmanager
@@ -273,7 +272,7 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
     inputs = [p for p in (args.phase, args.support, args.truth, args.truth_support) if p]
     with _blame_files(inputs):
         recovered = _read_phase_image(args.phase, args.support)
-        cfg = _taken_from(args.phase, cfg, d=recovered.entries.shape[0])
+        cfg = _taken_from(args.phase, cfg, d=recovered[0].shape[0])
         result = analyze(cfg, recovered, _read_phase_image(args.truth, args.truth_support))
     write_analysis(_outdir(cfg), result)
 
@@ -284,7 +283,7 @@ def _run_pipeline(cfg: RunConfig) -> tuple:
     obj = _make_object(cfg)
     scan = acquire(cfg, obj)
     rec = reconstruct(cfg, scan, obj)
-    result = analyze(cfg, rec.phase, reconstruction.combine_phase(obj.real, obj.imag))
+    result = analyze(cfg, (rec.phase, rec.support), reconstruction.combine_phase(obj.real, obj.imag))
     out = _outdir(cfg)
     return out, ("resolved_config.yaml", *write_object(out, obj, cfg.object_kind),
                  *write_scan(out, scan), *write_reconstruction(out, rec),

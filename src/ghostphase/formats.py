@@ -442,8 +442,8 @@ def write_metrics(path, metrics: dict) -> None:
             fh.write(f"{key}: {value}\n")
 
 
-def write_cross_section_csv(path, trace) -> None:
+def write_cross_section_csv(path, kind, coordinates, values) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# kind={trace.kind}\n")
-        for c, v in zip(trace.coordinates, trace.values):
+        fh.write(f"# kind={kind}\n")
+        for c, v in zip(coordinates, values):
             fh.write(f"{float(c)!r},{float(v)!r}\n")

@@ -13,7 +13,7 @@ flag below flips it back when the imaginary part is extracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -44,12 +44,6 @@ class ClosedFormTerms:
     @property
     def total(self) -> np.ndarray:
         return self.object_part + self.spectral_part - self.dc_part
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseImage:
-    entries: np.ndarray = field(repr=False)   # wrapped to (-pi, pi]
-    support: np.ndarray = field(repr=False)   # bool; False pixels are untrusted
 
 
 def _coefficient_image(coeffs: np.ndarray, basis: OrthoMatrix) -> np.ndarray:
@@ -205,8 +199,9 @@ def remove_artifact_analytic(gi_cos: np.ndarray, gi_sin: np.ndarray, obj: np.nda
     return re, im
 
 
-def combine_phase(re: np.ndarray, im: np.ndarray, support: Optional[np.ndarray] = None) -> PhaseImage:
-    """Pixelwise argument of the two channel fields.
+def combine_phase(re: np.ndarray, im: np.ndarray,
+                  support: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Pixelwise argument of the two channel fields, and the support where it holds.
 
     Zero-magnitude pixels get phase 0 and leave the support.  The
     magnitude is freed before the phase is made, so one (d, d) float array
@@ -223,7 +218,7 @@ def combine_phase(re: np.ndarray, im: np.ndarray, support: Optional[np.ndarray] 
         valid &= support
     phase = np.arctan2(im, re)
     phase[~valid] = 0.0
-    return PhaseImage(entries=phase, support=valid)
+    return phase, valid
 
 
 def _median_phase(entries: np.ndarray, support: np.ndarray, window: int) -> np.ndarray:
@@ -283,7 +278,7 @@ def _median_phase(entries: np.ndarray, support: np.ndarray, window: int) -> np.n
     return out
 
 
-def denoise(phase: PhaseImage, window: int = 3) -> PhaseImage:
+def denoise(phase: np.ndarray, support: np.ndarray, window: int = 3) -> np.ndarray:
     """Wrap-safe median filtering plus suppression outside the support.
 
     The cos/sin pair of the phase is filtered instead of the raw angles,
@@ -294,10 +289,9 @@ def denoise(phase: PhaseImage, window: int = 3) -> PhaseImage:
     """
     if window % 2 == 0:
         raise ValueError(f"median window must be odd, got {window}")
-    if not phase.support.any():
+    if not support.any():
         return phase
     if window == 1:
-        out = np.where(phase.support, phase.entries, 0.0)
-        return PhaseImage(entries=out, support=phase.support)
-    window = min(window, 2 * max(phase.entries.shape) - 1)    # 2*size - 1 already reaches every pixel
-    return PhaseImage(entries=_median_phase(phase.entries, phase.support, window), support=phase.support)
+        return np.where(support, phase, 0.0)
+    window = min(window, 2 * max(phase.shape) - 1)    # 2*size - 1 already reaches every pixel
+    return _median_phase(phase, support, window)

@@ -9,7 +9,6 @@ import pytest
 
 from ghostphase import OrthoMatrix, cli, make_object, reconstruction
 from ghostphase.analysis import wrap
-from ghostphase.reconstruction import PhaseImage
 from ghostphase.wht import _fwht_axis0, _sequency_permutation
 
 
@@ -97,18 +96,17 @@ def decompose_probability(scan, kind, coeffs, **conventions):
     return float(np.max(np.abs(getattr(scan, kind) - predicted)))
 
 
-def phase_pearson(a, b):
-    """Pearson correlation of two phase maps on their joint support.
+def phase_pearson(a, b, support):
+    """Pearson correlation of two phase maps on ``support``, the pixels both trust.
 
     The second map is re-branched pixelwise onto the sheet nearest the
     first before correlating, so a pixel at +pi in one map and -pi in the
     other counts as agreement rather than a 2*pi outlier.
     """
-    both = a.support & b.support
-    if not both.any():
+    if not support.any():
         raise ValueError("empty support intersection")
-    x = a.entries[both]
-    y = x + wrap(b.entries[both] - x)
+    x = a[support]
+    y = x + wrap(b[support] - x)
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         return 1.0 if np.allclose(x, y) else 0.0
     return float(np.corrcoef(x, y)[0, 1])
@@ -182,17 +180,16 @@ def masked_median(data, valid, window):
     return np.where(np.isnan(med), data, med)
 
 
-def denoise_oracle(phase, window):
+def denoise_oracle(phase, support, window):
     """`denoise` as two `masked_median` passes over the whole cos and sin grids."""
-    if not phase.support.any():
+    if not support.any():
         return phase
     if window == 1:
-        return PhaseImage(np.where(phase.support, phase.entries, 0.0), phase.support)
-    window = min(window, 2 * max(phase.entries.shape) - 1)
-    c = masked_median(np.cos(phase.entries), phase.support, window)
-    s = masked_median(np.sin(phase.entries), phase.support, window)
-    out = np.where(phase.support & ((c != 0) | (s != 0)), np.arctan2(s, c), 0.0)
-    return PhaseImage(out, phase.support)
+        return np.where(support, phase, 0.0)
+    window = min(window, 2 * max(phase.shape) - 1)
+    c = masked_median(np.cos(phase), support, window)
+    s = masked_median(np.sin(phase), support, window)
+    return np.where(support & ((c != 0) | (s != 0)), np.arctan2(s, c), 0.0)
 
 
 def combine_phase_oracle(re, im, support=None):
@@ -200,7 +197,7 @@ def combine_phase_oracle(re, im, support=None):
     valid = magnitude > 1e-9 * magnitude.max()
     if support is not None:
         valid &= support
-    return PhaseImage(np.where(valid, np.arctan2(im, re), 0.0), valid)
+    return np.where(valid, np.arctan2(im, re), 0.0), valid
 
 
 def pgm_oracle(data, lo=None, hi=None, invalid=None):
@@ -216,9 +213,8 @@ def pgm_oracle(data, lo=None, hi=None, invalid=None):
     return f"P5\n{w} {h}\n65535\n".encode() + pixels.tobytes()
 
 
-def phase_rmse_oracle(recovered, truth):
-    both = recovered.support & truth.support
-    diff = recovered.entries[both] - truth.entries[both]
+def phase_rmse_oracle(recovered, truth, support):
+    diff = recovered[support] - truth[support]
     offset = np.angle(np.mean(np.exp(1j * diff)))
     return float(np.sqrt(np.mean(wrap(diff - offset) ** 2)))
 

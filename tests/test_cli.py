@@ -22,7 +22,7 @@ from ghostphase.config import ConfigError, RunConfig, config_from_document, load
 from ghostphase.formats import read_field, read_series, write_field
 from ghostphase.scene import KINDS
 
-from conftest import run_cli
+from conftest import combine_phase_oracle, phase_rmse_oracle, run_cli
 
 
 def run(*argv):
@@ -1042,6 +1042,26 @@ def test_pipeline_honours_yaml_object_and_analysis_keys(tmp_path):
     report = dict(line.split(": ") for line in (piped / "report.txt").read_text().splitlines())
     assert report["cross_section_row"] == "10" and report["azimuthal_radius"] == "6.5"
     assert len((piped / "cross_azimuthal.csv").read_text().splitlines()) == 1 + 32
+
+
+def test_analyze_with_a_truth_support_reports_the_intersection(tmp_path):
+    # the truth's support (a radius-9 disc, 256 pixels) lies inside the recovered one (616 pixels):
+    # the error and the pixel count are taken over the pixels both maps trust
+    run_dir, out = tmp_path / "run", tmp_path / "analysis"
+    assert run("pipeline", "--d", "32", "--out", str(run_dir)) == 0
+    truth_support = scene.disc_mask(32, 9.0)
+    write_field(tmp_path / "truth_support.gcf", truth_support.astype(float), "real")
+    code, stderr = run_cli(["analyze", "--phase", str(run_dir / "phase.gcf"),
+                            "--support", str(run_dir / "support.gcf"), "--truth", str(run_dir / "object.gcf"),
+                            "--truth-support", str(tmp_path / "truth_support.gcf"), "--out", str(out)])
+    assert code == 0 and stderr == ""
+    phase, support = read_field(run_dir / "phase.gcf")[0], read_field(run_dir / "support.gcf")[0] > 0.5
+    obj = read_field(run_dir / "object.gcf")[0]
+    truth, truth_valid = combine_phase_oracle(obj.real, obj.imag, truth_support)
+    both = support & truth_valid
+    report = dict(line.split(": ") for line in (out / "report.txt").read_text().splitlines())
+    assert report["support_pixels"] == str(np.count_nonzero(both)) == "256"
+    assert report["phase_rmse_rad"] == repr(phase_rmse_oracle(phase, truth, both))
 
 
 @pytest.mark.parametrize("kind", ["from-file", "annulus-amplitude"])

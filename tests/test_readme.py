@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ghostphase import PhaseImage, phase_rmse
+from ghostphase import phase_rmse
 
 from conftest import run_cli
 
@@ -18,10 +18,10 @@ def test_readme_library_example_runs():
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    obj, phase = namespace["obj"], namespace["phase"]
-    truth = PhaseImage(entries=np.angle(obj), support=np.abs(obj) > 0)
-    assert phase.entries.shape == obj.shape
-    assert phase_rmse(phase, truth) < 1e-6
+    obj, phase, support = namespace["obj"], namespace["phase"], namespace["support"]
+    assert phase.shape == obj.shape
+    # the truth's support is the object's; the error is over the pixels both maps trust
+    assert phase_rmse(phase, np.angle(obj), support & (np.abs(obj) > 0)) < 1e-6
 
 
 def test_readme_command_line_example_runs(tmp_path, monkeypatch):
