@@ -58,20 +58,31 @@ def acquire(cfg: RunConfig, obj: np.ndarray) -> acquisition.Scan:
     return scan
 
 
-def reconstruct(cfg: RunConfig, scan: acquisition.Scan, obj=None) -> Reconstruction:
-    """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
+def _channels(cfg: RunConfig, scan: acquisition.Scan, obj=None) -> tuple:
+    """(gi_cos, gi_sin, re, im): the ghost images and the artifact-free channels.  Nothing
+    after this step reads the scan; analytic mode needs ``obj``."""
     gi_cos, gi_sin = reconstruction.ghost_image(scan)
     if cfg.artifact_mode == "analytic":
         re, im = reconstruction.remove_artifact_analytic(gi_cos, gi_sin, obj, scan)
     else:
         re, im = reconstruction.remove_artifact(scan)
+    return gi_cos, gi_sin, re, im
+
+
+def _phase(cfg: RunConfig, gi_cos, gi_sin, re, im) -> Reconstruction:
+    """The channels with the denoised phase over the support disc of their grid."""
     # the support radius follows cfg.d, not the series dimension
     radius = cfg.illumination_radius
     if radius is None:
         radius = scene.default_radius(cfg.d)
-    phase, support = reconstruction.combine_phase(re, im, scene.disc_mask(scan.basis.dim, radius))
+    phase, support = reconstruction.combine_phase(re, im, scene.disc_mask(re.shape[0], radius))
     return Reconstruction(gi_cos, gi_sin, re, im,
                           reconstruction.denoise(phase, support, cfg.denoise_window), support)
+
+
+def reconstruct(cfg: RunConfig, scan: acquisition.Scan, obj=None) -> Reconstruction:
+    """Channels, artifact-free channels and denoised phase; analytic mode needs ``obj``."""
+    return _phase(cfg, *_channels(cfg, scan, obj))
 
 
 def analyze(cfg: RunConfig, recovered, truth) -> Analysis:
@@ -264,7 +275,11 @@ def cmd_reconstruct(args, cfg: RunConfig) -> None:
     scan = acquisition.Scan(cos=cos, sin=sin, **header)
     inputs = [args.cos, args.sin] + ([args.object] if obj is not None else [])
     with _blame_files(inputs):
-        rec = reconstruct(cfg, scan, obj)
+        channels = _channels(cfg, scan, obj)
+        # nothing reads the two series after artifact removal: free them before the phase
+        # is combined and the grids are written
+        del scan, cos, sin
+        rec = _phase(cfg, *channels)
     write_reconstruction(_outdir(cfg), rec)
 
 

@@ -1,15 +1,18 @@
-"""Bit-exact file formats: field binaries, series CSVs, PGM rasters."""
+"""Bit-exact file formats: field binaries, series CSVs, PGM rasters.
 
-from __future__ import annotations
+Functions here carry no type annotations, and their docstrings say what they
+take and return: the module stays under the 4,096 tokens at which CPython's
+parser doubles its token array, which a process that compiles it from source
+would pay for in peak RSS.
+"""
 
 import functools
+import itertools
 import os
 import warnings
-from typing import Optional, Tuple
 
 import numpy as np
 
-from .acquisition import Scan
 from .wht import OrthoMatrix
 
 MAGIC = b"GCF1"
@@ -20,13 +23,14 @@ class DataError(ValueError):
     """Malformed or inconsistent file content."""
 
 
-def _dtype(kind: str) -> str:
+def _dtype(kind):
     """On-disk pixel type: a complex pixel is its (re, im) float64 pair."""
     return "<c16" if kind == "complex" else "<f8"
 
 
-def write_field(path, data: np.ndarray, kind: str) -> None:
-    """Write a d x d field: magic, 'd=<int> kind=<..>' header, raw LE float64.
+def write_field(path, data, kind):
+    """Write the square array ``data`` as a field of ``kind``, one of `FIELD_KINDS`: magic,
+    'd=<int> kind=<..>' header, raw LE float64.
 
     Complex fields interleave (re, im) per pixel; round trips are
     bit-exact, signed zeros included.  Rows are converted in blocks of 64,
@@ -46,7 +50,8 @@ def write_field(path, data: np.ndarray, kind: str) -> None:
             fh.write(np.ascontiguousarray(rows, dtype=_dtype(kind)))
 
 
-def read_field(path) -> Tuple[np.ndarray, str]:
+def read_field(path):
+    """A field file's d x d array and its kind, as `write_field` wrote them."""
     with open(path, "rb") as fh:
         if fh.read(5) != MAGIC + b"\n":
             raise DataError(f"{path}: not a GCF1 field file")
@@ -89,6 +94,9 @@ _REPR_WIDTH = 24
 _ROWS = 10 ** 4
 _LAST_DIGITS = (np.arange(_ROWS, dtype=np.uint16)[:, np.newaxis]
                 // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+# A series file's 'j,value' rows, one per line; comments=None leaves '#' to the value parser
+_parse_rows = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1,
+                                dtype=[("j", "<i8"), ("v", "<f8")])
 
 # Values per formatter chunk: its widest temporaries, (chunk, 3) uint64
 # rows, stay under the same 128 KiB threshold.
@@ -122,7 +130,7 @@ _EXPONENT_BITS = _U64(0x7FF << 52)
 
 
 @functools.lru_cache(maxsize=None)
-def _ten_to(k: int) -> Tuple[float, float]:
+def _ten_to(k):
     """10**k as a double-double: the nearest float64 and the nearest float64 to the rest.
 
     Python's int true division rounds correctly, so both parts are exact roundings.
@@ -133,14 +141,14 @@ def _ten_to(k: int) -> Tuple[float, float]:
     return hi, (num * hi_den - hi_num * den) / (den * hi_den)
 
 
-def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _split(a):
     """Dekker's split of each float64 into two 26-bit halves that sum to it exactly."""
     c = 134217729.0 * a     # 2**27 + 1
     hi = c - (c - a)
     return hi, a - hi
 
 
-def _powers_of_ten(low: int, high: int) -> Tuple[int, np.ndarray, np.ndarray]:
+def _powers_of_ten(low, high):
     """The double-doubles `_shortest` needs for values whose floor(log10) reads low..high,
     as (first exponent, his, los).
 
@@ -152,7 +160,7 @@ def _powers_of_ten(low: int, high: int) -> Tuple[int, np.ndarray, np.ndarray]:
     return base, his, los
 
 
-def _shortest(x: np.ndarray, tens: Tuple[int, np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+def _shortest(x, tens):
     """`repr` of each float64 in [1e-280, 1e280] as a (len(x), 24) NUL-padded uint8 array.
 
     Each value is scaled by 10**k to p = x * 10**k in [1e16, 1e17) with an
@@ -268,7 +276,7 @@ def _shortest(x: np.ndarray, tens: Tuple[int, np.ndarray, np.ndarray]) -> Tuple[
     return rows, unsure
 
 
-def _repr_table(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _repr_table(bits):
     """`repr` of each float64 given by its sorted ``bits``, as an S24 array, and a mask of the
     values `repr` itself spelled.
 
@@ -294,9 +302,9 @@ def _repr_table(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return table, slow
 
 
-def write_series(path, scan: Scan, kind: str) -> None:
-    """One channel of a scan, ``kind`` 'cos' or 'sin': one 'j,value' row per mask, headed by a
-    '# key=value' comment line.
+def write_series(path, scan, kind):
+    """One channel of an `acquisition.Scan`, ``kind`` 'cos' or 'sin': one 'j,value' row per
+    mask, headed by a '# key=value' comment line.
 
     Each row is ``f"{j},{float(v)!r}\\n"``.  The rows go out in blocks of
     `_ROWS`; each distinct bit pattern of a block is formatted once (so -0.0
@@ -330,12 +338,18 @@ def write_series(path, scan: Scan, kind: str) -> None:
             fh.write(flat[flat != 0])
 
 
-def read_series(path) -> Tuple[str, dict, np.ndarray]:
-    """A file written by `write_series`: its kind, its header's `Scan` keywords and its values.
+def read_series(path):
+    """A file written by `write_series`: its kind, its header's `Scan` keywords (a dict) and
+    its values (a float64 array).
 
     Header lines come first (blank lines aside, those starting with '#');
-    every line after them is a 'j,value' row.  One `np.loadtxt` call parses
-    the rows.  A sampled series names its flux and seed, an exact one neither.
+    every line after them is a 'j,value' row.  `np.loadtxt` parses the rows
+    `_ROWS` lines at a time into one array of N = d*d values, and each block
+    must hold rows j = at, at+1, ... in order, with nothing after the last.
+    A file that does not (a blank or malformed line, a missing or extra row)
+    is parsed again in one `np.loadtxt` call, so blank lines are skipped and
+    a fault gets the same error wherever it lies.  A sampled series names its
+    flux and seed, an exact one neither.
     """
     meta = {}
     with open(path) as fh:
@@ -370,29 +384,40 @@ def read_series(path) -> Tuple[str, dict, np.ndarray]:
         except ValueError as exc:
             raise DataError(f"{path}: bad series header value ({exc})") from None
         fh.seek(start)
+        n = d * d
         # Any warning is malformed input: "no data" for a header-only file, and
         # on older numpy an integer field parsed through a float ('1.0').
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                                  dtype=[("j", "<i8"), ("v", "<f8")])
-            except (ValueError, Warning) as exc:
-                raise DataError(f"{path}: bad series rows ({exc})") from None
-    n = d * d
-    if rows.size != n or not np.array_equal(rows["j"], np.arange(n)):
-        raise DataError(f"{path}: expected rows j=0..{n - 1} in order")
-    values = np.ascontiguousarray(rows["v"])
+                values = np.empty(n)
+                for at in range(0, n, _ROWS):
+                    rows = _parse_rows(itertools.islice(fh, _ROWS))
+                    if not np.array_equal(rows["j"], np.arange(at, min(at + _ROWS, n))):
+                        raise ValueError
+                    values[at:at + _ROWS] = rows["v"]
+                if fh.readline():
+                    raise ValueError
+            except (ValueError, Warning, MemoryError):
+                # not rows as write_series spells them: the whole file in one call
+                fh.seek(start)
+                try:
+                    rows = _parse_rows(fh)
+                except (ValueError, Warning) as exc:
+                    raise DataError(f"{path}: bad series rows ({exc})") from None
+                if rows.size != n or not np.array_equal(rows["j"], np.arange(n)):
+                    raise DataError(f"{path}: expected rows j=0..{n - 1} in order")
+                values = np.ascontiguousarray(rows["v"])
     if not np.all(np.isfinite(values)) or (values < 0).any():
         raise DataError(f"{path}: series values must be finite and nonnegative")
     return kind, {"basis": basis, "flux": flux, "seed": seed}, values
 
 
-def write_pgm(path, data: np.ndarray, lo: Optional[float] = None, hi: Optional[float] = None,
-              invalid: Optional[np.ndarray] = None) -> None:
-    """16-bit binary PGM (P5, maxval 65535), values mapped linearly to [lo, hi].
+def write_pgm(path, data, lo=None, hi=None, invalid=None):
+    """A 2-D array as a 16-bit binary PGM (P5, maxval 65535), values mapped linearly to [lo, hi].
 
-    Invalid pixels are written as 0.  PGM stores 16-bit samples
+    ``lo`` and ``hi`` default to the data's range; the pixels of the boolean
+    mask ``invalid`` are written as 0.  PGM stores 16-bit samples
     big-endian.  The values are scaled in one buffer.
     """
     data = np.asarray(data, dtype=float)
@@ -412,8 +437,8 @@ def write_pgm(path, data: np.ndarray, lo: Optional[float] = None, hi: Optional[f
         fh.write(pixels.tobytes())
 
 
-def write_mask_text(path, symbols: np.ndarray, kind: str, index: int) -> None:
-    """Integer-symbol mask grid for inspection or SLM playback.
+def write_mask_text(path, symbols, kind, index):
+    """The 2-D integer grid ``symbols`` of mask ``index``, for inspection or SLM playback.
 
     basis masks use -1/1, cos masks 0/1, sin masks -1/1 standing for the
     1-i / 1+i phase states.  Each row of the 2-D grid is its integers,
@@ -435,14 +460,15 @@ def write_mask_text(path, symbols: np.ndarray, kind: str, index: int) -> None:
         fh.write(b"\n")
 
 
-def write_metrics(path, metrics: dict) -> None:
-    """Plain 'key: value' report."""
+def write_metrics(path, metrics):
+    """Plain 'key: value' report of the dict ``metrics``."""
     with open(path, "w", newline="\n") as fh:
         for key, value in metrics.items():
             fh.write(f"{key}: {value}\n")
 
 
-def write_cross_section_csv(path, kind, coordinates, values) -> None:
+def write_cross_section_csv(path, kind, coordinates, values):
+    """A '# kind=<kind>' line, then one 'coordinate,value' row per sample, as `repr` spells floats."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# kind={kind}\n")
         for c, v in zip(coordinates, values):

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,107 @@ def test_read_series_parity_table(tmp_path, raw, expected):
     else:
         values = read_series(path)[2]
         assert values.tolist() == expected and np.array_equal(values, reference)
+
+
+def _one_call_read(path, n):
+    """The rows after a one-line header as a single `np.loadtxt` call over the rest of the file
+    parses them: their values, or the message of the DataError that `read_series` raises."""
+    with open(path) as fh, warnings.catch_warnings():
+        fh.readline()
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("j", "<i8"), ("v", "<f8")])
+        except (ValueError, Warning) as exc:
+            return f"{path}: bad series rows ({exc})"
+    if rows.size != n or not np.array_equal(rows["j"], np.arange(n)):
+        return f"{path}: expected rows j=0..{n - 1} in order"
+    return np.ascontiguousarray(rows["v"])
+
+
+# d=128: N = 16,384 rows, two blocks of `formats._ROWS` lines
+BLOCKS_D = 128
+BLOCKS_N = BLOCKS_D ** 2
+
+
+@pytest.fixture(scope="module")
+def two_block_series(tmp_path_factory):
+    """A d=128 series' header line, its row lines and its values."""
+    values = np.random.default_rng(128).random(BLOCKS_N)
+    path = tmp_path_factory.mktemp("blocks") / "series.csv"
+    write_series(path, Scan(OrthoMatrix(BLOCKS_D), values, values), "cos")
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    return header, rows, values
+
+
+def _edit(rows, j, edit):
+    """The row lines with ``edit`` made at row j; the last two edits leave the file valid."""
+    if edit == "malformed":
+        rows[j] = b"%d,0.5x\n" % j
+    elif edit == "missing":
+        del rows[j]
+    elif edit == "out-of-order":
+        rows[j - 1], rows[j] = rows[j], rows[j - 1]
+    elif edit == "extra-row":
+        rows.insert(j + 1, b"%d,0.5\n" % (j + 1))
+    elif edit == "blank-line":
+        rows.insert(j + 1, b"\n")
+    else:   # CRLF endings on rows j-1..j+1
+        rows[j - 1:j + 2] = [row.replace(b"\n", b"\r\n") for row in rows[j - 1:j + 2]]
+    return rows
+
+
+@pytest.mark.parametrize("j", [9_999, 10_000, BLOCKS_N - 1], ids=["j9999", "j10000", "last"])
+@pytest.mark.parametrize("edit", ["malformed", "missing", "out-of-order", "extra-row",
+                                  "blank-line", "crlf"])
+def test_read_series_block_boundaries(tmp_path, two_block_series, edit, j):
+    header, rows, values = two_block_series
+    path = tmp_path / "series.csv"
+    path.write_bytes(header + b"".join(_edit(list(rows), j, edit)))
+    reference, one_call = _row_by_row_read_values(path), _one_call_read(path, BLOCKS_N)
+    if edit in ("blank-line", "crlf"):
+        got = read_series(path)[2]
+        for accepted in (values, reference, one_call):
+            assert np.array_equal(got.view(np.uint64), accepted.view(np.uint64))
+    else:
+        with pytest.raises(DataError) as raised:
+            read_series(path)
+        assert reference is None and str(raised.value) == one_call
+
+
+# after the rows: more blank lines than the last block takes in, then maybe a row
+@pytest.mark.parametrize("tail", [b"\n" * 10_000, b"\n" * 10_000 + b"%d,0.5\n" % BLOCKS_N],
+                         ids=["blank-lines", "blank-lines-then-extra-row"])
+def test_read_series_reads_past_the_last_block(tmp_path, two_block_series, tail):
+    header, rows, values = two_block_series
+    path = tmp_path / "series.csv"
+    path.write_bytes(header + b"".join(rows) + tail)
+    one_call = _one_call_read(path, BLOCKS_N)
+    if tail.endswith(b"\n\n"):
+        got = read_series(path)[2]
+        assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), one_call.view(np.uint64))
+    else:
+        with pytest.raises(DataError) as raised:
+            read_series(path)
+        assert str(raised.value) == one_call
+
+
+def test_read_series_with_a_forged_d_reports_its_missing_rows(tmp_path):
+    # N = 2**40 values fit in no memory; the file holds four rows, and that is the error
+    path = tmp_path / "series.csv"
+    path.write_bytes(HEADER.replace(b"d=2", b"d=1048576") + ROWS)
+    with pytest.raises(DataError, match=r"expected rows j=0\.\.1099511627775 in order$"):
+        read_series(path)
+
+
+def test_read_series_header_only(tmp_path, two_block_series):
+    path = tmp_path / "series.csv"
+    path.write_bytes(two_block_series[0])
+    with pytest.raises(DataError) as raised:
+        read_series(path)
+    assert _row_by_row_read_values(path) is None
+    assert str(raised.value) == _one_call_read(path, BLOCKS_N)
 
 
 # sizes a basis scans: a header's basis is a power of two wide
